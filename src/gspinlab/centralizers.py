@@ -14,17 +14,21 @@ center itself is the kernel of the extension.
 
 At the level of the similitude quotient only quadratic twists survive (the
 scalar slot forces nu^2 = 1); twists of order four appear for the larger
-projective-linear centralizer, computed by ``sl_level_group``.
+projective-linear centralizer, computed by ``sl_level_group``. Both levels
+assemble their groups from the solution lines through one routine, and the
+twist enumerations are one product over a root set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, format_qi, parse_qi, qi_nullspace
 from .finite_groups import (
     FiniteMatrixGroup,
     NotFiniteError,
+    closure_tree,
     elem_key,
     elem_mul,
     fourth_root_canonical,
@@ -69,12 +73,8 @@ class TwistCharacter:
     values: Tuple[QI, ...]
 
     def validate(self, relations: Sequence[Sequence[Tuple[int, int]]]) -> None:
-        for word in relations:
-            acc = QI(1)
-            for idx, e in word:
-                acc = acc * qi_pow(self.values[idx], e)
-            if acc != QI(1):
-                raise ValueError("twist character violates a generator relation")
+        if not _relation_ok(self.values, relations):
+            raise ValueError("twist character violates a generator relation")
 
     def is_trivial(self) -> bool:
         return all(v == QI(1) for v in self.values)
@@ -90,24 +90,26 @@ def _relation_ok(values: Sequence[QI], relations) -> bool:
     return True
 
 
-def quadratic_twists(k: int, relations=()) -> List[TwistCharacter]:
-    from itertools import product
-
+def _twists(roots: Sequence[QI], k: int, relations) -> List[TwistCharacter]:
+    """Every assignment of ``roots`` to k generators that satisfies the relations."""
     return [
         TwistCharacter(vals)
-        for vals in product(MU2, repeat=k)
+        for vals in product(roots, repeat=k)
         if _relation_ok(vals, relations)
     ]
+
+
+def quadratic_twists(k: int, relations=()) -> List[TwistCharacter]:
+    return _twists(MU2, k, relations)
 
 
 def quartic_twists(k: int, relations=()) -> List[TwistCharacter]:
-    from itertools import product
+    return _twists(FOURTH_ROOTS, k, relations)
 
-    return [
-        TwistCharacter(vals)
-        for vals in product(FOURTH_ROOTS, repeat=k)
-        if _relation_ok(vals, relations)
-    ]
+
+def _center_scalars(n: int) -> Tuple[QI, ...]:
+    """The scalars of SL_n(Q(i)) for the supported sizes: mu_2 or mu_4."""
+    return MU2 if n == 2 else FOURTH_ROOTS
 
 
 def twisted_centralizer_space(
@@ -217,36 +219,18 @@ class ParameterImage:
 
     def projective_closure_order(self, cap: int = 4096) -> int:
         """Order of the image in the projectivized quotient; errors past cap."""
-
-        def pmul(x, y):
-            if self.ambient == "GSO4":
-                raw = (x[0] * y[0], x[1] * y[1])
-            else:
-                raw = (x[0] * y[0], x[1] * y[1])
-            return self.projective_canonical(raw)
-
         if self.ambient == "GSO4":
             ident = (GaussianMatrix.identity(2), GaussianMatrix.identity(2))
         else:
             ident = (QI(1), GaussianMatrix.identity(4))
-        start = self.projective_canonical(ident)
-        seen = {start}
-        frontier = [start]
-        gens = [self.projective_canonical(g) for g in self.generators]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for g in gens:
-                    y = pmul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        fresh.append(y)
-                        if len(seen) > cap:
-                            raise NotFiniteError(
-                                f"projective image not finite within cap {cap}"
-                            )
-            frontier = fresh
-        return len(seen)
+        tree = closure_tree(
+            self.projective_canonical(ident),
+            [self.projective_canonical(g) for g in self.generators],
+            lambda x, y: self.projective_canonical((x[0] * y[0], x[1] * y[1])),
+            cap,
+            f"projective image not finite within cap {cap}",
+        )
+        return len(tree)
 
     def to_dict(self) -> dict:
         gens = []
@@ -325,41 +309,7 @@ def s_groups(
             raise ValueError("candidate twists must include the trivial character")
         for t in twists:
             t.validate(phi.relations)
-    factors = phi.factor_images()
-    elements = set()
-    used = []
-    for nu in twists:
-        lines = []
-        dead = False
-        for images in factors:
-            basis = twisted_centralizer_space(images, nu.values)
-            if len(basis) > 1:
-                raise NotEllipticError(
-                    "not elliptic: a twisted solution space has dimension "
-                    f"{len(basis)}"
-                )
-            if not basis:
-                dead = True
-                break
-            lines.append(basis[0])
-        if dead:
-            continue
-        used.append(nu)
-        normalized = [sl_normalize(h) for h in lines]
-        if phi.ambient == "GSO4":
-            s1, s2 = normalized
-            for e1 in (s1, -s1):
-                for e2 in (s2, -s2):
-                    elements.add((e1, e2))
-        else:
-            s = normalized[0]
-            for z in FOURTH_ROOTS:
-                elements.add(s.scale(z))
-    if len(elements) > cap:
-        raise NotFiniteError(f"assembled group exceeds cap {cap}")
-    group = FiniteMatrixGroup(elements, generators=tuple(sorted(elements, key=elem_key)))
-    if not group.is_closed():
-        raise RuntimeError("assembled twisted-centralizer set failed to close")
+    group, used = _assemble_lines(phi.factor_images(), twists, cap)
     if phi.ambient == "GSO4":
         eye = GaussianMatrix.identity(2)
         z_elements = tuple((eye.scale(a), eye.scale(b)) for a in MU2 for b in MU2)
@@ -391,21 +341,18 @@ def s_groups(
 def verify_extension(report: CentralizerReport) -> bool:
     """Exactness of 1 -> Z_hat -> S_phi_sc -> S_phi -> 1 for the report."""
     group = report.s_phi_sc
-    try:
-        for z in report.z_elements:
-            if z not in group:
-                return False
-            if any(elem_mul(z, x) != elem_mul(x, z) for x in group.elements):
-                return False
-        canon = _quotient_canon(report.ambient)
-        cosets = {canon(x) for x in group.elements}
-        if len(cosets) != report.s_phi_order:
+    for z in report.z_elements:
+        if z not in group:
             return False
-        if len(report.z_elements) != report.z_hat.torsion_order():
+        if any(elem_mul(z, x) != elem_mul(x, z) for x in group.elements):
             return False
-        return group.order == len(report.z_elements) * len(cosets)
-    except Exception:
+    canon = _quotient_canon(report.ambient)
+    cosets = {canon(x) for x in group.elements}
+    if len(cosets) != report.s_phi_order:
         return False
+    if len(report.z_elements) != report.z_hat.torsion_order():
+        return False
+    return group.order == len(report.z_elements) * len(cosets)
 
 
 def sl_level_group(
@@ -417,23 +364,44 @@ def sl_level_group(
     determinant constraint); the union of normalized lines, scaled by the
     full scalar group of the cover, is returned as an explicit group.
     """
-    n = images[0].n
-    k = len(images)
-    twists = quadratic_twists(k, relations) if n == 2 else quartic_twists(k, relations)
-    scalars = MU2 if n == 2 else FOURTH_ROOTS
+    twists = _twists(_center_scalars(images[0].n), len(images), relations)
+    return _assemble_lines([images], twists, cap)[0]
+
+
+def _assemble_lines(
+    factors: Sequence[Sequence[GaussianMatrix]], twists: Sequence[TwistCharacter], cap: int
+) -> Tuple[FiniteMatrixGroup, List[TwistCharacter]]:
+    """The group of determinant-1 twisted centralizers, one factor per cover slot.
+
+    For each twist, every factor's twisted solution line is solved; a twist
+    with a zero line in some factor is dead and skipped. The live lines are
+    normalized into SL_n and scaled by the scalars of SL_n, giving matrices
+    (one factor) or tuples (several). Returns the closed group and the live
+    twists.
+    """
     elements = set()
+    live = []
     for nu in twists:
-        basis = twisted_centralizer_space(images, nu.values)
-        if len(basis) > 1:
-            raise NotEllipticError("not elliptic: solution space of dimension >= 2")
-        if not basis:
-            continue
-        s = sl_normalize(basis[0])
-        for z in scalars:
-            elements.add(s.scale(z))
+        lines = []
+        for images in factors:
+            basis = twisted_centralizer_space(images, nu.values)
+            if len(basis) > 1:
+                raise NotEllipticError(
+                    "not elliptic: a twisted solution space has dimension "
+                    f"{len(basis)}"
+                )
+            if not basis:
+                break
+            lines.append(basis[0])
+        else:
+            live.append(nu)
+            normalized = [sl_normalize(h) for h in lines]
+            scaled = [[h.scale(z) for z in _center_scalars(h.n)] for h in normalized]
+            for combo in product(*scaled):
+                elements.add(combo if len(combo) > 1 else combo[0])
     if len(elements) > cap:
         raise NotFiniteError(f"assembled group exceeds cap {cap}")
     group = FiniteMatrixGroup(elements, generators=tuple(sorted(elements, key=elem_key)))
     if not group.is_closed():
         raise RuntimeError("assembled twisted-centralizer set failed to close")
-    return group
+    return group, live

@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Verbs: datum | iso | exact | group | params | packets | verify-paper.
-Exit codes: 0 ok, 1 verification-false, 2 input error, 3 cap exceeded.
+Exit codes: 0 ok, 1 verification-false, 2 input error, 3 cap exceeded,
+4 an internal consistency check failed.
 All file I/O is UTF-8 JSON; the schemas are documented in docs/schemas.md.
 """
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -443,6 +445,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (NotFiniteError, CapExceededError, InfiniteFamilyError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,6 +11,11 @@ p = 1 mod exponent, and the character values are lifted back to Z[i] via
 root-of-unity multiplicities. For groups of order at most 64 each row is
 cross-validated against the regular representation (the projection built
 from the row must be idempotent), giving a second, independent path.
+
+The mod-p eigen-split runs on the same Gauss-Jordan routine as the Q(i)
+solves (``gaussian.gauss_jordan``), and every closure in the package,
+including projective images and central-character values, is the word tree
+built by ``closure_tree``.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix
+from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, gauss_jordan, nullspace
 from .lattice import AbelianGroupStructure
 
 
@@ -180,21 +185,39 @@ def generate_closure(
     for g in gens:
         if not elem_is_invertible(g):
             raise ValueError("generators must be invertible")
-    ident = elem_identity_like(gens[0])
-    seen = {ident}
-    frontier = [ident]
+    tree = closure_tree(
+        elem_identity_like(gens[0]), gens, elem_mul, cap, f"not finite within cap {cap}"
+    )
+    return FiniteMatrixGroup(tree, generators=gens, label=label)
+
+
+def closure_tree(
+    identity: Element,
+    generators: Sequence[Element],
+    mul: Callable[[Element, Element], Element],
+    cap: Optional[int] = None,
+    cap_message: str = "",
+) -> Dict[Element, Tuple[Optional[Element], Optional[int]]]:
+    """Breadth-first word tree of the monoid generated from ``identity``.
+
+    Maps each element y to (x, j) with y = mul(x, generators[j]), in
+    discovery order; the identity maps to (None, None). Raises
+    ``NotFiniteError(cap_message)`` once more than ``cap`` elements appear.
+    """
+    tree: Dict[Element, Tuple[Optional[Element], Optional[int]]] = {identity: (None, None)}
+    frontier = [identity]
     while frontier:
         fresh = []
         for x in frontier:
-            for g in gens:
-                y = elem_mul(x, g)
-                if y not in seen:
-                    seen.add(y)
+            for j, g in enumerate(generators):
+                y = mul(x, g)
+                if y not in tree:
+                    tree[y] = (x, j)
                     fresh.append(y)
-                    if len(seen) > cap:
-                        raise NotFiniteError(f"not finite within cap {cap}")
+                    if cap is not None and len(tree) > cap:
+                        raise NotFiniteError(cap_message)
         frontier = fresh
-    return FiniteMatrixGroup(seen, generators=gens, label=label)
+    return tree
 
 
 @dataclass(frozen=True)
@@ -315,7 +338,8 @@ def abelian_invariants(group: FiniteMatrixGroup) -> AbelianGroupStructure:
 
     peeled = rec(list(group.elements), group.mul, group.identity)
     for a, b in zip(peeled, peeled[1:]):
-        assert a % b == 0
+        if a % b:
+            raise AssertionError("invariant factors fail to divide each other")
     return AbelianGroupStructure(0, tuple(reversed(peeled)))
 
 
@@ -422,72 +446,6 @@ def _primitive_eth_root(p: int, e: int) -> int:
     raise RuntimeError("no generator found")
 
 
-def _modp_nullspace(mat: List[List[int]], p: int) -> List[List[int]]:
-    rows = [r[:] for r in mat]
-    m = len(rows)
-    width = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = -1
-        for i in range(r, m):
-            if rows[i][c] % p:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        invp = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * invp) % p for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * width
-        vec[fc] = 1
-        for prow, pc in enumerate(pivots):
-            vec[pc] = (-rows[prow][fc]) % p
-        basis.append(vec)
-    return basis
-
-
-def _modp_solve_coords(basis: List[List[int]], target: List[int], p: int) -> List[int]:
-    # coordinates of target in the span of basis vectors (assumed consistent)
-    k = len(target)
-    m = len(basis)
-    aug = [[basis[j][i] for j in range(m)] + [target[i]] for i in range(k)]
-    coords = [0] * m
-    r = 0
-    pivots = []
-    for c in range(m):
-        piv = -1
-        for i in range(r, k):
-            if aug[i][c] % p:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        invp = pow(aug[r][c], p - 2, p)
-        aug[r] = [(x * invp) % p for x in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for row_i, c in enumerate(pivots):
-        coords[c] = aug[row_i][m]
-    return coords
-
-
 def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
     n = group.order
     if n > 512:
@@ -526,6 +484,12 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
     p = _choose_prime(e, n)
     zroot = _primitive_eth_root(p, e)
 
+    def inverse(x: int) -> int:
+        return pow(x, p - 2, p)
+
+    def reduce(row: List[int]) -> List[int]:
+        return [x % p for x in row]
+
     # split F_p^k into common eigenlines of the class-sum matrices
     spaces: List[List[List[int]]] = [
         [[1 if i == j else 0 for j in range(k)] for i in range(k)]
@@ -544,14 +508,18 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
                 [sum(mat[t][j] * vec[j] for j in range(k)) % p for t in range(k)]
                 for vec in basis
             ]
-            coords = [_modp_solve_coords(basis, img, p) for img in images]
-            rmat = [[coords[b][a] for b in range(mdim)] for a in range(mdim)]
+            # coordinates of every image in the basis: reduce [basis^T | images^T]
+            aug = [[vec[t] for vec in basis] + [img[t] for img in images] for t in range(k)]
+            red, pivots = gauss_jordan(aug, mdim, inverse, reduce)
+            rmat = [[0] * mdim for _ in range(mdim)]
+            for row, c in zip(red, pivots):
+                rmat[c] = row[mdim:]
             for lam in range(p):
                 shifted = [
                     [(rmat[a][b] - (lam if a == b else 0)) % p for b in range(mdim)]
                     for a in range(mdim)
                 ]
-                null = _modp_nullspace(shifted, p)
+                null = nullspace(shifted, mdim, inverse, 1, reduce)
                 if null:
                     sub = [
                         [
@@ -565,7 +533,8 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
 
     omegas_list = []
     for basis in spaces:
-        assert len(basis) == 1, "class-sum matrices failed to split to lines"
+        if len(basis) != 1:
+            raise AssertionError("class-sum matrices failed to split to lines")
         v = basis[0]
         t0 = next(t for t in range(k) if v[t] % p)
         om = []
@@ -590,7 +559,8 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
             if (dd * dd) % p == d2:
                 deg = dd
                 break
-        assert deg is not None, "no degree matches the mod-p data"
+        if deg is None:
+            raise AssertionError("no degree matches the mod-p data")
         chi_p = [(deg * om[i] * pow(sizes[i], p - 2, p)) % p for i in range(k)]
         values = []
         for i in range(k):
@@ -600,7 +570,8 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
                 for t in range(e):
                     mj = (mj + chi_p[power[i][t]] * pow(zroot, (-j * t) % (p - 1), p)) % p
                 mj = (mj * einv) % p
-                assert mj <= deg, "multiplicity lift out of range"
+                if mj > deg:
+                    raise AssertionError("multiplicity lift out of range")
                 if mj:
                     val = val + QI(mj) * zeta_pows[j]
             values.append(val)
@@ -691,21 +662,22 @@ class CentralCharacter:
 
     def extend(self, mul: Callable, identity: Element) -> Dict[Element, QI]:
         """Value map on the generated subgroup; error when not multiplicative."""
-        values: Dict[Element, QI] = {identity: QI(1)}
-        frontier = [identity]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for g, val in self.assignments:
-                    y = mul(x, g)
-                    newval = values[x] * val
-                    if y in values:
-                        if values[y] != newval:
-                            raise ValueError("central character is not multiplicative")
-                    else:
-                        values[y] = newval
-                        fresh.append(y)
-            frontier = fresh
+        products: Dict[Tuple[Element, Element], Element] = {}
+
+        def step(x: Element, g: Element) -> Element:
+            # the walk applies every generator to every element: keep the
+            # products so the edge check below multiplies nothing again
+            products[x, g] = y = mul(x, g)
+            return y
+
+        tree = closure_tree(identity, [g for g, _ in self.assignments], step)
+        values: Dict[Element, QI] = {}
+        for y, (x, j) in tree.items():
+            values[y] = QI(1) if x is None else values[x] * self.assignments[j][1]
+        for x in tree:
+            for g, val in self.assignments:
+                if values[products[x, g]] != values[x] * val:
+                    raise ValueError("central character is not multiplicative")
         return values
 
 
@@ -722,6 +694,9 @@ def irreps_with_central_character(
             raise ValueError("designated subgroup is not inside the group")
         if any(group.mul(z, x) != group.mul(x, z) for x in group.elements):
             raise ValueError("designated subgroup is not central")
+    for g, _ in zeta.assignments:
+        if g not in zset:
+            raise ValueError("central character generator lies outside the designated subgroup")
     values = zeta.extend(group.mul, group.identity)
     if set(values) != zset:
         raise ValueError("central character generators do not generate the subgroup")

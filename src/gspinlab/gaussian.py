@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 def _frac_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -58,9 +58,6 @@ class QI:
             raise ZeroDivisionError("inverse of zero in Q(i)")
         return QI(self.re / n, -self.im / n)
 
-    def __truediv__(self, other: "QI") -> "QI":
-        return self * other.inverse()
-
     def conj(self) -> "QI":
         return QI(self.re, -self.im)
 
@@ -69,6 +66,9 @@ class QI:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
+
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QI) and self.re == other.re and self.im == other.im
@@ -104,9 +104,6 @@ class QI:
         return f"QI({format_qi(self)!r})"
 
 
-QI_ZERO = QI(0)
-QI_ONE = QI(1)
-QI_I = QI(0, 1)
 FOURTH_ROOTS = (QI(1), QI(0, 1), QI(-1), QI(0, -1))
 
 
@@ -216,16 +213,6 @@ class GaussianMatrix:
     def __neg__(self) -> "GaussianMatrix":
         return self.scale(QI(-1))
 
-    def transpose(self) -> "GaussianMatrix":
-        n = self.n
-        return GaussianMatrix([[self._data[j][i] for j in range(n)] for i in range(n)])
-
-    def trace(self) -> QI:
-        t = QI(0)
-        for i in range(self.n):
-            t = t + self._data[i][i]
-        return t
-
     def det(self) -> QI:
         n = self.n
         a = [list(row) for row in self._data]
@@ -252,22 +239,10 @@ class GaussianMatrix:
 
     def inverse(self) -> "GaussianMatrix":
         n = self.n
-        a = [list(row) + [QI(1) if i == j else QI(0) for j in range(n)] for i, row in enumerate(self._data)]
-        for k in range(n):
-            piv = -1
-            for i in range(k, n):
-                if not a[i][k].is_zero():
-                    piv = i
-                    break
-            if piv < 0:
-                raise ZeroDivisionError("singular matrix")
-            a[k], a[piv] = a[piv], a[k]
-            inv = a[k][k].inverse()
-            a[k] = [x * inv for x in a[k]]
-            for i in range(n):
-                if i != k and not a[i][k].is_zero():
-                    f = a[i][k]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        aug = [list(row) + [QI(1) if i == j else QI(0) for j in range(n)] for i, row in enumerate(self._data)]
+        a, pivots = gauss_jordan(aug, n, QI.inverse)
+        if len(pivots) < n:
+            raise ZeroDivisionError("singular matrix")
         return GaussianMatrix([row[n:] for row in a])
 
     def is_identity(self) -> bool:
@@ -298,41 +273,66 @@ class GaussianMatrix:
         return f"GaussianMatrix({self.to_strings()!r})"
 
 
-def qi_nullspace(rows: List[List[QI]], width: int) -> List[List[QI]]:
-    """Basis of the right nullspace of a Q(i) matrix given as rows.
+def gauss_jordan(
+    rows: Sequence[Sequence], width: int, inverse: Callable, reduce: Optional[Callable] = None
+) -> Tuple[List[list], List[int]]:
+    """Reduced row echelon form over a field, pivoting on the first ``width`` columns.
 
-    Each basis vector is normalized so its first nonzero entry is 1, and
-    the list is ordered by the position of that entry.
+    ``inverse`` inverts a nonzero entry; entries test as zero by truth value.
+    ``reduce``, when given, maps a row to canonical representatives (residues
+    mod p) and is applied to the input and after every row operation; Q(i)
+    needs none. Columns past ``width`` ride along, so augmented matrices give
+    inverses and coordinates. Returns the reduced rows and the pivot columns.
     """
-    a = [list(r) for r in rows]
+    a = [reduce(r) if reduce else list(r) for r in rows]
     m = len(a)
     pivots: List[int] = []
-    r = 0
     for c in range(width):
-        piv = -1
-        for i in range(r, m):
-            if not a[i][c].is_zero():
-                piv = i
-                break
-        if piv < 0:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == m:
             break
-    free = [c for c in range(width) if c not in pivots]
+        for piv in range(r, m):
+            if a[piv][c]:
+                break
+        else:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = inverse(a[r][c])
+        a[r] = [x * inv for x in a[r]]
+        if reduce:
+            a[r] = reduce(a[r])
+        for i in range(m):
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                if reduce:
+                    a[i] = reduce(a[i])
+        pivots.append(c)
+    return a, pivots
+
+
+def nullspace(
+    rows: Sequence[Sequence], width: int, inverse: Callable, one, reduce: Optional[Callable] = None
+) -> List[list]:
+    """Basis of the right nullspace over the field given by ``inverse``, ``one``, ``reduce``.
+
+    Each basis vector has entry ``one`` at its free column and zeros at the
+    other free columns; the list is ordered by that column.
+    """
+    a, pivots = gauss_jordan(rows, width, inverse, reduce)
+    zero = one - one
     basis = []
-    for fc in free:
-        vec = [QI(0)] * width
-        vec[fc] = QI(1)
+    for fc in range(width):
+        if fc in pivots:
+            continue
+        vec = [zero] * width
+        vec[fc] = one
         for prow, pc in enumerate(pivots):
             vec[pc] = -a[prow][fc]
-        basis.append(vec)
+        basis.append(reduce(vec) if reduce else vec)
     return basis
+
+
+def qi_nullspace(rows: List[List[QI]], width: int) -> List[List[QI]]:
+    """Basis of the right nullspace of a Q(i) matrix given as rows (see ``nullspace``)."""
+    return nullspace(rows, width, QI.inverse, QI(1))

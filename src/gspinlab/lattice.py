@@ -48,10 +48,6 @@ class IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         if columns:
             nrows = len(columns[0])
@@ -146,9 +142,6 @@ class IntMatrix:
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and self.det() in (1, -1)
-
-    def max_abs(self) -> int:
-        return max((abs(x) for row in self._data for x in row), default=0)
 
 
 def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -356,7 +349,8 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     for i in range(n):
         e = [1 if k == i else 0 for k in range(n)]
         x = solve_integral(m, e)
-        assert x is not None
+        if x is None:
+            raise AssertionError("unimodular matrix has no integral inverse column")
         cols.append(x)
     return IntMatrix.from_columns(cols, rows=n)
 

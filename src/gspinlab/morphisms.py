@@ -154,7 +154,8 @@ def _det_poly_coeffs(s0: Sequence[int], kvec: Sequence[int], n: int) -> List[int
             coeffs[t] += w * ct
     out = []
     for c in coeffs:
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise AssertionError("interpolated coefficient is not an integer")
         out.append(int(c))
     return out
 

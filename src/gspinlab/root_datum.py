@@ -292,13 +292,15 @@ def similitude_kernel_datum(
         if _dot(chi, av):
             raise ValueError("similitude character must be central (pair to 0 with coroots)")
     u, dd, _ = smith_normal_form(IntMatrix.column(chi))
-    assert dd.entry(0, 0) == 1
+    if dd.entry(0, 0) != 1:
+        raise AssertionError("similitude character does not split off a basis vector")
     uinv_t = inverse_unimodular(u).transpose()
     new_roots = [u.apply(a)[1:] for a in d.simple_roots]
     new_coroots = []
     for av in d.simple_coroots:
         w = uinv_t.apply(av)
-        assert w[0] == 0
+        if w[0] != 0:
+            raise AssertionError("coroot leaves the kernel of the similitude character")
         new_coroots.append(w[1:])
     return BasedRootDatum(
         d.rank - 1, new_roots, new_coroots, label=label or f"ker-chi({d.label})"
@@ -388,7 +390,8 @@ def dual_sc_center(d: BasedRootDatum) -> AbelianGroupStructure:
     c = [[_dot(b, av) for b in d.simple_coroots] for av in d.simple_roots]
     # transpose of the Cartan matrix; cokernel class is transpose-invariant
     out = cokernel_structure(IntMatrix(c))
-    assert out.free_rank == 0
+    if out.free_rank != 0:
+        raise AssertionError("dual simply connected center is infinite")
     return out
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from gspinlab import presets
@@ -200,6 +202,12 @@ def test_verify_extension_rejects_corruption():
     )
     rep.s_phi_sc = broken
     assert not verify_extension(rep)
+
+
+def test_verify_extension_rejects_wrong_quotient_order():
+    rep = s_groups(presets.witness_parameter("coupled_klein_four"))
+    assert verify_extension(rep)
+    assert not verify_extension(dataclasses.replace(rep, s_phi_order=rep.s_phi_order + 1))
 
 
 def test_projective_closure_orders():

@@ -207,3 +207,16 @@ def test_verify_paper_json(capsys):
     assert data["ok"] is True
     assert all(item["ok"] for item in data["items"])
     assert len(data["items"]) >= 25
+
+
+def test_failed_internal_check_exits_four(capsys, monkeypatch):
+    import gspinlab.finite_groups as fg
+
+    def broken(table):
+        raise AssertionError("row orthogonality fails")
+
+    monkeypatch.setattr(fg, "_validate_table", broken)
+    code, out, err = run(capsys, "group", "table", "--preset", "klein_four_sl2")
+    assert code == 4
+    assert err.strip() == "internal check failed: row orthogonality fails"
+    assert "Traceback" not in err and out == ""

@@ -168,6 +168,15 @@ def test_central_character_errors():
         irreps_with_central_character(g, [I2, A, NEG, A.scale(QI(-1))], noncentral)
 
 
+def test_central_character_generator_outside_subgroup_rejected():
+    # a unipotent generator has infinite order: extending it used to loop forever
+    g = generate_closure([A, B])
+    unipotent = GaussianMatrix.from_strings([["1", "1"], ["0", "1"]])
+    zeta = CentralCharacter(((unipotent, QI(1)),))
+    with pytest.raises(ValueError, match="outside the designated subgroup"):
+        irreps_with_central_character(g, [I2, NEG], zeta)
+
+
 def test_mu4_central_character_pickout():
     g = generate_closure([GaussianMatrix.scalar(4, QI(0, 1))])
     z = GaussianMatrix.scalar(4, QI(0, 1))

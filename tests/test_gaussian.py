@@ -7,9 +7,31 @@ from gspinlab.gaussian import (
     QI,
     GaussianMatrix,
     format_qi,
+    gauss_jordan,
+    nullspace,
     parse_qi,
     qi_nullspace,
 )
+
+# a prime above the Hadamard bound of every minor of the matrices below, so
+# ranks over F_P and over Q(i) agree
+P = 2**31 - 1
+
+
+def _modp_inverse(x):
+    return pow(x, P - 2, P)
+
+
+def _modp_reduce(row):
+    return [x % P for x in row]
+
+
+def _random_low_rank(rng, m, n):
+    # product of m x r and r x n factors with entries in [-2, 2]: rank <= r
+    r = rng.randint(0, min(m, n))
+    left = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(m)]
+    right = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+    return [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(n)] for i in range(m)]
 
 
 def test_parse_format_roundtrip():
@@ -73,3 +95,50 @@ def test_nullspace():
     assert v[0] + v[1] == QI(0)
     # full-rank system has no kernel
     assert qi_nullspace([[QI(1), QI(0)], [QI(0), QI(1)]], 2) == []
+
+
+def test_elimination_agrees_over_fp_and_qi():
+    rng = random.Random(20151008)
+    for _ in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        mat = _random_low_rank(rng, m, n)
+        qrows = [[QI(x) for x in row] for row in mat]
+        _, qpivots = gauss_jordan(qrows, n, QI.inverse)
+        _, ppivots = gauss_jordan(mat, n, _modp_inverse, _modp_reduce)
+        qnull = qi_nullspace(qrows, n)
+        pnull = nullspace(mat, n, _modp_inverse, 1, _modp_reduce)
+        assert len(qpivots) == len(ppivots)
+        assert len(qnull) == len(pnull)
+        assert len(qpivots) + len(qnull) == n
+        for v in qnull:
+            for row in qrows:
+                acc = QI(0)
+                for a, x in zip(row, v):
+                    acc = acc + a * x
+                assert acc.is_zero()
+        for v in pnull:
+            assert all(x == x % P for x in v)
+            for row in mat:
+                assert sum(a * x for a, x in zip(row, v)) % P == 0
+
+
+def test_elimination_solves_coordinates_mod_p():
+    # the eigen-split reads coordinates off [basis^T | targets^T]
+    rng = random.Random(1510)
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        while True:
+            basis = [[rng.randrange(P) for _ in range(k)] for _ in range(rng.randint(1, k))]
+            _, piv = gauss_jordan([list(c) for c in zip(*basis)], len(basis), _modp_inverse, _modp_reduce)
+            if len(piv) == len(basis):
+                break
+        dim = len(basis)
+        coords = [[rng.randrange(P) for _ in range(dim)] for _ in range(3)]
+        targets = [[sum(c[b] * basis[b][t] for b in range(dim)) % P for t in range(k)] for c in coords]
+        aug = [[vec[t] for vec in basis] + [tg[t] for tg in targets] for t in range(k)]
+        red, pivots = gauss_jordan(aug, dim, _modp_inverse, _modp_reduce)
+        assert pivots == list(range(dim))
+        for j, c in enumerate(coords):
+            assert [red[b][dim + j] for b in range(dim)] == c
+        # rows past the basis rank carry no leftover: the targets lie in the span
+        assert all(not any(row) for row in red[dim:])

@@ -22,19 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, format_qi, parse_qi, qi_nullspace
 from .finite_groups import (
     FiniteMatrixGroup,
     NotFiniteError,
     closure_tree,
-    elem_key,
     elem_mul,
-    fourth_root_canonical,
     group_id,
-    quotient_group,
-    sign_canonical,
 )
 from .lattice import AbelianGroupStructure
 
@@ -290,10 +286,6 @@ class CentralizerReport:
         }
 
 
-def _quotient_canon(ambient: str) -> Callable:
-    return sign_canonical if ambient == "GSO4" else fourth_root_canonical
-
-
 def s_groups(
     phi: ParameterImage,
     candidate_twists: Optional[Sequence[TwistCharacter]] = None,
@@ -320,7 +312,7 @@ def s_groups(
     for z in z_elements:
         if z not in group:
             raise RuntimeError("center of the cover is missing from the assembly")
-    squot = quotient_group(group, _quotient_canon(phi.ambient))
+    squot = group.quotient(z_elements)
     s_phi_order = squot.order
     s_phi_label = group_id(squot) if squot.order <= 64 else f"order {squot.order}"
     s_sc_label = group_id(group) if group.order <= 64 else f"order {group.order}"
@@ -346,8 +338,7 @@ def verify_extension(report: CentralizerReport) -> bool:
             return False
         if any(elem_mul(z, x) != elem_mul(x, z) for x in group.elements):
             return False
-    canon = _quotient_canon(report.ambient)
-    cosets = {canon(x) for x in group.elements}
+    cosets = {frozenset(elem_mul(x, z) for z in report.z_elements) for x in group.elements}
     if len(cosets) != report.s_phi_order:
         return False
     if len(report.z_elements) != report.z_hat.torsion_order():
@@ -401,7 +392,7 @@ def _assemble_lines(
                 elements.add(combo if len(combo) > 1 else combo[0])
     if len(elements) > cap:
         raise NotFiniteError(f"assembled group exceeds cap {cap}")
-    group = FiniteMatrixGroup(elements, generators=tuple(sorted(elements, key=elem_key)))
+    group = FiniteMatrixGroup(elements)
     if not group.is_closed():
         raise RuntimeError("assembled twisted-centralizer set failed to close")
     return group, live

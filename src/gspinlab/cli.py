@@ -48,20 +48,23 @@ class InputError(Exception):
 def _read_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _load_datum(arg: str) -> BasedRootDatum:
     if os.path.isfile(arg):
         try:
             return BasedRootDatum.from_dict(_read_json_file(arg))
-        except (KeyError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError) as exc:
             raise InputError(f"bad datum file {arg}: {exc}")
     try:
         return presets.datum(arg)
@@ -135,7 +138,7 @@ def _load_map(arg: str) -> RootDatumMap:
         d = _read_json_file(arg)
         try:
             return RootDatumMap.from_dict(d)
-        except (KeyError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError) as exc:
             raise InputError(f"bad map file {arg}: {exc}")
     try:
         f, _, _ = presets.datum_map(arg)
@@ -180,7 +183,7 @@ def _cmd_exact(args) -> int:
         data = _read_json_file(args.seq)
         try:
             maps = [IntMatrix(m) for m in data["maps"]]
-        except (KeyError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError) as exc:
             raise InputError(f"bad sequence file {args.seq}: {exc}")
     else:
         try:
@@ -206,7 +209,7 @@ def _load_group_generators(args) -> List[GaussianMatrix]:
     data = _read_json_file(args.file)
     try:
         return [GaussianMatrix.from_strings(gm) for gm in data["generators"]]
-    except (KeyError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise InputError(f"bad group file {args.file}: {exc}")
 
 
@@ -254,7 +257,7 @@ def _load_parameter(arg: str) -> ParameterImage:
         data = _read_json_file(arg)
         try:
             return ParameterImage.from_dict(data)
-        except (KeyError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError) as exc:
             raise InputError(f"bad parameter file {arg}: {exc}")
     try:
         return presets.witness_parameter(arg)
@@ -291,13 +294,13 @@ def _cmd_packets(args) -> int:
             )
     try:
         scenario = scenario_from_dict(data)
-    except (KeyError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise InputError(f"bad scenario: {exc}")
     witness = None
     if scenario.witness:
         try:
             witness = presets.witness_parameter(scenario.witness)
-        except (KeyError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError) as exc:
             raise InputError(f"bad witness reference: {exc}")
     report = scenario_report(scenario, witness)
     payload = report.to_dict()

@@ -1,9 +1,13 @@
 """Finite matrix groups over Q(i): closure, classes, exact character tables.
 
 Group elements are ``GaussianMatrix`` objects or tuples of them (tuples for
-product ambient groups such as SL2 x SL2). Quotients by finite central
-subgroups reuse the same machinery through a canonical-representative
-multiplication hook.
+product ambient groups such as SL2 x SL2). Matrices are multiplied only to
+enumerate a group and to apply its generators on the right; the integer
+Cayley table is then filled along the closure word tree by lookups alone.
+Every group algorithm (identity, inverses, orders, center, classes, class
+sums, central characters, quotients by central subgroups) reads that table,
+and the matrices stay as element labels. The center and quotients are built
+on the parent's table and multiply nothing.
 
 Character tables are computed by an exact Dixon-style method: the class-sum
 matrices are simultaneously diagonalized over a prime field F_p with
@@ -20,7 +24,8 @@ built by ``closure_tree``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from functools import cached_property
+from math import isqrt, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, gauss_jordan, nullspace
@@ -48,12 +53,6 @@ def elem_mul(x: Element, y: Element) -> Element:
     return x * y
 
 
-def elem_inv(x: Element) -> Element:
-    if isinstance(x, tuple):
-        return tuple(a.inverse() for a in x)
-    return x.inverse()
-
-
 def elem_identity_like(x: Element) -> Element:
     if isinstance(x, tuple):
         return tuple(GaussianMatrix.identity(a.n) for a in x)
@@ -73,101 +72,142 @@ def elem_is_invertible(x: Element) -> bool:
 
 
 class FiniteMatrixGroup:
-    """A finite group of (tuples of) matrices, closed under the given product.
+    """A finite group of (tuples of) matrices on an integer Cayley table.
 
-    ``mul``/``inv`` default to plain matrix operations; quotient groups pass
-    canonicalizing hooks instead. The element tuple is kept in a canonical
-    sorted order for reproducibility.
+    The elements are kept sorted by ``elem_key``, so positions compare like
+    keys. ``generators`` default to all elements. The table is built on
+    first use; every group algorithm reads it, and the matrices are labels.
     """
 
-    def __init__(
-        self,
-        elements: Iterable[Element],
-        generators: Sequence[Element] = (),
-        mul: Optional[Callable[[Element, Element], Element]] = None,
-        inv: Optional[Callable[[Element], Element]] = None,
-        label: str = "",
-    ):
-        self.mul = mul or elem_mul
-        self.inv = inv or elem_inv
+    def __init__(self, elements: Iterable[Element], generators: Sequence[Element] = ()):
         self.elements: Tuple[Element, ...] = tuple(sorted(set(elements), key=elem_key))
         self.generators: Tuple[Element, ...] = tuple(generators) if generators else self.elements
-        self.label = label
         self._cache: Dict[str, object] = {}
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: Element) -> bool:
-        if "set" not in self._cache:
-            self._cache["set"] = frozenset(self.elements)
-        return x in self._cache["set"]
+    @cached_property
+    def _positions(self) -> Dict[Element, int]:
+        return {x: i for i, x in enumerate(self.elements)}
 
-    @property
-    def identity(self) -> Element:
-        if "identity" not in self._cache:
-            x0 = self.elements[0]
-            found = None
-            for e in self.elements:
-                if self.mul(e, x0) == x0 and self.mul(x0, e) == x0:
-                    if self.mul(e, e) == e:
-                        found = e
-                        break
-            if found is None:
-                raise ValueError("element set has no identity; not a group")
-            self._cache["identity"] = found
-        return self._cache["identity"]
+    def __contains__(self, x: Element) -> bool:
+        return x in self._positions
+
+    def index(self, x: Element) -> int:
+        """Position of ``x`` in ``elements``; KeyError when it is not there."""
+        return self._positions[x]
+
+    @cached_property
+    def _right_action(self) -> Optional[List[List[int]]]:
+        """Position of x * g for every generator g and element x; None if not closed."""
+        action = []
+        for g in self.generators:
+            row = [self._positions.get(elem_mul(x, g)) for x in self.elements]
+            if None in row:
+                return None
+            action.append(row)
+        return action
+
+    @cached_property
+    def identity_index(self) -> int:
+        e = self._positions.get(elem_identity_like(self.elements[0]))
+        if e is None:
+            raise ValueError("element set has no identity; not a group")
+        return e
+
+    @cached_property
+    def generator_index(self) -> Tuple[int, ...]:
+        return tuple(self.index(g) for g in self.generators)
+
+    @cached_property
+    def cayley_table(self) -> List[Tuple[int, ...]]:
+        """Row a, column b: the position of elements[a] * elements[b].
+
+        Filled column by column along the word tree of the generators'
+        right action: if b = c * g then a * b = (a * c) * g, one lookup.
+        """
+        action = self._right_action
+        if action is None:
+            raise ValueError("element set is not closed under its generators; not a group")
+        tree = closure_tree(self.identity_index, range(len(action)), lambda x, j: action[j][x])
+        if len(tree) != self.order:
+            raise ValueError("generators do not generate the element set; not a group")
+        cols: Dict[int, Sequence[int]] = {}
+        for b, (c, j) in tree.items():
+            cols[b] = range(self.order) if c is None else [action[j][x] for x in cols[c]]
+        return list(zip(*(cols[b] for b in range(self.order))))
+
+    @cached_property
+    def inverse_index(self) -> Tuple[int, ...]:
+        return tuple(row.index(self.identity_index) for row in self.cayley_table)
+
+    @cached_property
+    def element_orders(self) -> Tuple[int, ...]:
+        mt, e = self.cayley_table, self.identity_index
+        orders = []
+        for a in range(self.order):
+            y, n = a, 1
+            while y != e:
+                y, n = mt[y][a], n + 1
+            orders.append(n)
+        return tuple(orders)
 
     def element_order(self, x: Element) -> int:
-        e = self.identity
-        y = x
-        n = 1
-        while y != e:
-            y = self.mul(y, x)
-            n += 1
-            if n > self.order:
-                raise ValueError("element order exceeds group order; not a group")
-        return n
+        return self.element_orders[self.index(x)]
 
     def is_closed(self) -> bool:
-        elems = frozenset(self.elements)
-        for x in self.elements:
-            for g in self.generators:
-                if self.mul(x, g) not in elems:
-                    return False
-        return True
+        return self._right_action is not None
+
+    def _central(self, z: int) -> bool:
+        mt = self.cayley_table
+        return all(mt[z][g] == mt[g][z] for g in self.generator_index)
 
     def is_abelian(self) -> bool:
-        if "abelian" not in self._cache:
-            ab = all(
-                self.mul(x, y) == self.mul(y, x)
-                for i, x in enumerate(self.elements)
-                for y in self.elements[i + 1 :]
-            )
-            self._cache["abelian"] = ab
-        return self._cache["abelian"]
+        return all(self._central(g) for g in self.generator_index)
 
     def exponent(self) -> int:
-        from math import lcm
-
-        e = 1
-        for x in self.elements:
-            e = lcm(e, self.element_order(x))
-        return e
+        return lcm(*self.element_orders)
 
     def conjugacy_classes(self) -> Tuple["ConjClass", ...]:
         if "classes" not in self._cache:
             self._cache["classes"] = _conjugacy_classes(self)
         return self._cache["classes"]
 
+    def _induced(
+        self, reps: List[int], image: Sequence[int], gens: Iterable[int]
+    ) -> "FiniteMatrixGroup":
+        """The group on ``reps`` with product image[a * b], read off this table."""
+        mt = self.cayley_table
+        group = FiniteMatrixGroup(())
+        group.elements = tuple(self.elements[a] for a in reps)
+        group.cayley_table = [tuple(image[mt[a][b]] for b in reps) for a in reps]
+        group.identity_index = image[self.identity_index]
+        group.generator_index = tuple(sorted(set(gens)))
+        group.generators = tuple(group.elements[g] for g in group.generator_index)
+        return group
+
     def center(self) -> "FiniteMatrixGroup":
-        zs = [
-            z
-            for z in self.elements
-            if all(self.mul(z, x) == self.mul(x, z) for x in self.elements)
-        ]
-        return FiniteMatrixGroup(zs, generators=zs, mul=self.mul, inv=self.inv)
+        zs = [z for z in range(self.order) if self._central(z)]
+        image = {z: i for i, z in enumerate(zs)}
+        return self._induced(zs, image, range(len(zs)))
+
+    def quotient(self, z_elements: Iterable[Element]) -> "FiniteMatrixGroup":
+        """Quotient by a central subgroup; each coset is labelled by its first element."""
+        mt = self.cayley_table
+        zs = {self.index(z) for z in z_elements}
+        closed = all(mt[a][b] in zs for a in zs for b in zs)
+        if self.identity_index not in zs or not closed or not all(map(self._central, zs)):
+            raise ValueError("quotient needs a central subgroup")
+        coset: List[int] = [-1] * self.order
+        reps: List[int] = []
+        for a in range(self.order):
+            if coset[a] < 0:
+                for z in zs:
+                    coset[mt[a][z]] = len(reps)
+                reps.append(a)
+        return self._induced(reps, coset, (coset[g] for g in self.generator_index))
 
     def character_table(self) -> "CharacterTable":
         if "table" not in self._cache:
@@ -175,9 +215,7 @@ class FiniteMatrixGroup:
         return self._cache["table"]
 
 
-def generate_closure(
-    generators: Sequence[Element], cap: int = 512, label: str = ""
-) -> FiniteMatrixGroup:
+def generate_closure(generators: Sequence[Element], cap: int = 512) -> FiniteMatrixGroup:
     """Close a generating set under multiplication; error beyond ``cap``."""
     gens = list(generators)
     if not gens:
@@ -188,7 +226,7 @@ def generate_closure(
     tree = closure_tree(
         elem_identity_like(gens[0]), gens, elem_mul, cap, f"not finite within cap {cap}"
     )
-    return FiniteMatrixGroup(tree, generators=gens, label=label)
+    return FiniteMatrixGroup(tree, generators=gens)
 
 
 def closure_tree(
@@ -225,6 +263,7 @@ class ConjClass:
     rep: Element
     members: Tuple[Element, ...]
     order: int
+    positions: Tuple[int, ...]  # of the members, in the group's element order
 
     @property
     def size(self) -> int:
@@ -232,28 +271,30 @@ class ConjClass:
 
 
 def _conjugacy_classes(group: FiniteMatrixGroup) -> Tuple[ConjClass, ...]:
-    mul, inv = group.mul, group.inv
-    gens = group.generators
-    ginv = [inv(g) for g in gens]
-    remaining = set(group.elements)
-    classes = []
-    for x in group.elements:
-        if x not in remaining:
+    mt, inv, orders = group.cayley_table, group.inverse_index, group.element_orders
+    gens = group.generator_index
+    seen = [False] * group.order
+    orbits = []
+    for x in range(group.order):
+        if seen[x]:
             continue
         orbit = {x}
         queue = [x]
         while queue:
             y = queue.pop()
-            for g, gi in zip(gens, ginv):
-                z = mul(gi, mul(y, g))
+            for g in gens:
+                z = mt[inv[g]][mt[y][g]]
                 if z not in orbit:
                     orbit.add(z)
                     queue.append(z)
-        remaining -= orbit
-        members = tuple(sorted(orbit, key=elem_key))
-        classes.append(ConjClass(members[0], members, group.element_order(members[0])))
-    classes.sort(key=lambda c: (c.order, c.size, elem_key(c.rep)))
-    return tuple(classes)
+        for y in orbit:
+            seen[y] = True
+        orbits.append(sorted(orbit))
+    orbits.sort(key=lambda m: (orders[m[0]], len(m), m[0]))
+    elems = group.elements
+    return tuple(
+        ConjClass(elems[m[0]], tuple(elems[p] for p in m), orders[m[0]], tuple(m)) for m in orbits
+    )
 
 
 def center_of_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
@@ -264,79 +305,20 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> Tuple[ConjClass, ...]:
     return group.conjugacy_classes()
 
 
-def quotient_group(
-    group: FiniteMatrixGroup, canon: Callable[[Element], Element]
-) -> FiniteMatrixGroup:
-    """Quotient by a finite central subgroup via a canonical-rep map."""
-    elems = {canon(x) for x in group.elements}
-    return FiniteMatrixGroup(
-        elems,
-        generators=tuple({canon(g) for g in group.generators}),
-        mul=lambda a, b: canon(elem_mul(a, b)),
-        inv=lambda x: canon(elem_inv(x)),
-    )
-
-
-def sign_canonical_component(m: GaussianMatrix) -> GaussianMatrix:
-    """The canonical one of {m, -m}: larger flattened entry key."""
-    neg = -m
-    return m if m.sort_key() >= neg.sort_key() else neg
-
-
-def sign_canonical(x: Element) -> Element:
-    if isinstance(x, tuple):
-        return tuple(sign_canonical_component(a) for a in x)
-    return sign_canonical_component(x)
-
-
-def fourth_root_canonical(m: GaussianMatrix) -> GaussianMatrix:
-    """The canonical representative of m modulo scalar fourth roots of unity."""
-    return max((m.scale(z) for z in FOURTH_ROOTS), key=lambda a: a.sort_key())
-
-
 def abelian_invariants(group: FiniteMatrixGroup) -> AbelianGroupStructure:
     """Invariant factors of a finite abelian group, by peeling maximal orders."""
     if not group.is_abelian():
         raise ValueError("abelian_invariants needs an abelian group")
-
-    def rec(elements, mul, identity) -> List[int]:
-        if len(elements) == 1:
-            return []
-
-        def order_of(x):
-            y, n = x, 1
-            while y != identity:
-                y = mul(y, x)
-                n += 1
-            return n
-
-        gmax = None
-        best = 0
-        for x in elements:
-            o = order_of(x)
-            if o > best:
-                best, gmax = o, x
-        cyc = [identity]
-        y = gmax
-        while y != identity:
-            cyc.append(y)
-            y = mul(y, gmax)
-        to_coset: Dict[object, frozenset] = {}
-        cosets = []
-        for x in elements:
-            if x in to_coset:
-                continue
-            cs = frozenset(mul(x, h) for h in cyc)
-            for z in cs:
-                to_coset[z] = cs
-            cosets.append(cs)
-
-        def qmul(a, b):
-            return to_coset[mul(next(iter(a)), next(iter(b)))]
-
-        return [best] + rec(cosets, qmul, to_coset[identity])
-
-    peeled = rec(list(group.elements), group.mul, group.identity)
+    peeled: List[int] = []
+    while group.order > 1:
+        orders, mt = group.element_orders, group.cayley_table
+        best = max(orders)
+        g = orders.index(best)
+        powers = [group.identity_index]
+        while len(powers) < best:
+            powers.append(mt[powers[-1]][g])
+        peeled.append(best)
+        group = group.quotient(group.elements[p] for p in powers)
     for a, b in zip(peeled, peeled[1:]):
         if a % b:
             raise AssertionError("invariant factors fail to divide each other")
@@ -362,15 +344,14 @@ def group_id(group: FiniteMatrixGroup) -> str:
             return f"(Z/2)^{len(inv) - 1} x Z/4"
         factors = ",".join(str(d) for d in inv)
         return f"abelian order {n} (invariant factors {factors})"
+    orders = group.element_orders
+    involutions = orders.count(2)
     if n == 8:
-        involutions = sum(1 for x in group.elements if group.element_order(x) == 2)
         return "Q8" if involutions == 1 else "D4"
     if n == 16:
         zinv = abelian_invariants(group.center()).torsion
-        squares = {
-            group.mul(x, x) for x in group.elements if group.element_order(x) == 4
-        }
-        involutions = sum(1 for x in group.elements if group.element_order(x) == 2)
+        mt = group.cayley_table
+        squares = {mt[x][x] for x in range(n) if orders[x] == 4}
         # center (Z/2)^2, all order-4 squares equal, 3 involutions: that is
         # Q8 x Z/2 (Z/4:Z/4 has two squares, D4 x Z/2 has 11 involutions)
         if zinv == (2, 2) and len(squares) == 1 and involutions == 3:
@@ -396,14 +377,7 @@ class CharacterTable:
     group: FiniteMatrixGroup
     classes: Tuple[ConjClass, ...]
     rows: Tuple[CharacterRow, ...]
-
-    def class_index(self, x: Element) -> int:
-        if not hasattr(self, "_idx"):
-            self._idx = {m: i for i, c in enumerate(self.classes) for m in c.members}
-        return self._idx[x]
-
-    def value(self, row: CharacterRow, x: Element) -> QI:
-        return row.values[self.class_index(x)]
+    class_of: Tuple[int, ...]  # class index of every element position
 
     def degrees(self) -> Tuple[int, ...]:
         return tuple(r.degree for r in self.rows)
@@ -457,18 +431,21 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
         )
     classes = group.conjugacy_classes()
     k = len(classes)
-    mul, inv = group.mul, group.inv
-    idx = {m: i for i, c in enumerate(classes) for m in c.members}
-    reps = [c.rep for c in classes]
+    mt, inv = group.cayley_table, group.inverse_index
+    class_of = [0] * n
+    for i, c in enumerate(classes):
+        for x in c.positions:
+            class_of[x] = i
+    reps = [c.positions[0] for c in classes]
     sizes = [c.size for c in classes]
-    inv_class = [idx[inv(r)] for r in reps]
+    inv_class = [class_of[inv[r]] for r in reps]
     power = []
     for r in reps:
         row = []
-        y = group.identity
+        y = group.identity_index
         for _ in range(e):
-            row.append(idx[y])
-            y = mul(y, r)
+            row.append(class_of[y])
+            y = mt[y][r]
         power.append(row)
 
     m_mats = []
@@ -476,9 +453,8 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
         mat = [[0] * k for _ in range(k)]
         for t in range(k):
             zt = reps[t]
-            for x in classes[i].members:
-                j = idx[mul(inv(x), zt)]
-                mat[t][j] += 1
+            for x in classes[i].positions:
+                mat[t][class_of[mt[inv[x]][zt]]] += 1
         m_mats.append(mat)
 
     p = _choose_prime(e, n)
@@ -578,7 +554,7 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
         rows.append(CharacterRow(deg, tuple(values)))
 
     rows.sort(key=lambda r: r.sort_key())
-    table = CharacterTable(group, classes, tuple(rows))
+    table = CharacterTable(group, classes, tuple(rows), tuple(class_of))
     _validate_table(table)
     if n <= 64:
         _regular_representation_check(table)
@@ -620,13 +596,8 @@ def _regular_representation_check(table: CharacterTable) -> None:
     equivalently T^2 = (|G|/d) T over Z[i].
     """
     group = table.group
-    elems = group.elements
-    n = len(elems)
-    pos = {x: i for i, x in enumerate(elems)}
-    mul, inv = group.mul, group.inv
-    invidx = [pos[inv(x)] for x in elems]
-    prod = [[pos[mul(elems[a], elems[b])] for b in range(n)] for a in range(n)]
-    cls_of = [table.class_index(x) for x in elems]
+    n = group.order
+    prod, invidx, cls_of = group.cayley_table, group.inverse_index, table.class_of
     for row in table.rows:
         vals = []
         for v in row.values:
@@ -660,23 +631,18 @@ class CentralCharacter:
 
     assignments: Tuple[Tuple[Element, QI], ...]
 
-    def extend(self, mul: Callable, identity: Element) -> Dict[Element, QI]:
-        """Value map on the generated subgroup; error when not multiplicative."""
-        products: Dict[Tuple[Element, Element], Element] = {}
-
-        def step(x: Element, g: Element) -> Element:
-            # the walk applies every generator to every element: keep the
-            # products so the edge check below multiplies nothing again
-            products[x, g] = y = mul(x, g)
-            return y
-
-        tree = closure_tree(identity, [g for g, _ in self.assignments], step)
-        values: Dict[Element, QI] = {}
+    def extend(self, group: FiniteMatrixGroup) -> Dict[int, QI]:
+        """Values on the generated subgroup of ``group``, keyed by element
+        position; error when not multiplicative."""
+        mt = group.cayley_table
+        gens = [group.index(g) for g, _ in self.assignments]
+        tree = closure_tree(group.identity_index, gens, lambda x, g: mt[x][g])
+        values: Dict[int, QI] = {}
         for y, (x, j) in tree.items():
             values[y] = QI(1) if x is None else values[x] * self.assignments[j][1]
         for x in tree:
-            for g, val in self.assignments:
-                if values[products[x, g]] != values[x] * val:
+            for g, (_, val) in zip(gens, self.assignments):
+                if values[mt[x][g]] != values[x] * val:
                     raise ValueError("central character is not multiplicative")
         return values
 
@@ -692,23 +658,18 @@ def irreps_with_central_character(
     for z in zset:
         if z not in group:
             raise ValueError("designated subgroup is not inside the group")
-        if any(group.mul(z, x) != group.mul(x, z) for x in group.elements):
+        if not group._central(group.index(z)):
             raise ValueError("designated subgroup is not central")
     for g, _ in zeta.assignments:
         if g not in zset:
             raise ValueError("central character generator lies outside the designated subgroup")
-    values = zeta.extend(group.mul, group.identity)
-    if set(values) != zset:
+    values = zeta.extend(group)
+    if set(values) != {group.index(z) for z in zset}:
         raise ValueError("central character generators do not generate the subgroup")
     if table is None:
         table = group.character_table()
-    out = []
-    for row in table.rows:
-        ok = True
-        for z, val in values.items():
-            if table.value(row, z) != QI(row.degree) * val:
-                ok = False
-                break
-        if ok:
-            out.append(row)
-    return out
+    return [
+        row
+        for row in table.rows
+        if all(row.values[table.class_of[z]] == QI(row.degree) * val for z, val in values.items())
+    ]

@@ -183,7 +183,31 @@ def test_verify_paper_fault_injection(capsys, monkeypatch):
 def test_exit_codes_for_malformed_inputs(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("not json at all", encoding="utf-8")
+    # well-formed JSON of the wrong shape
+    shapes = {
+        "list": "[1, 2]",
+        "generators": '{"generators": [5]}',
+        "parameter": '{"ambient": "GSO4", "generators": [5]}',
+        "short-pair": '{"ambient": "GSO4", "generators": [[["1"]]]}',
+        "scenario": '{"family": "GSpin6", "i_sl4": 5, "p": 3}',
+        "maps": '{"maps": 5}',
+    }
+    bad = {}
+    for name, text in shapes.items():
+        bad[name] = tmp_path / f"{name}.json"
+        bad[name].write_text(text, encoding="utf-8")
     for argv in (
+        ["datum", str(bad["list"]), "center"],
+        ["exact", str(bad["list"])],
+        ["params", str(bad["list"])],
+        ["packets", str(bad["list"])],
+        ["group", "id", "--file", str(bad["list"])],
+        ["iso", "check", "GSpin4", "G4", "--map", str(bad["list"])],
+        ["group", "id", "--file", str(bad["generators"])],
+        ["params", str(bad["parameter"])],
+        ["params", str(bad["short-pair"])],
+        ["packets", str(bad["scenario"])],
+        ["exact", str(bad["maps"])],
         ["datum", str(garbage), "center"],
         ["exact", str(garbage)],
         ["params", str(garbage)],
@@ -197,7 +221,7 @@ def test_exit_codes_for_malformed_inputs(tmp_path, capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
-        assert err
+        assert err.startswith("input error: "), argv
 
 
 def test_verify_paper_json(capsys):

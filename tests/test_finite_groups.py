@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from gspinlab import presets
+from gspinlab.centralizers import s_groups
 from gspinlab.finite_groups import (
     CapExceededError,
     CentralCharacter,
@@ -12,11 +13,10 @@ from gspinlab.finite_groups import (
     abelian_invariants,
     center_of_group,
     conjugacy_classes,
+    elem_mul,
     generate_closure,
     group_id,
     irreps_with_central_character,
-    quotient_group,
-    sign_canonical,
 )
 from gspinlab.gaussian import QI, GaussianMatrix
 
@@ -28,14 +28,19 @@ NEG = I2.scale(QI(-1))
 X = GaussianMatrix.from_strings([["1", "0"], ["0", "-1"]])
 
 
+def matrix_inverse(x):
+    return tuple(a.inverse() for a in x) if isinstance(x, tuple) else x.inverse()
+
+
 def brute_force_classes(group):
-    # independent orbit oracle: conjugate by every element
+    # independent orbit oracle: conjugate by every element, with matrix
+    # products and matrix inverses rather than the Cayley table
     elems = list(group.elements)
     remaining = set(elems)
     classes = []
     while remaining:
         x = next(iter(remaining))
-        orbit = {group.mul(group.inv(g), group.mul(x, g)) for g in elems}
+        orbit = {elem_mul(matrix_inverse(g), elem_mul(x, g)) for g in elems}
         classes.append(frozenset(orbit))
         remaining -= orbit
     return set(classes)
@@ -243,7 +248,8 @@ def test_abelian_invariants_oracle():
 
 def test_quotient_group_by_signs():
     g = generate_closure([(A, A), (B, B), (I2, NEG)])
-    q = quotient_group(g, sign_canonical)
+    signs = [(I2.scale(a), I2.scale(b)) for a in (QI(1), QI(-1)) for b in (QI(1), QI(-1))]
+    q = g.quotient(signs)
     assert q.order == 4
     assert group_id(q) == "(Z/2)^2"
 
@@ -252,3 +258,30 @@ def test_is_closed_detects_corruption():
     g = generate_closure([A, B])
     broken = FiniteMatrixGroup(g.elements[:-1], generators=g.elements[:-1])
     assert not broken.is_closed()
+
+
+def witnesses_of_kind(kind):
+    return [w for w in presets.witness_names() if presets.witness(w)["kind"] == kind]
+
+
+def assert_table_matches_matrix_products(group):
+    table = group.cayley_table
+    for a, x in enumerate(group.elements):
+        for b, y in enumerate(group.elements):
+            assert table[a][b] == group.index(elem_mul(x, y))
+
+
+@pytest.mark.parametrize("name", witnesses_of_kind("matrix_group"))
+def test_cayley_table_of_matrix_witness(name):
+    g = generate_closure(presets.witness_generators(name))
+    assert_table_matches_matrix_products(g)
+    z = g.center()
+    assert g.quotient(z.elements).order == g.order // z.order
+
+
+@pytest.mark.parametrize("name", witnesses_of_kind("parameter"))
+def test_cayley_table_of_parameter_witness(name):
+    report = s_groups(presets.witness_parameter(name))
+    g = report.s_phi_sc
+    assert_table_matches_matrix_products(g)
+    assert g.quotient(report.z_elements).order == g.order // len(report.z_elements)

@@ -219,7 +219,7 @@ class ParameterImage:
             ident = (GaussianMatrix.identity(2), GaussianMatrix.identity(2))
         else:
             ident = (QI(1), GaussianMatrix.identity(4))
-        tree = closure_tree(
+        tree, _ = closure_tree(
             self.projective_canonical(ident),
             [self.projective_canonical(g) for g in self.generators],
             lambda x, y: self.projective_canonical((x[0] * y[0], x[1] * y[1])),
@@ -367,9 +367,21 @@ def _assemble_lines(
     For each twist, every factor's twisted solution line is solved; a twist
     with a zero line in some factor is dead and skipped. The live lines are
     normalized into SL_n and scaled by the scalars of SL_n, giving matrices
-    (one factor) or tuples (several). Returns the closed group and the live
-    twists.
+    (one factor) or tuples (several). The group is generated by one line per
+    live twist and the scalars of each factor, so closing it costs n*k
+    products. Returns the closed group and the live twists.
     """
+
+    def element(combo):
+        return tuple(combo) if len(combo) > 1 else combo[0]
+
+    sizes = [images[0].n for images in factors]
+    generators = []
+    for f, n in enumerate(sizes):
+        # the second scalar (-1 in SL2, i in SL4) generates the scalars of SL_n
+        combo = [GaussianMatrix.identity(m) for m in sizes]
+        combo[f] = GaussianMatrix.scalar(n, _center_scalars(n)[1])
+        generators.append(element(combo))
     elements = set()
     live = []
     for nu in twists:
@@ -387,12 +399,12 @@ def _assemble_lines(
         else:
             live.append(nu)
             normalized = [sl_normalize(h) for h in lines]
+            generators.append(element(normalized))
             scaled = [[h.scale(z) for z in _center_scalars(h.n)] for h in normalized]
-            for combo in product(*scaled):
-                elements.add(combo if len(combo) > 1 else combo[0])
+            elements.update(map(element, product(*scaled)))
     if len(elements) > cap:
         raise NotFiniteError(f"assembled group exceeds cap {cap}")
-    group = FiniteMatrixGroup(elements)
+    group = FiniteMatrixGroup(elements, generators)
     if not group.is_closed():
         raise RuntimeError("assembled twisted-centralizer set failed to close")
     return group, live

@@ -2,7 +2,8 @@
 
 Group elements are ``GaussianMatrix`` objects or tuples of them (tuples for
 product ambient groups such as SL2 x SL2). Matrices are multiplied only to
-enumerate a group and to apply its generators on the right; the integer
+enumerate a group and to apply its generators on the right (a group made by
+``generate_closure`` keeps the closure's products for that); the integer
 Cayley table is then filled along the closure word tree by lookups alone.
 Every group algorithm (identity, inverses, orders, center, classes, class
 sums, central characters, quotients by central subgroups) reads that table,
@@ -131,7 +132,7 @@ class FiniteMatrixGroup:
         action = self._right_action
         if action is None:
             raise ValueError("element set is not closed under its generators; not a group")
-        tree = closure_tree(self.identity_index, range(len(action)), lambda x, j: action[j][x])
+        tree, _ = closure_tree(self.identity_index, range(len(action)), lambda x, j: action[j][x])
         if len(tree) != self.order:
             raise ValueError("generators do not generate the element set; not a group")
         cols: Dict[int, Sequence[int]] = {}
@@ -223,10 +224,18 @@ def generate_closure(generators: Sequence[Element], cap: int = 512) -> FiniteMat
     for g in gens:
         if not elem_is_invertible(g):
             raise ValueError("generators must be invertible")
-    tree = closure_tree(
+    tree, products = closure_tree(
         elem_identity_like(gens[0]), gens, elem_mul, cap, f"not finite within cap {cap}"
     )
-    return FiniteMatrixGroup(tree, generators=gens)
+    group = FiniteMatrixGroup(tree, generators=gens)
+    # the closure already formed every x * g: they are the right action
+    pos = group._positions
+    action = [[0] * group.order for _ in gens]
+    for x, row in zip(tree, products):
+        for j, y in enumerate(row):
+            action[j][pos[x]] = pos[y]
+    group._right_action = action
+    return group
 
 
 def closure_tree(
@@ -235,27 +244,33 @@ def closure_tree(
     mul: Callable[[Element, Element], Element],
     cap: Optional[int] = None,
     cap_message: str = "",
-) -> Dict[Element, Tuple[Optional[Element], Optional[int]]]:
+) -> Tuple[Dict[Element, Tuple[Optional[Element], Optional[int]]], List[List[Element]]]:
     """Breadth-first word tree of the monoid generated from ``identity``.
 
-    Maps each element y to (x, j) with y = mul(x, generators[j]), in
-    discovery order; the identity maps to (None, None). Raises
-    ``NotFiniteError(cap_message)`` once more than ``cap`` elements appear.
+    Returns ``(tree, products)``. ``tree`` maps each element y to (x, j)
+    with y = mul(x, generators[j]), in discovery order; the identity maps
+    to (None, None). ``products[i][j]`` is mul(x, generators[j]) for the
+    i-th element x of ``tree``. Raises ``NotFiniteError(cap_message)`` once
+    more than ``cap`` elements appear.
     """
     tree: Dict[Element, Tuple[Optional[Element], Optional[int]]] = {identity: (None, None)}
+    products: List[List[Element]] = []
     frontier = [identity]
     while frontier:
         fresh = []
         for x in frontier:
+            row = []
             for j, g in enumerate(generators):
                 y = mul(x, g)
+                row.append(y)
                 if y not in tree:
                     tree[y] = (x, j)
                     fresh.append(y)
                     if cap is not None and len(tree) > cap:
                         raise NotFiniteError(cap_message)
+            products.append(row)
         frontier = fresh
-    return tree
+    return tree, products
 
 
 @dataclass(frozen=True)
@@ -490,7 +505,10 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
             rmat = [[0] * mdim for _ in range(mdim)]
             for row, c in zip(red, pivots):
                 rmat[c] = row[mdim:]
+            found = 0
             for lam in range(p):
+                if found == mdim:
+                    break  # the eigenspaces fill the basis; no other lam is an eigenvalue
                 shifted = [
                     [(rmat[a][b] - (lam if a == b else 0)) % p for b in range(mdim)]
                     for a in range(mdim)
@@ -505,6 +523,7 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
                         for coef in null
                     ]
                     fresh.append(sub)
+                    found += len(null)
         spaces = fresh
 
     omegas_list = []
@@ -601,9 +620,9 @@ def _regular_representation_check(table: CharacterTable) -> None:
     for row in table.rows:
         vals = []
         for v in row.values:
-            if v.re.denominator != 1 or v.im.denominator != 1:
+            if v.d != 1:
                 raise AssertionError("character value is not an algebraic integer in Z[i]")
-            vals.append((v.re.numerator, v.im.numerator))
+            vals.append((v.a, v.b))
         if n % row.degree:
             raise AssertionError("degree does not divide group order")
         scale = n // row.degree
@@ -636,13 +655,13 @@ class CentralCharacter:
         position; error when not multiplicative."""
         mt = group.cayley_table
         gens = [group.index(g) for g, _ in self.assignments]
-        tree = closure_tree(group.identity_index, gens, lambda x, g: mt[x][g])
+        tree, products = closure_tree(group.identity_index, gens, lambda x, g: mt[x][g])
         values: Dict[int, QI] = {}
         for y, (x, j) in tree.items():
             values[y] = QI(1) if x is None else values[x] * self.assignments[j][1]
-        for x in tree:
-            for g, (_, val) in zip(gens, self.assignments):
-                if values[mt[x][g]] != values[x] * val:
+        for x, row in zip(tree, products):
+            for y, (_, val) in zip(row, self.assignments):
+                if values[y] != values[x] * val:
                     raise ValueError("central character is not multiplicative")
         return values
 

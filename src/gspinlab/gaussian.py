@@ -1,14 +1,18 @@
 """Exact arithmetic over the Gaussian rationals Q(i), and square matrices.
 
-Entries are pairs of ``fractions.Fraction``. This field is enough for every
-group the package touches (subgroups of SL2(C)^2 and SL4(C) generated by
-monomial and diagonal matrices with fourth-root-of-unity entries), and for
-the character values of groups of exponent dividing 4.
+Each entry is a normalized integer triple (a, b, d) for (a + b*i)/d, with
+d > 0 and gcd(a, b, d) = 1, so arithmetic, equality and hashing run on
+ints; ``re`` and ``im`` give the components as ``fractions.Fraction`` for
+parsing, printing, square roots and sort keys. A matrix product sums each
+entry on integers over a common denominator and reduces it once. This field
+is enough for every group the package touches (subgroups of SL2(C)^2 and
+SL4(C) generated by monomial and diagonal matrices with fourth-root-of-unity
+entries), and for the character values of groups of exponent dividing 4.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, List, Optional, Sequence, Tuple
 
 
@@ -26,57 +30,86 @@ def _frac_sqrt(x: Fraction) -> Optional[Fraction]:
 
 
 class QI:
-    """A Gaussian rational re + im*i with exact components."""
+    """A Gaussian rational (a + b*i)/d held as a normalized integer triple.
 
-    __slots__ = ("re", "im")
+    ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have equal fields;
+    the package's entries are mostly 0 and fourth roots of unity, where
+    ``d == 1`` and no gcd is taken. ``re`` and ``im`` give the components as ``Fraction``.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    __slots__ = ("a", "b", "d")
+
+    def __new__(cls, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            return _qi(re, im, 1)
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        return _qi(re.numerator * q, im.numerator * p, p * q)
 
     def __setattr__(self, name, value):
         raise AttributeError("QI is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     def __add__(self, other: "QI") -> "QI":
-        return QI(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _qi(self.a + other.a, self.b + other.b, d)
+        return _qi(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "QI") -> "QI":
-        return QI(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _qi(self.a - other.a, self.b - other.b, d)
+        return _qi(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __mul__(self, other: "QI") -> "QI":
-        return QI(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _qi(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __neg__(self) -> "QI":
-        return QI(-self.re, -self.im)
+        return _qi(-self.a, -self.b, self.d)
 
     def inverse(self) -> "QI":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return QI(self.re / n, -self.im / n)
+        return _qi(d * a, -d * b, n)
 
     def conj(self) -> "QI":
-        return QI(self.re, -self.im)
+        return _qi(self.a, -self.b, self.d)
 
     def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.a or self.b)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QI) and self.re == other.re and self.im == other.im
+        return (
+            isinstance(other, QI)
+            and self.a == other.a
+            and self.b == other.b
+            and self.d == other.d
+        )
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
-    def sort_key(self) -> Tuple[Fraction, Fraction]:
+    def sort_key(self) -> tuple:
+        """(re, im), ordered lexicographically; plain ints when d == 1."""
+        if self.d == 1:
+            return (self.a, self.b)
         return (self.re, self.im)
 
     def sqrt(self) -> Optional["QI"]:
@@ -102,6 +135,22 @@ class QI:
 
     def __repr__(self) -> str:
         return f"QI({format_qi(self)!r})"
+
+
+_set_a, _set_b, _set_d = QI.a.__set__, QI.b.__set__, QI.d.__set__
+
+
+def _qi(a: int, b: int, d: int) -> QI:
+    """The QI (a + b*i)/d for d > 0, reduced by the common gcd."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    z = object.__new__(QI)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
 
 
 FOURTH_ROOTS = (QI(1), QI(0, 1), QI(-1), QI(0, -1))
@@ -194,18 +243,8 @@ class GaussianMatrix:
     def __mul__(self, other: "GaussianMatrix") -> "GaussianMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
-        cols = [[other._data[k][j] for k in range(n)] for j in range(n)]
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = QI(0)
-                for k in range(n):
-                    s = s + self._data[i][k] * cols[j][k]
-                row.append(s)
-            out.append(row)
-        return GaussianMatrix(out)
+        cols = tuple(zip(*other._data))
+        return GaussianMatrix([[_dot(row, col) for col in cols] for row in self._data])
 
     def scale(self, z: QI) -> "GaussianMatrix":
         return GaussianMatrix([[z * x for x in row] for row in self._data])
@@ -246,13 +285,9 @@ class GaussianMatrix:
         return GaussianMatrix([row[n:] for row in a])
 
     def is_identity(self) -> bool:
-        for i in range(self.n):
-            for j in range(self.n):
-                x = self._data[i][j]
-                if i == j:
-                    if x.re != 1 or x.im != 0:
-                        return False
-                elif not x.is_zero():
+        for i, row in enumerate(self._data):
+            for j, x in enumerate(row):
+                if x.b or x.a != (x.d if i == j else 0):
                     return False
         return True
 
@@ -271,6 +306,22 @@ class GaussianMatrix:
 
     def __repr__(self) -> str:
         return f"GaussianMatrix({self.to_strings()!r})"
+
+
+def _dot(xs: Sequence[QI], ys: Sequence[QI]) -> QI:
+    """Sum of x*y over Q(i), accumulated on integers and reduced once."""
+    re = im = 0
+    den = 1
+    for x, y in zip(xs, ys):
+        a, b, c, e = x.a, x.b, y.a, y.b
+        if (a or b) and (c or e):
+            p, q, d = a * c - b * e, a * e + b * c, x.d * y.d
+            if d == den:
+                re += p
+                im += q
+            else:
+                re, im, den = re * d + p * den, im * d + q * den, den * d
+    return _qi(re, im, den)
 
 
 def gauss_jordan(

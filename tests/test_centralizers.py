@@ -234,3 +234,19 @@ def test_parameter_validation():
     sing = GaussianMatrix.from_strings([["1", "1"], ["1", "1"]])
     with pytest.raises(ValueError):
         ParameterImage("GSO4", ((sing, A),))
+
+
+def test_s_groups_matrix_products_for_gspin6_klein_witness(monkeypatch):
+    phi = presets.witness_parameter("cyclic_quartic_gso6")
+    products = []
+    mul = GaussianMatrix.__mul__
+
+    def counting(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(GaussianMatrix, "__mul__", counting)
+    rep = s_groups(phi)
+    # the right action of the generators: one line per live twist, plus the
+    # one generator (i) of the scalars of SL4
+    assert 0 < len(products) <= rep.s_phi_sc.order * (len(rep.twists) + 1)

@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
-from gspinlab import presets
+from gspinlab import finite_groups, presets
 from gspinlab.centralizers import s_groups
 from gspinlab.finite_groups import (
     CapExceededError,
@@ -18,7 +19,7 @@ from gspinlab.finite_groups import (
     group_id,
     irreps_with_central_character,
 )
-from gspinlab.gaussian import QI, GaussianMatrix
+from gspinlab.gaussian import QI, GaussianMatrix, format_qi
 
 
 A = GaussianMatrix.from_strings([["i", "0"], ["0", "-i"]])
@@ -285,3 +286,23 @@ def test_cayley_table_of_parameter_witness(name):
     g = report.s_phi_sc
     assert_table_matches_matrix_products(g)
     assert g.quotient(report.z_elements).order == g.order // len(report.z_elements)
+
+
+def test_q8_x_q8_table_and_eigen_split_solves(monkeypatch):
+    solves = []
+    nullspace = finite_groups.nullspace
+
+    def counting(*args):
+        solves.append(1)
+        return nullspace(*args)
+
+    monkeypatch.setattr(finite_groups, "nullspace", counting)
+    g = generate_closure([(A, I2), (I2, A), (B, I2), (I2, B)])
+    table = g.character_table()
+    assert g.order == 64 and len(table.classes) == 25
+    assert table.degrees() == (1,) * 16 + (2,) * 8 + (4,)
+    text = "\n".join(" ".join(format_qi(v) for v in row.values) for row in table.rows)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "8b44a977871d0c57d5997e36f46fc9539a2a921cf2ffcada9a3e9d1209c228d1"
+    # trying every lam in F_29 for every unsplit space took 1,305 solves
+    assert len(solves) <= 930

@@ -142,3 +142,33 @@ def test_elimination_solves_coordinates_mod_p():
             assert [red[b][dim + j] for b in range(dim)] == c
         # rows past the basis rank carry no leftover: the targets lie in the span
         assert all(not any(row) for row in red[dim:])
+
+
+def test_matrix_product_matches_entrywise_sums():
+    # the product sums on integers over a common denominator; the reference
+    # sums QI products one at a time
+    rng = random.Random(404)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+
+        def entry():
+            return QI(Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6])),
+                      Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 4])))
+
+        x = GaussianMatrix([[entry() for _ in range(n)] for _ in range(n)])
+        y = GaussianMatrix([[entry() for _ in range(n)] for _ in range(n)])
+        want = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                s = QI(0)
+                for k in range(n):
+                    s = s + x.entry(i, k) * y.entry(k, j)
+                row.append(s)
+            want.append(row)
+        assert x * y == GaussianMatrix(want)
+        if x.det():
+            assert (x * x.inverse()).is_identity()
+        half = GaussianMatrix.scalar(n, QI(Fraction(1, 2)))
+        assert not half.is_identity()
+        assert (half * GaussianMatrix.scalar(n, QI(2))).is_identity()

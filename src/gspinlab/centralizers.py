@@ -108,6 +108,30 @@ def _center_scalars(n: int) -> Tuple[QI, ...]:
     return MU2 if n == 2 else FOURTH_ROOTS
 
 
+def _cover_element(combo: Sequence[GaussianMatrix]):
+    """A matrix for a one-factor cover, a tuple for SL2 x SL2."""
+    return tuple(combo) if len(combo) > 1 else combo[0]
+
+
+def cover_center(sizes: Sequence[int]) -> Tuple[tuple, tuple]:
+    """(elements, generators) of the center of the cover with factors SL_n, n in ``sizes``.
+
+    The elements run over the products of the factors' scalars, mu_2 x mu_2
+    for sizes (2, 2) and mu_4 for (4,); generator f is the second scalar of
+    factor f (-1 in SL2, i in SL4) with the identity in every other factor.
+    """
+    elements = tuple(
+        _cover_element([GaussianMatrix.scalar(n, z) for n, z in zip(sizes, zs)])
+        for zs in product(*map(_center_scalars, sizes))
+    )
+    generators = []
+    for f, n in enumerate(sizes):
+        combo = [GaussianMatrix.identity(m) for m in sizes]
+        combo[f] = GaussianMatrix.scalar(n, _center_scalars(n)[1])
+        generators.append(_cover_element(combo))
+    return elements, tuple(generators)
+
+
 def twisted_centralizer_space(
     images: Sequence[GaussianMatrix], nu: Sequence[QI]
 ) -> List[GaussianMatrix]:
@@ -302,13 +326,9 @@ def s_groups(
         for t in twists:
             t.validate(phi.relations)
     group, used = _assemble_lines(phi.factor_images(), twists, cap)
-    if phi.ambient == "GSO4":
-        eye = GaussianMatrix.identity(2)
-        z_elements = tuple((eye.scale(a), eye.scale(b)) for a in MU2 for b in MU2)
-        z_hat = AbelianGroupStructure(0, (2, 2))
-    else:
-        z_elements = tuple(GaussianMatrix.scalar(4, z) for z in FOURTH_ROOTS)
-        z_hat = AbelianGroupStructure(0, (4,))
+    sizes = [images[0].n for images in phi.factor_images()]
+    z_elements, _ = cover_center(sizes)
+    z_hat = AbelianGroupStructure(0, tuple(len(_center_scalars(n)) for n in sizes))
     for z in z_elements:
         if z not in group:
             raise RuntimeError("center of the cover is missing from the assembly")
@@ -371,17 +391,7 @@ def _assemble_lines(
     live twist and the scalars of each factor, so closing it costs n*k
     products. Returns the closed group and the live twists.
     """
-
-    def element(combo):
-        return tuple(combo) if len(combo) > 1 else combo[0]
-
-    sizes = [images[0].n for images in factors]
-    generators = []
-    for f, n in enumerate(sizes):
-        # the second scalar (-1 in SL2, i in SL4) generates the scalars of SL_n
-        combo = [GaussianMatrix.identity(m) for m in sizes]
-        combo[f] = GaussianMatrix.scalar(n, _center_scalars(n)[1])
-        generators.append(element(combo))
+    generators = list(cover_center([images[0].n for images in factors])[1])
     elements = set()
     live = []
     for nu in twists:
@@ -399,9 +409,9 @@ def _assemble_lines(
         else:
             live.append(nu)
             normalized = [sl_normalize(h) for h in lines]
-            generators.append(element(normalized))
+            generators.append(_cover_element(normalized))
             scaled = [[h.scale(z) for z in _center_scalars(h.n)] for h in normalized]
-            elements.update(map(element, product(*scaled)))
+            elements.update(map(_cover_element, product(*scaled)))
     if len(elements) > cap:
         raise NotFiniteError(f"assembled group exceeds cap {cap}")
     group = FiniteMatrixGroup(elements, generators)

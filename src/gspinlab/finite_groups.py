@@ -13,9 +13,11 @@ on the parent's table and multiply nothing.
 Character tables are computed by an exact Dixon-style method: the class-sum
 matrices are simultaneously diagonalized over a prime field F_p with
 p = 1 mod exponent, and the character values are lifted back to Z[i] via
-root-of-unity multiplicities. For groups of order at most 64 each row is
-cross-validated against the regular representation (the projection built
-from the row must be idempotent), giving a second, independent path.
+root-of-unity multiplicities. Every table, up to the 512 cap, is then
+checked on integers by ``_validate_table``: the classes are certified from
+the Cayley table, both orthogonality relations must hold, and each row must
+pass the regular-representation cross-check (the projection built from the
+row must be idempotent), a second path independent of the eigen-split.
 
 The mod-p eigen-split runs on the same Gauss-Jordan routine as the Q(i)
 solves (``gaussian.gauss_jordan``), and every closure in the package,
@@ -27,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt, lcm
+from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, gauss_jordan, nullspace
@@ -538,10 +541,6 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
             om.append((img * pow(v[t0], p - 2, p)) % p)
         omegas_list.append(om)
 
-    zeta = FOURTH_ROOTS[(4 // e) % 4]
-    zeta_pows = [QI(1)]
-    for _ in range(e - 1):
-        zeta_pows.append(zeta_pows[-1] * zeta)
     einv = pow(e, p - 2, p)
     rows = []
     for om in omegas_list:
@@ -559,7 +558,7 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
         chi_p = [(deg * om[i] * pow(sizes[i], p - 2, p)) % p for i in range(k)]
         values = []
         for i in range(k):
-            val = QI(0)
+            re = im = 0
             for j in range(e):
                 mj = 0
                 for t in range(e):
@@ -567,77 +566,77 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
                 mj = (mj * einv) % p
                 if mj > deg:
                     raise AssertionError("multiplicity lift out of range")
-                if mj:
-                    val = val + QI(mj) * zeta_pows[j]
-            values.append(val)
+                root = FOURTH_ROOTS[(4 // e * j) % 4]  # the j-th power of i^(4/e)
+                re, im = re + mj * root.a, im + mj * root.b
+            values.append(QI(re, im))
         rows.append(CharacterRow(deg, tuple(values)))
 
     rows.sort(key=lambda r: r.sort_key())
     table = CharacterTable(group, classes, tuple(rows), tuple(class_of))
     _validate_table(table)
-    if n <= 64:
-        _regular_representation_check(table)
     return table
 
 
+def _zi_dot(ure, uim, vre, vim) -> Tuple[int, int]:
+    """(re, im) of the sum of u_t * v_t over Z[i], u and v given by their int parts."""
+    return (
+        sum(map(mul, ure, vre)) - sum(map(mul, uim, vim)),
+        sum(map(mul, ure, vim)) + sum(map(mul, uim, vre)),
+    )
+
+
 def _validate_table(table: CharacterTable) -> None:
+    """Check a character table on integers, independently of the eigen-split.
+
+    The classes are certified first: ``class_of`` is closed under conjugation
+    by the generators, and |K| * |C_G(rep)| = |G| for each class K. Then come
+    the counts, degrees and both orthogonality relations, and the regular
+    representation check T^2 = (|G|/chi(1)) T with T[u][v] = chi(g_v g_u^-1).
+    T is a group matrix, so that is the convolution sum_x chi(x) chi(y x^-1)
+    = (|G|/chi(1)) chi(y), a class function of y: one y per class is checked.
+    """
     group = table.group
-    n = group.order
-    k = len(table.classes)
-    rows = table.rows
-    if len(rows) != k:
+    n, mt, inv = group.order, group.cayley_table, group.inverse_index
+    classes, class_of, rows = table.classes, table.class_of, table.rows
+    sizes = [c.size for c in classes]
+    reps = [c.positions[0] for c in classes]
+    if sum(sizes) != n or any(class_of[x] != i for i, c in enumerate(classes) for x in c.positions):
+        raise AssertionError("classes and class_of do not partition the group alike")
+    for g in group.generator_index:
+        if any(class_of[mt[inv[g]][mt[x][g]]] != class_of[x] for x in range(n)):
+            raise AssertionError("a class is not closed under conjugation")
+    for r, size in zip(reps, sizes):
+        if size * sum(mt[x][r] == mt[r][x] for x in range(n)) != n:
+            raise AssertionError("a class is not a single conjugacy class")
+    if any(v.d != 1 for row in rows for v in row.values):
+        raise AssertionError("character value is not an algebraic integer in Z[i]")
+    parts = [([v.a for v in row.values], [v.b for v in row.values]) for row in rows]
+    if len(rows) != len(classes):
         raise AssertionError("number of characters differs from class count")
     if sum(r.degree * r.degree for r in rows) != n:
         raise AssertionError("degrees fail sum of squares = |G|")
-    sizes = [c.size for c in table.classes]
-    for a, ra in enumerate(rows):
-        for b, rb in enumerate(rows):
-            s = QI(0)
-            for i in range(k):
-                s = s + QI(sizes[i]) * ra.values[i] * rb.values[i].conj()
-            want = QI(n) if a == b else QI(0)
-            if s != want:
+    if any(n % r.degree for r in rows):
+        raise AssertionError("degree does not divide group order")
+    for a, (are, aim) in enumerate(parts):
+        wre = [s * x for s, x in zip(sizes, are)]
+        wim = [s * x for s, x in zip(sizes, aim)]
+        for b, (bre, bim) in enumerate(parts):
+            if _zi_dot(wre, wim, bre, [-x for x in bim]) != (n if a == b else 0, 0):
                 raise AssertionError("row orthogonality fails")
-    for i in range(k):
-        for j in range(k):
-            s = QI(0)
-            for r in rows:
-                s = s + r.values[i] * r.values[j].conj()
-            want = QI(n) * QI(sizes[i]).inverse() if i == j else QI(0)
-            if s != want:
+    cols = [([re[i] for re, _ in parts], [im[i] for _, im in parts]) for i in range(len(classes))]
+    for i, (ire, iim) in enumerate(cols):
+        for j, (jre, jim) in enumerate(cols):
+            if _zi_dot(ire, iim, jre, [-x for x in jim]) != (n // sizes[i] if i == j else 0, 0):
                 raise AssertionError("column orthogonality fails")
-
-
-def _regular_representation_check(table: CharacterTable) -> None:
-    """Independent validation: each row defines an idempotent projection.
-
-    With T[u][v] = chi(g_v g_u^{-1}) the matrix (d/|G|) T must be idempotent,
-    equivalently T^2 = (|G|/d) T over Z[i].
-    """
-    group = table.group
-    n = group.order
-    prod, invidx, cls_of = group.cayley_table, group.inverse_index, table.class_of
-    for row in table.rows:
-        vals = []
-        for v in row.values:
-            if v.d != 1:
-                raise AssertionError("character value is not an algebraic integer in Z[i]")
-            vals.append((v.a, v.b))
-        if n % row.degree:
-            raise AssertionError("degree does not divide group order")
+    yx = [[mt[y][inv[x]] for x in range(n)] for y in reps]
+    for row, (re, im) in zip(rows, parts):
         scale = n // row.degree
-        t = [[vals[cls_of[prod[v][invidx[u]]]] for v in range(n)] for u in range(n)]
-        for u in range(n):
-            for v in range(n):
-                sre = sim = 0
-                tu = t[u]
-                for w in range(n):
-                    are, aim = tu[w]
-                    bre, bim = t[w][v]
-                    sre += are * bre - aim * bim
-                    sim += are * bim + aim * bre
-                if sre != scale * t[u][v][0] or sim != scale * t[u][v][1]:
-                    raise AssertionError("regular representation cross-check fails")
+        fre = [re[c] for c in class_of]
+        fim = [im[c] for c in class_of]
+        for i, pos in enumerate(yx):
+            conv = _zi_dot(fre, fim, [fre[z] for z in pos], [fim[z] for z in pos])
+            if conv != (scale * re[i], scale * im[i]):
+                raise AssertionError("regular representation cross-check fails")
 
 
 def character_table(group: FiniteMatrixGroup) -> CharacterTable:

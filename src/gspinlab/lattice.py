@@ -339,20 +339,15 @@ def solve_integral(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix: U m V = 1 gives m^-1 = V U."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     if m.det() not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    cols = []
-    n = m.rows
-    for i in range(n):
-        e = [1 if k == i else 0 for k in range(n)]
-        x = solve_integral(m, e)
-        if x is None:
-            raise AssertionError("unimodular matrix has no integral inverse column")
-        cols.append(x)
-    return IntMatrix.from_columns(cols, rows=n)
+    u, d, v = smith_normal_form(m)
+    if any(x != 1 for x in diagonal_of(d)):
+        raise AssertionError("Smith normal form of a unimodular matrix is not the identity")
+    return v * u
 
 
 def rational_left_inverse(k: IntMatrix) -> List[List[Fraction]]:

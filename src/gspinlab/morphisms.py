@@ -35,6 +35,7 @@ from .root_datum import (
 )
 
 BOX_ENUM_LIMIT = 2_000_000
+ENTRY_BOUND = 8  # largest |entry| of iota tried when a completion family is bounded
 
 
 class InfiniteFamilyError(RuntimeError):
@@ -239,7 +240,6 @@ def search_isomorphisms(
     d2: BasedRootDatum,
     assignment: Optional[Sequence[int]] = None,
     det_sign: Optional[int] = None,
-    entry_bound: int = 8,
 ) -> List[RootDatumMap]:
     """All based-root-datum isomorphisms d1 -> d2 under the constraints.
 
@@ -303,7 +303,7 @@ def search_isomorphisms(
                         f"base {_matrix_from_vec(s0, n).to_rows()}, "
                         f"direction {_matrix_from_vec(kvec, n).to_rows()}"
                     )
-                cvals.update(_line_box_range(s0, kvec, entry_bound))
+                cvals.update(_line_box_range(s0, kvec, ENTRY_BOUND))
             for c in sorted(cvals):
                 candidates.append(
                     _matrix_from_vec([a + c * b for a, b in zip(s0, kvec)], n)
@@ -319,7 +319,7 @@ def search_isomorphisms(
                     )
             left = rational_left_inverse(kern)
             smax = max(abs(x) for x in s0) if s0 else 0
-            reach = entry_bound + smax
+            reach = ENTRY_BOUND + smax
             bounds = []
             for i in range(m):
                 bi = sum(abs(fr) for fr in left[i]) * reach
@@ -339,7 +339,7 @@ def search_isomorphisms(
                     if ci:
                         for t in range(n * n):
                             vec[t] += ci * kv[t]
-                if max(abs(x) for x in vec) > entry_bound:
+                if max(abs(x) for x in vec) > ENTRY_BOUND:
                     continue
                 mat = _matrix_from_vec(vec, n)
                 if mat.det() in dets:

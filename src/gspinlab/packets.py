@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
-from .centralizers import ParameterImage, s_groups
+from .centralizers import ParameterImage, cover_center, s_groups
 from .finite_groups import (
     CentralCharacter,
     FiniteMatrixGroup,
@@ -31,6 +31,8 @@ from .lattice import AbelianGroupStructure
 
 GSPIN4_FORMS = ("split", "2-1", "1-1")
 GSPIN6_FORMS = ("split", "2-0", "1-0")
+# matrix sizes of the factors of the simply connected cover: SL2 x SL2, SL4
+_COVER_SIZES = {"GSpin4": (2, 2), "GSpin6": (4,)}
 
 # factor kind -> (rank of I^{SL_2}, irreducible?, number of named quadratic labels)
 FACTOR_KINDS: Dict[str, Tuple[int, bool, int]] = {
@@ -175,12 +177,12 @@ _A2 = _mat2([["i", "0"], ["0", "-i"]])
 _B2 = _mat2([["0", "1"], ["-1", "0"]])
 _X2 = _mat2([["1", "0"], ["0", "-1"]])
 
-_Z4_GENS = ((_NEG_I2, _I2), (_I2, _NEG_I2))
+_CENTER_GENS = cover_center(_COVER_SIZES["GSpin4"])[1]  # (-1, 1) and (1, -1)
 
 _CANONICAL_GSPIN4 = {
-    "(Z/2)^2": _Z4_GENS,
-    "(Z/2)^3": _Z4_GENS + ((_X2, _X2),),
-    "abelian order 8": _Z4_GENS + ((_X2, _X2),),
+    "(Z/2)^2": _CENTER_GENS,
+    "(Z/2)^3": _CENTER_GENS + ((_X2, _X2),),
+    "abelian order 8": _CENTER_GENS + ((_X2, _X2),),
     "abelian order 16 (invariant factors 4,4)": ((_A2, _I2), (_I2, _A2)),
     "Q8 x Z/2": ((_NEG_I2, _I2), (_I2, _A2), (_I2, _B2)),
 }
@@ -197,19 +199,9 @@ def canonical_group_for_label(label: str, family: str) -> FiniteMatrixGroup:
 
 def designated_center(family: str):
     """(elements, generators) of the designated central subgroup."""
-    if family == "GSpin4":
-        elements = tuple(
-            (_I2.scale(a), _I2.scale(b)) for a in (QI(1), QI(-1)) for b in (QI(1), QI(-1))
-        )
-        gens = ((_NEG_I2, _I2), (_I2, _NEG_I2))
-        return elements, gens
-    if family == "GSpin6":
-        from .gaussian import FOURTH_ROOTS
-
-        elements = tuple(GaussianMatrix.scalar(4, z) for z in FOURTH_ROOTS)
-        gens = (GaussianMatrix.scalar(4, QI(0, 1)),)
-        return elements, gens
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _COVER_SIZES:
+        raise ValueError(f"unknown family {family!r}")
+    return cover_center(_COVER_SIZES[family])
 
 
 def kottwitz_characters(family: str) -> Dict[str, CentralCharacter]:

@@ -1,9 +1,11 @@
+import dataclasses
+import functools
 import hashlib
 import itertools
 
 import pytest
 
-from gspinlab import finite_groups, presets
+from gspinlab import finite_groups, gaussian, presets
 from gspinlab.centralizers import s_groups
 from gspinlab.finite_groups import (
     CapExceededError,
@@ -306,3 +308,131 @@ def test_q8_x_q8_table_and_eigen_split_solves(monkeypatch):
     assert digest == "8b44a977871d0c57d5997e36f46fc9539a2a921cf2ffcada9a3e9d1209c228d1"
     # trying every lam in F_29 for every unsplit space took 1,305 solves
     assert len(solves) <= 930
+
+
+def matrix_square_check(table):
+    """Reference regular-representation check, O(|G|^3) per row: with
+    T[u][v] = chi(g_v g_u^-1), T^2 = (|G|/chi(1)) T over Z[i]."""
+    group = table.group
+    n, mt, inv = group.order, group.cayley_table, group.inverse_index
+    for row in table.rows:
+        if n % row.degree or any(v.d != 1 for v in row.values):
+            return False
+        scale = n // row.degree
+        vals = [(v.a, v.b) for v in row.values]
+        t = [[vals[table.class_of[mt[v][inv[u]]]] for v in range(n)] for u in range(n)]
+        for u in range(n):
+            for v in range(n):
+                sre = sim = 0
+                for w in range(n):
+                    (are, aim), (bre, bim) = t[u][w], t[w][v]
+                    sre += are * bre - aim * bim
+                    sim += are * bim + aim * bre
+                if (sre, sim) != (scale * t[u][v][0], scale * t[u][v][1]):
+                    return False
+    return True
+
+
+def witness_group(name):
+    if presets.witness(name)["kind"] == "matrix_group":
+        return generate_closure(presets.witness_generators(name))
+    return s_groups(presets.witness_parameter(name)).s_phi_sc
+
+
+@functools.lru_cache(maxsize=None)
+def product_table(order):
+    gens = {
+        16: [(A, A), (B, B), (I2, NEG)],  # Q8 x Z/2
+        64: [(A, I2), (I2, A), (B, I2), (I2, B)],  # Q8 x Q8
+        128: [(A, I2, I2), (I2, A, I2), (B, I2, I2), (I2, B, I2), (I2, I2, NEG)],  # Q8 x Q8 x Z/2
+    }[order]
+    return generate_closure(gens).character_table()
+
+
+def with_top_row_times(table, unit):
+    """The table with its largest-degree row multiplied by a unit of Z[i]."""
+    top = table.rows[-1]
+    doctored = finite_groups.CharacterRow(top.degree, tuple(unit * v for v in top.values))
+    return dataclasses.replace(table, rows=table.rows[:-1] + (doctored,))
+
+
+@pytest.mark.parametrize(
+    "name", [w for w in presets.witness_names() if w != "binary_tetrahedral"]
+)
+def test_witness_tables_pass_check_and_reference(name):
+    table = witness_group(name).character_table()
+    finite_groups._validate_table(table)
+    assert matrix_square_check(table)
+
+
+def test_q8_x_q8_table_passes_check_and_reference():
+    table = product_table(64)
+    finite_groups._validate_table(table)
+    assert matrix_square_check(table)
+
+
+@pytest.mark.parametrize("order", [16, 128])
+@pytest.mark.parametrize("unit", [QI(-1), QI(0, 1)], ids=["minus_one", "i"])
+def test_row_times_unit_fails_regular_representation_check(order, unit):
+    # both orthogonality relations still hold for such a row
+    doctored = with_top_row_times(product_table(order), unit)
+    with pytest.raises(AssertionError, match="regular representation cross-check fails"):
+        finite_groups._validate_table(doctored)
+    if order == 16:
+        assert not matrix_square_check(doctored)
+
+
+def swapped_classes(table, size, members_too):
+    """Swap the class labels of one element each from two classes of ``size``."""
+    i, j = [c for c, cls in enumerate(table.classes) if cls.size == size][1:3]
+    x, y = table.classes[i].positions[-1], table.classes[j].positions[-1]
+    class_of = list(table.class_of)
+    class_of[x], class_of[y] = j, i
+    classes = list(table.classes)
+    if members_too:
+        for c, out, into in ((i, x, y), (j, y, x)):
+            positions = tuple(sorted(set(classes[c].positions) - {out} | {into}))
+            classes[c] = dataclasses.replace(classes[c], positions=positions)
+    return dataclasses.replace(table, classes=tuple(classes), class_of=tuple(class_of))
+
+
+@pytest.mark.parametrize(
+    "size, members_too, message",
+    [
+        (1, False, "classes and class_of do not partition the group alike"),
+        (2, False, "classes and class_of do not partition the group alike"),
+        (1, True, "regular representation cross-check fails"),
+        (2, True, "a class is not closed under conjugation"),
+    ],
+)
+def test_swapped_class_labels_rejected(size, members_too, message):
+    doctored = swapped_classes(product_table(16), size, members_too)
+    with pytest.raises(AssertionError, match=message):
+        finite_groups._validate_table(doctored)
+
+
+def test_merged_classes_rejected():
+    table = product_table(16)
+    i, j = [c for c, cls in enumerate(table.classes) if cls.size == 2][:2]
+    positions = tuple(sorted(table.classes[i].positions + table.classes[j].positions))
+    members = tuple(table.group.elements[p] for p in positions)
+    merged = dataclasses.replace(table.classes[i], members=members, positions=positions)
+    classes = table.classes[:i] + (merged,) + table.classes[i + 1 : j] + table.classes[j + 1 :]
+    class_of = tuple(i if c == j else c - (c > j) for c in table.class_of)
+    doctored = dataclasses.replace(table, classes=classes, class_of=class_of)
+    with pytest.raises(AssertionError, match="a class is not a single conjugacy class"):
+        finite_groups._validate_table(doctored)
+
+
+def test_table_check_builds_no_gaussian_rationals(monkeypatch):
+    table = product_table(64)
+    calls = []
+    make = gaussian._qi
+
+    def counting(*args):
+        calls.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(gaussian, "_qi", counting)
+    finite_groups._validate_table(table)
+    assert calls == []

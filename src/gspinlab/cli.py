@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from . import presets
 from .centralizers import (
@@ -60,10 +60,30 @@ def _read_json_file(path: str) -> dict:
     return data
 
 
+def _require_ints(data: dict, keys: Sequence[str], context: str) -> None:
+    """Every number under these keys must be a JSON integer.
+
+    The integer types call int(), which would read 1.9, true or "1" as 1.
+    """
+
+    def walk(key, value):
+        if isinstance(value, list):
+            for x in value:
+                walk(key, x)
+        elif type(value) is not int:
+            raise InputError(f"{context}: {key} holds {json.dumps(value)}, not an integer")
+
+    for key in keys:
+        if key in data:
+            walk(key, data[key])
+
+
 def _load_datum(arg: str) -> BasedRootDatum:
     if os.path.isfile(arg):
+        data = _read_json_file(arg)
+        _require_ints(data, ("rank", "simple_roots", "simple_coroots"), f"bad datum file {arg}")
         try:
-            return BasedRootDatum.from_dict(_read_json_file(arg))
+            return BasedRootDatum.from_dict(data)
         except (LookupError, TypeError, ValueError) as exc:
             raise InputError(f"bad datum file {arg}: {exc}")
     try:
@@ -136,6 +156,7 @@ def _cmd_datum(args) -> int:
 def _load_map(arg: str) -> RootDatumMap:
     if os.path.isfile(arg):
         d = _read_json_file(arg)
+        _require_ints(d, ("iota", "iota_vee"), f"bad map file {arg}")
         try:
             return RootDatumMap.from_dict(d)
         except (LookupError, TypeError, ValueError) as exc:
@@ -181,6 +202,7 @@ def _cmd_exact(args) -> int:
 
     if os.path.isfile(args.seq):
         data = _read_json_file(args.seq)
+        _require_ints(data, ("maps",), f"bad sequence file {args.seq}")
         try:
             maps = [IntMatrix(m) for m in data["maps"]]
         except (LookupError, TypeError, ValueError) as exc:

@@ -7,7 +7,17 @@ centers and component groups, saturated kernels give sublattices such as
 orthogonal complements of a similitude character.
 
 Pivoting is deterministic (smallest absolute value, ties broken by lowest
-row then lowest column index) so that golden tests are reproducible.
+row then lowest column index) so that golden tests are reproducible. The
+pivot search stops at the first entry of absolute value 1, which that rule
+always picks, and a unit pivot skips the divisibility scan. Every update
+rewrites a whole row; V is kept as the list of its columns, so that a
+column operation on V is a row update too. U and V are not unique, and
+kernel bases and solutions are read from them, so the sequence of row and
+column operations is part of the contract (``tests/test_lattice.py`` pins
+its output).
+
+Each ``IntMatrix`` stores its reduction when first asked for it: the
+kernel, solve, cokernel and rank of one matrix object share one reduction.
 """
 from __future__ import annotations
 
@@ -21,7 +31,7 @@ Vector = Tuple[int, ...]
 class IntMatrix:
     """Immutable dense integer matrix, row-major."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_snf")
 
     def __init__(self, data: Sequence[Sequence[int]], cols: Optional[int] = None):
         nrows = len(data)
@@ -147,93 +157,97 @@ class IntMatrix:
 def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U*m*V = D, U and V unimodular, D diagonal.
 
-    The diagonal entries are nonnegative and satisfy d1 | d2 | ... .
+    The diagonal entries are nonnegative and satisfy d1 | d2 | ... . Each
+    matrix is reduced once; later calls on the same object return the
+    stored triple.
     """
+    snf = getattr(m, "_snf", None)
+    if snf is None:
+        snf = _smith(m)
+        object.__setattr__(m, "_snf", snf)
+    return snf
+
+
+def _smith(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     nr, nc = m.rows, m.cols
     a = m.to_rows()
-    u = IntMatrix.identity(nr).to_rows()
-    v = IntMatrix.identity(nc).to_rows()
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    vt = [[int(i == j) for j in range(nc)] for i in range(nc)]  # the columns of V
+    # Rows above t are zero from column t on, so column operations skip them.
 
     def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        if i != j:
-            for r in a:
-                r[i], r[j] = r[j], r[i]
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, q):
-        if q:
-            arow, srow = a[dst], a[src]
-            for k in range(nc):
-                arow[k] += q * srow[k]
-            urow, usrc = u[dst], u[src]
-            for k in range(nr):
-                urow[k] += q * usrc[k]
-
-    def addmul_col(dst, src, q):
-        if q:
-            for r in a:
-                r[dst] += q * r[src]
-            for r in v:
-                r[dst] += q * r[src]
+        for r in a[t:]:
+            r[i], r[j] = r[j], r[i]
+        vt[i], vt[j] = vt[j], vt[i]
 
     t = 0
     lim = min(nr, nc)
     while t < lim:
-        # deterministic pivot: smallest |entry|, ties by lowest row then column
+        # deterministic pivot: smallest |entry|, ties by lowest row then
+        # column; nothing beats an entry of absolute value 1
         bi = bj = -1
         bv = 0
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (bi < 0 or abs(x) < bv):
+                x = row[j]
+                if x and (bi < 0 or abs(x) < bv):
                     bi, bj, bv = i, j, abs(x)
+                    if bv == 1:
+                        break
+            if bv == 1:
+                break
         if bi < 0:
             break
-        swap_rows(t, bi)
-        swap_cols(t, bj)
+        if bi != t:
+            swap_rows(t, bi)
+        if bj != t:
+            swap_cols(t, bj)
         while True:
             dirty = False
             for i in range(t + 1, nr):
                 x = a[i][t]
                 if x:
-                    addmul_row(i, t, -(x // a[t][t]))
+                    q = x // a[t][t]
+                    if q:
+                        a[i] = [y - q * z for y, z in zip(a[i], a[t])]
+                        u[i] = [y - q * z for y, z in zip(u[i], u[t])]
                     if a[i][t]:
                         swap_rows(t, i)
                         dirty = True
             for j in range(t + 1, nc):
                 x = a[t][j]
                 if x:
-                    addmul_col(j, t, -(x // a[t][t]))
+                    q = x // a[t][t]
+                    if q:
+                        for r in a[t:]:
+                            r[j] -= q * r[t]
+                        vt[j] = [y - q * z for y, z in zip(vt[j], vt[t])]
                     if a[t][j]:
                         swap_cols(t, j)
                         dirty = True
-            if (
-                not dirty
-                and all(a[i][t] == 0 for i in range(t + 1, nr))
-                and all(a[t][j] == 0 for j in range(t + 1, nc))
-            ):
+            # a clean round leaves row t and column t zero off the pivot
+            if not dirty:
                 break
-        # the pivot must divide the remaining block
+        # the pivot must divide the remaining block (a unit always does)
         p = a[t][t]
-        offender = -1
-        for i in range(t + 1, nr):
-            if any(a[i][j] % p for j in range(t + 1, nc)):
-                offender = i
-                break
-        if offender >= 0:
-            addmul_row(t, offender, 1)
-            continue
-        if a[t][t] < 0:
+        if p != 1 and p != -1:
+            offender = next(
+                (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), -1
+            )
+            if offender >= 0:
+                a[t] = [y + z for y, z in zip(a[t], a[offender])]
+                u[t] = [y + z for y, z in zip(u[t], u[offender])]
+                continue
+        if p < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return IntMatrix(u, cols=nr), IntMatrix(a, cols=nc), IntMatrix(v, cols=nc)
+    return IntMatrix(u, cols=nr), IntMatrix(a, cols=nc), IntMatrix.from_columns(vt, rows=nc)
 
 
 def diagonal_of(d: IntMatrix) -> List[int]:

@@ -131,34 +131,33 @@ def _matrix_from_vec(vec: Sequence[int], n: int) -> IntMatrix:
 
 
 def _det_poly_coeffs(s0: Sequence[int], kvec: Sequence[int], n: int) -> List[int]:
-    """Integer coefficients of det(S0 + c*K), degree <= n, by interpolation."""
-    ys = []
-    for c in range(n + 1):
-        mat = _matrix_from_vec([a + c * b for a, b in zip(s0, kvec)], n)
-        ys.append(mat.det())
-    coeffs = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n + 1):
-            if j == i:
-                continue
-            # num *= (x - j)
-            grown = [Fraction(0)] * (len(num) + 1)
-            for t, ct in enumerate(num):
-                grown[t + 1] += ct
-                grown[t] -= j * ct
-            num = grown
-            denom *= i - j
-        w = Fraction(ys[i]) / denom
-        for t, ct in enumerate(num):
-            coeffs[t] += w * ct
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
+    """Integer coefficients of det(S0 + c*K), degree <= n, by interpolation.
+
+    Newton form at the nodes 0..n: the k-th forward difference of the
+    values at 0, divided exactly by k!, is the coefficient of the falling
+    factorial c(c-1)...(c-k+1); Horner's rule then expands into powers of c.
+    """
+    diffs = [
+        _matrix_from_vec([a + c * b for a, b in zip(s0, kvec)], n).det() for c in range(n + 1)
+    ]
+    newton = []
+    fact = 1
+    for k in range(n + 1):
+        if k:
+            fact *= k
+            diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+        q, r = divmod(diffs[0], fact)
+        if r:
             raise AssertionError("interpolated coefficient is not an integer")
-        out.append(int(c))
-    return out
+        newton.append(q)
+    coeffs = [newton[n]]
+    for k in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (c - k) + newton[k]
+        coeffs = [0] + coeffs
+        for t in range(len(coeffs) - 1):
+            coeffs[t] -= k * coeffs[t + 1]
+        coeffs[0] += newton[k]
+    return coeffs
 
 
 def _integer_roots(coeffs: Sequence[int]) -> Optional[List[int]]:

@@ -191,6 +191,16 @@ def test_exit_codes_for_malformed_inputs(tmp_path, capsys):
         "short-pair": '{"ambient": "GSO4", "generators": [[["1"]]]}',
         "scenario": '{"family": "GSpin6", "i_sl4": 5, "p": 3}',
         "maps": '{"maps": 5}',
+        # entries that int() would silently turn into 1 or 2
+        "float-entry": '{"maps": [[[1.9], [1], [-1], [-1]], [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, -1]]]}',
+        "bool-entry": '{"maps": [[[true], [1], [-1], [-1]], [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, -1]]]}',
+        "string-entry": '{"maps": [[["1"], [1], [-1], [-1]], [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, -1]]]}',
+        "float-root": '{"rank": 1, "simple_roots": [[2.2]], "simple_coroots": [[1]]}',
+        "float-rank": '{"rank": 1.0, "simple_roots": [[2]], "simple_coroots": [[1]]}',
+        "float-g4": '{"rank": 3, "simple_roots": [[1, -1, 0], [-1, -1, 2.0]], '
+        '"simple_coroots": [[1, -1, 0], [0, 0, 1]]}',
+        "float-iota": '{"iota": [[0, 0, -1.0], [0, -1, 0], [-1, 1, 1]], '
+        '"iota_vee": [[0, 0, -1], [0, -1, 1], [-1, 0, 1]]}',
     }
     bad = {}
     for name, text in shapes.items():
@@ -208,6 +218,13 @@ def test_exit_codes_for_malformed_inputs(tmp_path, capsys):
         ["params", str(bad["short-pair"])],
         ["packets", str(bad["scenario"])],
         ["exact", str(bad["maps"])],
+        ["exact", str(bad["float-entry"])],
+        ["exact", str(bad["bool-entry"])],
+        ["exact", str(bad["string-entry"])],
+        ["datum", str(bad["float-root"]), "describe"],
+        ["datum", str(bad["float-rank"]), "describe"],
+        ["iso", "check", "GSpin4", str(bad["float-g4"]), "--map", "gspin4_to_g4"],
+        ["iso", "check", "GSpin4", "G4", "--map", str(bad["float-iota"])],
         ["datum", str(garbage), "center"],
         ["exact", str(garbage)],
         ["params", str(garbage)],

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 from math import gcd
 
 import pytest
 
+from gspinlab import lattice, presets
 from gspinlab.lattice import (
     AbelianGroupStructure,
     IntMatrix,
@@ -13,6 +16,8 @@ from gspinlab.lattice import (
     smith_normal_form,
     solve_integral,
 )
+from gspinlab.morphisms import search_isomorphisms
+from gspinlab.root_datum import verify_exact_sequence
 
 
 def cofactor_det(rows):
@@ -104,12 +109,16 @@ def test_kernel_single_relation():
     assert k.columns() == [(1, 2)]
 
 
-def test_snf_property_suite_500_random():
+def _suite_500():
     rng = random.Random(20240817)
     for _ in range(500):
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
-        m = IntMatrix([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
+        yield IntMatrix([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
+
+
+def test_snf_property_suite_500_random():
+    for m in _suite_500():
         u, d, v = smith_normal_form(m)
         assert u * m * v == d
         assert cofactor_det(u.to_rows()) in (1, -1)
@@ -206,3 +215,78 @@ def test_abelian_structure_validation():
     assert s.torsion_order() == 8
     assert s.two_torsion() == AbelianGroupStructure(0, (2, 2))
     assert str(s) == "Z x Z/2 x Z/4"
+
+
+# the constraint variants of the isomorphism search on the shipped pairs
+ISO_VARIANTS = (
+    {},
+    {"det_sign": 1},
+    {"det_sign": -1},
+    {"assignment": True, "det_sign": 1},
+    {"assignment": True},
+)
+# sha256 of the (U, D, V) rows of the inputs below. Kernel bases and
+# solutions are read from U and V, so a reduction that changes its sequence
+# of row and column operations must re-record this on purpose.
+SNF_PIN = "99cf87770b77b24a001fe9865583f1373c8bf3d2ddd47bcaa90fda762584c343"
+
+
+def _search_systems(monkeypatch):
+    """Every distinct matrix the shipped isomorphism searches reduce, in order."""
+    seen = []
+    reduce = lattice.smith_normal_form
+
+    def record(m):
+        key = (m.cols, m.to_rows())
+        if key not in seen:
+            seen.append(key)
+        return reduce(m)
+
+    pairs = [(presets.datum(a), presets.datum(b)) for a, b in (("GSpin4", "G4"), ("GSpin6", "G6"))]
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice, "smith_normal_form", record)
+        for d1, d2 in pairs:
+            for variant in ISO_VARIANTS:
+                kwargs = dict(variant)
+                if kwargs.pop("assignment", False):
+                    kwargs["assignment"] = tuple(range(len(d1.simple_roots)))
+                search_isomorphisms(d1, d2, **kwargs)
+    return [IntMatrix(rows, cols=cols) for cols, rows in seen]
+
+
+def test_snf_output_pinned(monkeypatch):
+    systems = _search_systems(monkeypatch)
+    assert len(systems) == 4
+    payload = [[x.to_rows() for x in smith_normal_form(m)] for m in [*_suite_500(), *systems]]
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == SNF_PIN
+
+
+def _count_reductions(monkeypatch, run):
+    calls = []
+    reduce = lattice._smith
+
+    def counted(m):
+        calls.append(m)
+        return reduce(m)
+
+    monkeypatch.setattr(lattice, "_smith", counted)
+    run()
+    return len(calls)
+
+
+def test_search_reduces_each_system_once(monkeypatch):
+    d1, d2 = presets.datum("GSpin6"), presets.datum("G6")
+    assert _count_reductions(monkeypatch, lambda: search_isomorphisms(d1, d2)) <= 2
+
+
+@pytest.mark.parametrize("name", ["gspin4_in_gl2xgl2", "gspin6_in_gl1xgl4"])
+def test_exact_sequence_reduces_each_map_once(monkeypatch, name):
+    maps = presets.sequence(name)
+    assert _count_reductions(monkeypatch, lambda: verify_exact_sequence(maps)) <= 2
+
+
+def test_snf_second_call_returns_same_triple():
+    m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    first = smith_normal_form(m)
+    fresh = smith_normal_form(IntMatrix(m.to_rows()))
+    assert smith_normal_form(m) == first == fresh

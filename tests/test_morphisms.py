@@ -1,4 +1,8 @@
-from gspinlab import presets
+import random
+
+import pytest
+
+from gspinlab import morphisms, presets
 from gspinlab.lattice import IntMatrix, solve_integral
 from gspinlab.morphisms import (
     RootDatumMap,
@@ -137,6 +141,50 @@ def test_det_poly_and_integer_roots():
     assert _integer_roots([]) is None
     assert _integer_roots([0]) is None
     assert _integer_roots([5]) == []
+
+
+def _lagrange_det_poly(s0, kvec, n):
+    # reference: Lagrange interpolation over the rationals
+    from fractions import Fraction
+
+    xs = range(n + 1)
+    ys = []
+    for c in xs:
+        vec = [a + c * b for a, b in zip(s0, kvec)]
+        ys.append(IntMatrix([vec[i * n : (i + 1) * n] for i in range(n)]).det())
+    coeffs = [Fraction(0)] * (n + 1)
+    for i in xs:
+        num, denom = [Fraction(1)], Fraction(1)
+        for j in xs:
+            if j != i:
+                num = [a - j * b for a, b in zip([Fraction(0)] + num, num + [Fraction(0)])]
+                denom *= i - j
+        for t, ct in enumerate(num):
+            coeffs[t] += ys[i] * ct / denom
+    assert all(c.denominator == 1 for c in coeffs)
+    return [int(c) for c in coeffs]
+
+
+def test_det_poly_matches_rational_interpolation():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        s0 = [rng.randint(-5, 5) for _ in range(n * n)]
+        kvec = [rng.randint(-3, 3) for _ in range(n * n)]
+        assert _det_poly_coeffs(s0, kvec, n) == _lagrange_det_poly(s0, kvec, n)
+
+
+def test_det_poly_rejects_non_integer_coefficient(monkeypatch):
+    # values 0, 1, 0, 0 at c = 0..3 have third difference 3, not divisible by 3!
+    values = iter([0, 1, 0, 0])
+
+    class Fake:
+        def det(self):
+            return next(values)
+
+    monkeypatch.setattr(morphisms, "_matrix_from_vec", lambda vec, n: Fake())
+    with pytest.raises(AssertionError, match="interpolated coefficient is not an integer"):
+        _det_poly_coeffs([0] * 9, [0] * 9, 3)
 
 
 def test_line_box_range():

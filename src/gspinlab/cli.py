@@ -277,6 +277,7 @@ def _cmd_group(args) -> int:
 def _load_parameter(arg: str) -> ParameterImage:
     if os.path.isfile(arg):
         data = _read_json_file(arg)
+        _require_ints(data, ("relations",), f"bad parameter file {arg}")
         try:
             return ParameterImage.from_dict(data)
         except (LookupError, TypeError, ValueError) as exc:
@@ -306,6 +307,11 @@ def _cmd_params(args) -> int:
 def _cmd_packets(args) -> int:
     if os.path.isfile(args.scenario):
         data = _read_json_file(args.scenario)
+        context = f"bad scenario file {args.scenario}"
+        _require_ints(data, ("p", "f", "i_sl4"), context)
+        flag = data.get("twist_equivalent", False)
+        if type(flag) is not bool:
+            raise InputError(f"{context}: twist_equivalent holds {json.dumps(flag)}, not a boolean")
     else:
         try:
             data = presets.scenario_dict(args.scenario)

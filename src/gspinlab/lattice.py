@@ -18,14 +18,22 @@ its output).
 
 Each ``IntMatrix`` stores its reduction when first asked for it: the
 kernel, solve, cokernel and rank of one matrix object share one reduction.
+
+The constructor keeps a row whose entries are all exact ``int`` as given
+and passes any other entry through ``int()``. The library's own results
+(the Smith triple, products, transposes, negations and kernel bases) are
+built from plain int rows, so they cost no per-entry conversion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
+
+_EXACT_INT = frozenset((int,))
 
 
 class IntMatrix:
@@ -45,7 +53,10 @@ class IntMatrix:
         for row in data:
             if len(row) != width:
                 raise ValueError("ragged rows in matrix data")
-            cells.append(tuple(int(x) for x in row))
+            if _EXACT_INT.issuperset(map(type, row)):
+                cells.append(tuple(row))
+            else:
+                cells.append(tuple(int(x) for x in row))
         object.__setattr__(self, "rows", nrows)
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_data", tuple(cells))
@@ -87,17 +98,19 @@ class IntMatrix:
         return [list(r) for r in self._data]
 
     def columns(self) -> List[Vector]:
-        return [self.col(j) for j in range(self.cols)]
+        if not self.rows:
+            return [()] * self.cols
+        return list(zip(*self._data))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([self.col(j) for j in range(self.cols)], cols=self.rows)
+        return IntMatrix(self.columns(), cols=self.rows)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        ocols = [other.col(j) for j in range(other.cols)]
+        ocols = other.columns()
         return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ocols] for row in self._data],
+            [[sum(map(mul, row, col)) for col in ocols] for row in self._data],
             cols=other.cols,
         )
 
@@ -105,7 +118,7 @@ class IntMatrix:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._data)
+        return tuple(sum(map(mul, row, vec)) for row in self._data)
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-x for x in row] for row in self._data], cols=self.cols)
@@ -247,7 +260,7 @@ def _smith(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return IntMatrix(u, cols=nr), IntMatrix(a, cols=nc), IntMatrix.from_columns(vt, rows=nc)
+    return IntMatrix(u, cols=nr), IntMatrix(a, cols=nc), IntMatrix(list(zip(*vt)), cols=nc)
 
 
 def diagonal_of(d: IntMatrix) -> List[int]:
@@ -326,8 +339,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a saturated basis of the integral kernel {v : m v = 0}."""
     _, d, v = smith_normal_form(m)
     r = sum(1 for x in diagonal_of(d) if x != 0)
-    cols = [v.col(j) for j in range(r, m.cols)]
-    return IntMatrix.from_columns(cols, rows=m.cols)
+    return IntMatrix([row[r:] for row in v.iter_rows()], cols=m.cols - r)
 
 
 def solve_integral(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:

@@ -8,11 +8,14 @@ iota_vee = transpose(iota).
 
 The search enumerates Cartan-compatible assignments of simple roots, then
 completes each assignment to a lattice isomorphism by solving the linear
-constraints over Z. When the solution set is a positive-dimensional affine
-family, a determinant constraint cuts it down exactly (integer roots of the
-determinant polynomial in the one-parameter case, bounded enumeration with
-max |entry| <= 8 otherwise); unconstrained infinite families are reported,
-never truncated silently.
+constraints over Z. The constraints S alpha_i = beta_pi(i) and
+S^T beta_j^vee = alpha_pi^-1(j)^vee have one coefficient matrix for every
+bijection pi, so a search builds and reduces one system and solves it with
+one right-hand side per bijection. When the solution set is a
+positive-dimensional affine family, a determinant constraint cuts it down
+exactly (integer roots of the determinant polynomial in the one-parameter
+case, bounded enumeration with max |entry| <= 8 otherwise); unconstrained
+infinite families are reported, never truncated silently.
 """
 from __future__ import annotations
 
@@ -115,15 +118,41 @@ def cartan_compatible_bijections(
     return out
 
 
-def _affine_solutions(
-    rows: List[List[int]], rhs: List[int], nunk: int
-) -> Optional[Tuple[List[int], IntMatrix]]:
-    """Particular solution and kernel basis of an integer linear system."""
-    m = IntMatrix(rows, cols=nunk)
-    part = solve_integral(m, rhs)
-    if part is None:
-        return None
-    return list(part), kernel_basis(m)
+def _completion_system(d1: BasedRootDatum, d2: BasedRootDatum) -> IntMatrix:
+    """Coefficients of the equations on the entries of S, read row-major.
+
+    Rows n*i + r give (S alpha_i)_r; the rows after them, n*j + c, give
+    (S^T beta_j^vee)_c. Indexing the coroot equations by the target coroot
+    makes the matrix the same for every bijection.
+    """
+    n = d1.rank
+    rows: List[List[int]] = []
+    for a in d1.simple_roots:
+        for r in range(n):
+            row = [0] * (n * n)
+            row[r * n : (r + 1) * n] = a
+            rows.append(row)
+    for bv in d2.simple_coroots:
+        for c in range(n):
+            row = [0] * (n * n)
+            row[c::n] = bv
+            rows.append(row)
+    return IntMatrix(rows, cols=n * n)
+
+
+def _completion_rhs(
+    d1: BasedRootDatum, d2: BasedRootDatum, pi: Sequence[int]
+) -> List[int]:
+    """Right-hand side for pi: S alpha_i = beta_pi(i), S^T beta_j^vee = alpha_pi^-1(j)^vee."""
+    back = [0] * len(pi)
+    for i, j in enumerate(pi):
+        back[j] = i
+    rhs: List[int] = []
+    for j in pi:
+        rhs.extend(d2.simple_roots[j])
+    for i in back:
+        rhs.extend(d1.simple_coroots[i])
+    return rhs
 
 
 def _matrix_from_vec(vec: Sequence[int], n: int) -> IntMatrix:
@@ -234,6 +263,81 @@ def _det_constant_on_grid(
     return value
 
 
+def _completions(
+    s0: List[int],
+    kern: IntMatrix,
+    n: int,
+    dets: Tuple[int, ...],
+    det_sign: Optional[int],
+) -> List[IntMatrix]:
+    """Candidate matrices S in the family s0 + span(kern) with det(S) in dets."""
+    m = kern.cols
+    candidates: List[IntMatrix] = []
+    if m == 0:
+        candidates.append(_matrix_from_vec(s0, n))
+    elif m == 1:
+        kvec = kern.col(0)
+        coeffs = _det_poly_coeffs(s0, kvec, n)
+        cvals = set()
+        hit_infinite = False
+        for target in dets:
+            shifted = [coeffs[0] - target] + list(coeffs[1:])
+            roots = _integer_roots(shifted)
+            if roots is None:
+                hit_infinite = True
+            else:
+                cvals.update(roots)
+        if hit_infinite:
+            if det_sign is None:
+                raise InfiniteFamilyError(
+                    "one-parameter family of unimodular completions; "
+                    f"base {_matrix_from_vec(s0, n).to_rows()}, "
+                    f"direction {_matrix_from_vec(kvec, n).to_rows()}"
+                )
+            cvals.update(_line_box_range(s0, kvec, ENTRY_BOUND))
+        for c in sorted(cvals):
+            candidates.append(
+                _matrix_from_vec([a + c * b for a, b in zip(s0, kvec)], n)
+            )
+    else:
+        kcols = kern.columns()
+        if det_sign is None:
+            const = _det_constant_on_grid(s0, kcols, n)
+            if const in (1, -1):
+                raise InfiniteFamilyError(
+                    "multi-parameter family of unimodular completions; "
+                    "refusing to truncate"
+                )
+        left = rational_left_inverse(kern)
+        smax = max(abs(x) for x in s0) if s0 else 0
+        reach = ENTRY_BOUND + smax
+        bounds = []
+        for i in range(m):
+            bi = sum(abs(fr) for fr in left[i]) * reach
+            bounds.append(int(bi) + 1)
+        total = 1
+        for b in bounds:
+            total *= 2 * b + 1
+        if total > BOX_ENUM_LIMIT:
+            from .finite_groups import CapExceededError
+
+            raise CapExceededError(
+                f"bounded completion search too large ({total} points)"
+            )
+        for cs in product(*[range(-b, b + 1) for b in bounds]):
+            vec = list(s0)
+            for ci, kv in zip(cs, kcols):
+                if ci:
+                    for t in range(n * n):
+                        vec[t] += ci * kv[t]
+            if max(abs(x) for x in vec) > ENTRY_BOUND:
+                continue
+            mat = _matrix_from_vec(vec, n)
+            if mat.det() in dets:
+                candidates.append(mat)
+    return candidates
+
+
 def search_isomorphisms(
     d1: BasedRootDatum,
     d2: BasedRootDatum,
@@ -245,110 +349,39 @@ def search_isomorphisms(
     ``assignment`` fixes iota(alpha_i) = beta_assignment[i]; ``det_sign``
     restricts det(iota) to +1 or -1. Raises InfiniteFamilyError when the
     unconstrained solution set is provably infinite.
+
+    Every bijection shares one coefficient matrix (``_completion_system``)
+    and its one Smith reduction; only the right-hand side changes.
     """
     if d1.rank != d2.rank or len(d1.simple_roots) != len(d2.simple_roots):
         return []
     n = d1.rank
-    bijections = (
-        [tuple(assignment)] if assignment is not None else cartan_compatible_bijections(d1, d2)
-    )
+    s = len(d1.simple_roots)
+    if assignment is None:
+        bijections = cartan_compatible_bijections(d1, d2)
+    else:
+        pi = tuple(assignment)
+        if len(pi) != s or not all(0 <= j < s for j in pi):
+            raise ValueError(
+                f"assignment {pi} does not map {s} simple roots to indices 0..{s - 1}"
+            )
+        # a non-injective assignment cannot extend to an isomorphism
+        bijections = [pi] if len(set(pi)) == s else []
+    if not bijections:
+        return []
+    system = _completion_system(d1, d2)
+    kern = kernel_basis(system)
     dets = (1, -1) if det_sign is None else (det_sign,)
     results: Dict[IntMatrix, RootDatumMap] = {}
     for pi in bijections:
-        rows: List[List[int]] = []
-        rhs: List[int] = []
-        # S * alpha_i = beta_{pi(i)}
-        for i, a in enumerate(d1.simple_roots):
-            b = d2.simple_roots[pi[i]]
-            for r in range(n):
-                row = [0] * (n * n)
-                for c in range(n):
-                    row[r * n + c] = a[c]
-                rows.append(row)
-                rhs.append(b[r])
-        # transpose(S) * beta_{pi(i)}^vee = alpha_i^vee
-        for i, av in enumerate(d1.simple_coroots):
-            bv = d2.simple_coroots[pi[i]]
-            for c in range(n):
-                row = [0] * (n * n)
-                for r in range(n):
-                    row[r * n + c] = bv[r]
-                rows.append(row)
-                rhs.append(av[c])
-        sol = _affine_solutions(rows, rhs, n * n)
-        if sol is None:
+        part = solve_integral(system, _completion_rhs(d1, d2, pi))
+        if part is None:
             continue
-        s0, kern = sol
-        m = kern.cols
-        candidates: List[IntMatrix] = []
-        if m == 0:
-            candidates.append(_matrix_from_vec(s0, n))
-        elif m == 1:
-            kvec = kern.col(0)
-            coeffs = _det_poly_coeffs(s0, kvec, n)
-            cvals = set()
-            hit_infinite = False
-            for target in dets:
-                shifted = [coeffs[0] - target] + list(coeffs[1:])
-                roots = _integer_roots(shifted)
-                if roots is None:
-                    hit_infinite = True
-                else:
-                    cvals.update(roots)
-            if hit_infinite:
-                if det_sign is None:
-                    raise InfiniteFamilyError(
-                        "one-parameter family of unimodular completions; "
-                        f"base {_matrix_from_vec(s0, n).to_rows()}, "
-                        f"direction {_matrix_from_vec(kvec, n).to_rows()}"
-                    )
-                cvals.update(_line_box_range(s0, kvec, ENTRY_BOUND))
-            for c in sorted(cvals):
-                candidates.append(
-                    _matrix_from_vec([a + c * b for a, b in zip(s0, kvec)], n)
-                )
-        else:
-            kcols = [kern.col(i) for i in range(m)]
-            if det_sign is None:
-                const = _det_constant_on_grid(s0, kcols, n)
-                if const in (1, -1):
-                    raise InfiniteFamilyError(
-                        "multi-parameter family of unimodular completions; "
-                        "refusing to truncate"
-                    )
-            left = rational_left_inverse(kern)
-            smax = max(abs(x) for x in s0) if s0 else 0
-            reach = ENTRY_BOUND + smax
-            bounds = []
-            for i in range(m):
-                bi = sum(abs(fr) for fr in left[i]) * reach
-                bounds.append(int(bi) + 1)
-            total = 1
-            for b in bounds:
-                total *= 2 * b + 1
-            if total > BOX_ENUM_LIMIT:
-                from .finite_groups import CapExceededError
-
-                raise CapExceededError(
-                    f"bounded completion search too large ({total} points)"
-                )
-            for cs in product(*[range(-b, b + 1) for b in bounds]):
-                vec = list(s0)
-                for ci, kv in zip(cs, kcols):
-                    if ci:
-                        for t in range(n * n):
-                            vec[t] += ci * kv[t]
-                if max(abs(x) for x in vec) > ENTRY_BOUND:
-                    continue
-                mat = _matrix_from_vec(vec, n)
-                if mat.det() in dets:
-                    candidates.append(mat)
-        for mat in candidates:
+        for mat in _completions(list(part), kern, n, dets, det_sign):
             f = RootDatumMap(mat, mat.transpose())
             if mat.det() in dets and check_isomorphism(f, d1, d2):
                 results[mat] = f
-    ordered = sorted(results.values(), key=lambda f: f.iota.to_rows())
-    return ordered
+    return sorted(results.values(), key=lambda f: f.iota.to_rows())
 
 
 # ---------------------------------------------------------------------------

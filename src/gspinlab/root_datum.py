@@ -9,11 +9,14 @@ kernels), and quotients by finite central subgroups or central tori.
 
 The full root set is generated on demand by reflection closure with a hard
 cap; a datum whose closure does not terminate below the cap is rejected,
-which also rules out non-finite-type Cartan data.
+which also rules out non-finite-type Cartan data. A reflection s_a with
+<b, a^> = 0 fixes b, so the closure builds no vectors for it; it only checks
+that the coroot side agrees (<a, b^> = 0 as well).
 """
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .lattice import (
@@ -33,7 +36,7 @@ ROOT_CLOSURE_CAP = 10000
 
 
 def _dot(x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 class BasedRootDatum:
@@ -105,18 +108,22 @@ class BasedRootDatum:
 
     def roots(self, cap: int = ROOT_CLOSURE_CAP) -> Tuple[Tuple[Vector, Vector], ...]:
         """All (root, coroot) pairs, by reflection closure of the simple ones."""
-        seen: Dict[Vector, Vector] = {}
-        frontier = list(zip(self.simple_roots, self.simple_coroots))
-        for b, bv in frontier:
-            seen[b] = bv
+        simple = list(zip(self.simple_roots, self.simple_coroots))
+        seen: Dict[Vector, Vector] = dict(simple)
+        frontier = simple
         while frontier:
             new = []
             for b, bv in frontier:
-                for a, av in zip(self.simple_roots, self.simple_coroots):
+                for a, av in simple:
                     k = _dot(b, av)
-                    rb = tuple(x - k * y for x, y in zip(b, a))
                     kv = _dot(a, bv)
-                    rbv = tuple(x - kv * y for x, y in zip(bv, av))
+                    if not k:
+                        # s_a fixes b, so its coroot must stay bv
+                        if kv:
+                            raise ValueError("inconsistent root/coroot reflection closure")
+                        continue
+                    rb = tuple([x - k * y for x, y in zip(b, a)])
+                    rbv = tuple([x - kv * y for x, y in zip(bv, av)])
                     if rb not in seen:
                         seen[rb] = rbv
                         new.append((rb, rbv))

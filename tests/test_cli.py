@@ -1,5 +1,6 @@
 import json
 
+from gspinlab import presets
 from gspinlab.cli import main
 
 
@@ -239,6 +240,39 @@ def test_exit_codes_for_malformed_inputs(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("input error: "), argv
+    # scenario and parameter numbers: int() would read these as 3, 1, 2 or 4,
+    # and bool() reads "false" as true; the error must name the key
+    gspin6 = {"family": "GSpin6", "i_sl4": [2, 2], "p": 3, "witness": "cyclic_quartic_gso6"}
+    cases = []
+    for key, values in (
+        ("p", (3.9, True, "3")),
+        ("f", (1.0, True, "1")),
+        ("i_sl4", ([2, 2.0], [2, True], ["2", 2])),
+    ):
+        for value in values:
+            cases.append(("packets", {**gspin6, key: value}, f"{key} holds"))
+    gspin4 = presets.scenario_dict("reducible-pair")
+    cases.append(
+        ("packets", {**gspin4, "twist_equivalent": "false"}, "twist_equivalent holds")
+    )
+    cases.append(("packets", {**gspin4, "p": 3.0}, "p holds"))
+    parameter = {
+        "ambient": "GSO4",
+        "generators": [
+            [[["i", "0"], ["0", "-i"]], [["i", "0"], ["0", "-i"]]],
+            [[["0", "1"], ["-1", "0"]], [["0", "1"], ["-1", "0"]]],
+        ],
+        "relations": [[[0, 4.0]], [[1, 4]]],
+    }
+    cases.append(("params", parameter, "relations holds"))
+    cases.append(("params", {**parameter, "relations": [[[0, 4]], [[True, 4]]]}, "relations holds"))
+    for k, (command, data, reason) in enumerate(cases):
+        path = tmp_path / f"case{k}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2, (command, data)
+        assert err.startswith("input error: ") and reason in err, (command, data, err)
+        assert out == ""
 
 
 def test_verify_paper_json(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -16,8 +17,9 @@ from gspinlab.lattice import (
     smith_normal_form,
     solve_integral,
 )
-from gspinlab.morphisms import search_isomorphisms
+from gspinlab.morphisms import cartan_compatible_bijections, search_isomorphisms
 from gspinlab.root_datum import verify_exact_sequence
+from test_morphisms import ISO_VARIANTS, SHIPPED_PAIRS, per_bijection_system, variant_kwargs
 
 
 def cofactor_det(rows):
@@ -217,14 +219,6 @@ def test_abelian_structure_validation():
     assert str(s) == "Z x Z/2 x Z/4"
 
 
-# the constraint variants of the isomorphism search on the shipped pairs
-ISO_VARIANTS = (
-    {},
-    {"det_sign": 1},
-    {"det_sign": -1},
-    {"assignment": True, "det_sign": 1},
-    {"assignment": True},
-)
 # sha256 of the (U, D, V) rows of the inputs below. Kernel bases and
 # solutions are read from U and V, so a reduction that changes its sequence
 # of row and column operations must re-record this on purpose.
@@ -242,23 +236,30 @@ def _search_systems(monkeypatch):
             seen.append(key)
         return reduce(m)
 
-    pairs = [(presets.datum(a), presets.datum(b)) for a, b in (("GSpin4", "G4"), ("GSpin6", "G6"))]
     with monkeypatch.context() as patch:
         patch.setattr(lattice, "smith_normal_form", record)
-        for d1, d2 in pairs:
+        for d1, d2 in SHIPPED_PAIRS:
             for variant in ISO_VARIANTS:
-                kwargs = dict(variant)
-                if kwargs.pop("assignment", False):
-                    kwargs["assignment"] = tuple(range(len(d1.simple_roots)))
-                search_isomorphisms(d1, d2, **kwargs)
+                search_isomorphisms(d1, d2, **variant_kwargs(variant, d1))
     return [IntMatrix(rows, cols=cols) for cols, rows in seen]
 
 
 def test_snf_output_pinned(monkeypatch):
-    systems = _search_systems(monkeypatch)
+    # the per-bijection systems of the shipped pairs, in search order
+    systems = [
+        per_bijection_system(d1, d2, pi)[0]
+        for d1, d2 in SHIPPED_PAIRS
+        for pi in cartan_compatible_bijections(d1, d2)
+    ]
     assert len(systems) == 4
     payload = [[x.to_rows() for x in smith_normal_form(m)] for m in [*_suite_500(), *systems]]
     assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == SNF_PIN
+    # each pair's searches reduce one system: its identity-bijection system
+    identity = [
+        per_bijection_system(d1, d2, tuple(range(len(d1.simple_roots))))[0]
+        for d1, d2 in SHIPPED_PAIRS
+    ]
+    assert _search_systems(monkeypatch) == identity
 
 
 def _count_reductions(monkeypatch, run):
@@ -276,7 +277,7 @@ def _count_reductions(monkeypatch, run):
 
 def test_search_reduces_each_system_once(monkeypatch):
     d1, d2 = presets.datum("GSpin6"), presets.datum("G6")
-    assert _count_reductions(monkeypatch, lambda: search_isomorphisms(d1, d2)) <= 2
+    assert _count_reductions(monkeypatch, lambda: search_isomorphisms(d1, d2)) <= 1
 
 
 @pytest.mark.parametrize("name", ["gspin4_in_gl2xgl2", "gspin6_in_gl1xgl4"])
@@ -290,3 +291,27 @@ def test_snf_second_call_returns_same_triple():
     first = smith_normal_form(m)
     fresh = smith_normal_form(IntMatrix(m.to_rows()))
     assert smith_normal_form(m) == first == fresh
+
+
+def _exact_int_rows(m):
+    return all(
+        type(row) is tuple and all(type(x) is int for x in row) for row in m.iter_rows()
+    )
+
+
+def test_library_results_have_exact_int_rows():
+    rng = random.Random(4242)
+    for _ in range(60):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        m = IntMatrix([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], cols=c)
+        other = IntMatrix([[rng.randint(-9, 9) for _ in range(2)] for _ in range(c)], cols=2)
+        results = [*smith_normal_form(m), kernel_basis(m), m * other, m.transpose(), -m]
+        assert all(_exact_int_rows(x) for x in results)
+    # entries that are not exact ints still go through int()
+    converted = IntMatrix([[True, Fraction(2), "3"], (4, 5, 6)])
+    assert converted.to_rows() == [[1, 2, 3], [4, 5, 6]]
+    assert _exact_int_rows(converted)
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1, 2]], cols=3)

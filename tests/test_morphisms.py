@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
 from gspinlab import morphisms, presets
-from gspinlab.lattice import IntMatrix, solve_integral
+from gspinlab.lattice import IntMatrix, kernel_basis, solve_integral
 from gspinlab.morphisms import (
     RootDatumMap,
     cartan_compatible_bijections,
@@ -14,7 +15,14 @@ from gspinlab.morphisms import (
     _integer_roots,
     _line_box_range,
 )
-from gspinlab.root_datum import gl_datum, sl_datum
+from gspinlab.root_datum import (
+    BasedRootDatum,
+    gl_datum,
+    gspin_datum,
+    pgl_datum,
+    product_datum,
+    sl_datum,
+)
 
 
 PSI4 = presets.datum("GSpin4")
@@ -23,6 +31,73 @@ PSI6 = presets.datum("GSpin6")
 G6 = presets.datum("G6")
 S4, _, _ = presets.datum_map("gspin4_to_g4")
 S6, _, _ = presets.datum_map("gspin6_to_g6")
+SHIPPED_PAIRS = ((PSI4, G4), (PSI6, G6))
+
+# the constraint variants of the isomorphism search on the shipped pairs
+ISO_VARIANTS = (
+    {},
+    {"det_sign": 1},
+    {"det_sign": -1},
+    {"assignment": True, "det_sign": 1},
+    {"assignment": True},
+)
+
+
+def variant_kwargs(variant, d1):
+    kwargs = dict(variant)
+    if kwargs.pop("assignment", False):
+        kwargs["assignment"] = tuple(range(len(d1.simple_roots)))
+    return kwargs
+
+
+def per_bijection_system(d1, d2, pi):
+    """Reference: one completion system per bijection, both blocks indexed by source i.
+
+    Rows say S alpha_i = beta_pi(i) and S^T beta_pi(i)^vee = alpha_i^vee, so
+    the coefficient matrix depends on pi; for the identity it is the
+    search's shared matrix.
+    """
+    n = d1.rank
+    rows, rhs = [], []
+    for i, a in enumerate(d1.simple_roots):
+        b = d2.simple_roots[pi[i]]
+        for r in range(n):
+            row = [0] * (n * n)
+            for c in range(n):
+                row[r * n + c] = a[c]
+            rows.append(row)
+            rhs.append(b[r])
+    for i, av in enumerate(d1.simple_coroots):
+        bv = d2.simple_coroots[pi[i]]
+        for c in range(n):
+            row = [0] * (n * n)
+            for r in range(n):
+                row[r * n + c] = bv[r]
+            rows.append(row)
+            rhs.append(av[c])
+    return IntMatrix(rows, cols=n * n), rhs
+
+
+def reference_search(d1, d2, assignment=None, det_sign=None):
+    """search_isomorphisms with a fresh system and reduction per bijection."""
+    if d1.rank != d2.rank or len(d1.simple_roots) != len(d2.simple_roots):
+        return []
+    bijections = (
+        [tuple(assignment)] if assignment is not None else cartan_compatible_bijections(d1, d2)
+    )
+    dets = (1, -1) if det_sign is None else (det_sign,)
+    results = {}
+    for pi in bijections:
+        system, rhs = per_bijection_system(d1, d2, pi)
+        part = solve_integral(system, rhs)
+        if part is None:
+            continue
+        kern = kernel_basis(system)
+        for mat in morphisms._completions(list(part), kern, d1.rank, dets, det_sign):
+            f = RootDatumMap(mat, mat.transpose())
+            if mat.det() in dets and check_isomorphism(f, d1, d2):
+                results[mat] = f
+    return sorted(results.values(), key=lambda f: f.iota.to_rows())
 
 
 def test_distinguished_map_rank4():
@@ -190,3 +265,93 @@ def test_det_poly_rejects_non_integer_coefficient(monkeypatch):
 def test_line_box_range():
     assert _line_box_range([0, 0], [1, 0], 2) == [-2, -1, 0, 1, 2]
     assert _line_box_range([10, 0], [0, 1], 2) == []
+
+
+def test_search_rejects_malformed_assignment():
+    for bad in ((0, 1), (0, 1, 7), (0, 1, 2, 0), (-1, 0, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"assignment {bad!r}")):
+            search_isomorphisms(PSI6, G6, assignment=bad)
+
+
+def test_non_injective_assignment_builds_no_system(monkeypatch):
+    def refuse(d1, d2):
+        raise AssertionError("a system was built")
+
+    monkeypatch.setattr(morphisms, "_completion_system", refuse)
+    assert search_isomorphisms(PSI6, G6, assignment=(0, 0, 2)) == []
+    assert search_isomorphisms(PSI4, G4, assignment=(1, 1)) == []
+
+
+def _as_dicts(maps):
+    return [f.to_dict() for f in maps]
+
+
+@pytest.mark.parametrize("variant", ISO_VARIANTS, ids=repr)
+def test_search_matches_per_bijection_reference_on_shipped_pairs(variant):
+    for d1, d2 in (*SHIPPED_PAIRS, (PSI4, PSI4), (G6, PSI6)):
+        kwargs = variant_kwargs(variant, d1)
+        assert _as_dicts(search_isomorphisms(d1, d2, **kwargs)) == _as_dicts(
+            reference_search(d1, d2, **kwargs)
+        )
+
+
+def _elementary_pair(rng, n, steps):
+    """g in GL_n(Z) from elementary column steps, with its inverse."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    ginv = [row[:] for row in g]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        for row in g:  # g <- g (1 + q e_ij)
+            row[j] += q * row[i]
+        ginv[i] = [x - q * y for x, y in zip(ginv[i], ginv[j])]  # (1 - q e_ij) ginv
+    return g, ginv
+
+
+def conjugate_datum(d, g, ginv):
+    """Roots moved by g, coroots by the inverse transpose of g."""
+    n = d.rank
+    roots = [[sum(g[r][c] * a[c] for c in range(n)) for r in range(n)] for a in d.simple_roots]
+    coroots = [
+        [sum(ginv[r][c] * av[r] for r in range(n)) for c in range(n)]
+        for av in d.simple_coroots
+    ]
+    return BasedRootDatum(n, roots, coroots)
+
+
+SL2_CUBED = product_datum(sl_datum(2), product_datum(sl_datum(2), sl_datum(2)))
+# (source, datum whose conjugate is the target)
+CONJUGATE_PAIRS = (
+    (PSI4, G4),
+    (G4, PSI4),
+    (PSI6, G6),
+    (G6, PSI6),
+    (PSI4, PSI4),
+    (presets.datum("SL2xSL2"), presets.datum("SL2xSL2")),
+    (presets.datum("SL4"), presets.datum("SL4")),
+    (gl_datum(2), gl_datum(2)),
+    (gl_datum(3), gl_datum(3)),
+    (pgl_datum(3), pgl_datum(3)),
+    (gspin_datum(4), gspin_datum(4)),
+    (product_datum(sl_datum(2), pgl_datum(2)), product_datum(sl_datum(2), pgl_datum(2))),
+    # three A1 factors: the bijections include 3-cycles, where pi^-1 != pi
+    (SL2_CUBED, SL2_CUBED),
+)
+
+
+def test_search_matches_per_bijection_reference_on_conjugate_pairs():
+    rng = random.Random(2026)
+    for k in range(39):
+        d1, d2 = CONJUGATE_PAIRS[k % len(CONJUGATE_PAIRS)]
+        g, ginv = _elementary_pair(rng, d2.rank, rng.randint(1, 4))
+        target = conjugate_datum(d2, g, ginv)
+        for variant in ISO_VARIANTS:
+            kwargs = variant_kwargs(variant, d1)
+            found = search_isomorphisms(d1, target, **kwargs)
+            assert _as_dicts(found) == _as_dicts(reference_search(d1, target, **kwargs))
+            if d1 is d2 and not variant:
+                assert IntMatrix(g) in {f.iota for f in found}
+        for pi in cartan_compatible_bijections(d1, target):
+            assert _as_dicts(search_isomorphisms(d1, target, assignment=pi)) == _as_dicts(
+                reference_search(d1, target, assignment=pi)
+            )

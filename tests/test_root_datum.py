@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from gspinlab import presets
 from gspinlab.lattice import AbelianGroupStructure, IntMatrix
 from gspinlab.morphisms import search_isomorphisms
 from gspinlab.root_datum import (
+    ROOT_CLOSURE_CAP,
     BasedRootDatum,
     DiagonalizableData,
     center_data,
@@ -206,3 +209,88 @@ def test_invalid_data_rejected():
     with pytest.raises(ValueError):
         # affine-type Cartan matrix: infinite reflection closure
         BasedRootDatum(2, [(2, -2), (-2, 2)], [(1, -1), (-1, 1)])
+
+
+def closure_with_every_reflection(d, cap=ROOT_CLOSURE_CAP):
+    """Reference: the reflection closure that applies every simple reflection."""
+    seen = {}
+    frontier = list(zip(d.simple_roots, d.simple_coroots))
+    for b, bv in frontier:
+        seen[b] = bv
+    while frontier:
+        new = []
+        for b, bv in frontier:
+            for a, av in zip(d.simple_roots, d.simple_coroots):
+                k = dot(b, av)
+                rb = tuple(x - k * y for x, y in zip(b, a))
+                kv = dot(a, bv)
+                rbv = tuple(x - kv * y for x, y in zip(bv, av))
+                if rb not in seen:
+                    seen[rb] = rbv
+                    new.append((rb, rbv))
+                elif seen[rb] != rbv:
+                    raise ValueError("inconsistent root/coroot reflection closure")
+        frontier = new
+        if len(seen) > cap:
+            raise ValueError(f"root closure exceeded cap {cap}")
+    return tuple(sorted(seen.items()))
+
+
+def unvalidated_datum(rank, roots, coroots):
+    """A BasedRootDatum whose constructor checks did not run."""
+    d = object.__new__(BasedRootDatum)
+    object.__setattr__(d, "rank", rank)
+    object.__setattr__(d, "simple_roots", tuple(map(tuple, roots)))
+    object.__setattr__(d, "simple_coroots", tuple(map(tuple, coroots)))
+    object.__setattr__(d, "label", "")
+    return d
+
+
+def _closure_outcome(closure, d, cap):
+    try:
+        return closure(d, cap)
+    except ValueError as exc:
+        return str(exc)
+
+
+FACTORS = (
+    gl_datum(1), gl_datum(2), gl_datum(3), sl_datum(2), sl_datum(3), sl_datum(4),
+    pgl_datum(2), pgl_datum(3), gspin_datum(2), gspin_datum(3), gspin_datum(4),
+)
+
+
+def test_root_closure_matches_every_reflection_reference():
+    data = [presets.datum(name) for name in presets.datum_names()]
+    data += [product_datum(a, b) for a in FACTORS[::2] for b in FACTORS[1::2]]
+    for d in data:
+        assert d.roots() == closure_with_every_reflection(d)
+
+
+def test_root_closure_errors_match_every_reflection_reference():
+    rng = random.Random(808)
+    errors = set()
+    checked = 0
+    for _ in range(400):
+        base = rng.choice(FACTORS + (product_datum(sl_datum(2), gspin_datum(3)),))
+        roots = [list(a) for a in base.simple_roots]
+        coroots = [list(a) for a in base.simple_coroots]
+        vecs = rng.choice((roots, coroots))
+        if not vecs:
+            continue
+        vec = rng.choice(vecs)
+        vec[rng.randrange(len(vec))] += rng.choice((-2, -1, 1, 2))
+        # the constructor runs the closure only once <alpha_i, alpha_i^> = 2,
+        # so no simple coroot is zero
+        if any(dot(a, av) != 2 for a, av in zip(roots, coroots)):
+            continue
+        d = unvalidated_datum(base.rank, roots, coroots)
+        checked += 1
+        got = _closure_outcome(BasedRootDatum.roots, d, 300)
+        assert got == _closure_outcome(closure_with_every_reflection, d, 300)
+        if isinstance(got, str):
+            errors.add(got)
+    assert checked >= 100
+    assert errors == {
+        "inconsistent root/coroot reflection closure",
+        "root closure exceeded cap 300",
+    }

@@ -37,9 +37,6 @@ from .finite_groups import (
     CharacterTable,
     FiniteMatrixGroup,
     abelian_invariants,
-    center_of_group,
-    character_table,
-    conjugacy_classes,
     generate_closure,
     group_id,
     irreps_with_central_character,

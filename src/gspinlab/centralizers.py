@@ -26,10 +26,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, format_qi, parse_qi, qi_nullspace
 from .finite_groups import (
+    GROUP_ID_MAX_ORDER,
     FiniteMatrixGroup,
     NotFiniteError,
     closure_tree,
     elem_mul,
+    generate_closure,
     group_id,
 )
 from .lattice import AbelianGroupStructure
@@ -334,8 +336,8 @@ def s_groups(
             raise RuntimeError("center of the cover is missing from the assembly")
     squot = group.quotient(z_elements)
     s_phi_order = squot.order
-    s_phi_label = group_id(squot) if squot.order <= 64 else f"order {squot.order}"
-    s_sc_label = group_id(group) if group.order <= 64 else f"order {group.order}"
+    s_phi_label = group_id(squot) if squot.order <= GROUP_ID_MAX_ORDER else f"order {squot.order}"
+    s_sc_label = group_id(group) if group.order <= GROUP_ID_MAX_ORDER else f"order {group.order}"
     extension_ok = group.order == z_hat.torsion_order() * s_phi_order
     return CentralizerReport(
         ambient=phi.ambient,
@@ -414,7 +416,13 @@ def _assemble_lines(
             elements.update(map(_cover_element, product(*scaled)))
     if len(elements) > cap:
         raise NotFiniteError(f"assembled group exceeds cap {cap}")
-    group = FiniteMatrixGroup(elements, generators)
-    if not group.is_closed():
+    # every element is a product of the generators, so the set is closed
+    # exactly when it is their closure; a larger closure stops at its size
+    try:
+        group = generate_closure(generators, cap=len(elements))
+        closed = set(group.elements) == elements
+    except NotFiniteError:
+        closed = False
+    if not closed:
         raise RuntimeError("assembled twisted-centralizer set failed to close")
     return group, live

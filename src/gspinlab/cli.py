@@ -476,7 +476,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (NotFiniteError, CapExceededError, InfiniteFamilyError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except AssertionError as exc:
+    except (AssertionError, RuntimeError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

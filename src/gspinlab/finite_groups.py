@@ -1,14 +1,15 @@
 """Finite matrix groups over Q(i): closure, classes, exact character tables.
 
 Group elements are ``GaussianMatrix`` objects or tuples of them (tuples for
-product ambient groups such as SL2 x SL2). Matrices are multiplied only to
-enumerate a group and to apply its generators on the right (a group made by
-``generate_closure`` keeps the closure's products for that); the integer
-Cayley table is then filled along the closure word tree by lookups alone.
-Every group algorithm (identity, inverses, orders, center, classes, class
-sums, central characters, quotients by central subgroups) reads that table,
-and the matrices stay as element labels. The center and quotients are built
-on the parent's table and multiply nothing.
+product ambient groups such as SL2 x SL2). A ``FiniteMatrixGroup`` is its
+sorted elements, its integer Cayley table, the identity's position and the
+generators' positions, and nothing else. ``generate_closure`` is the only
+builder that multiplies matrices: the closure's products are the
+generators' right action, and the table is filled along the closure's word
+tree by lookups alone. Every group algorithm (inverses, orders, center,
+classes, class sums, central characters, quotients by central subgroups)
+reads that table, and the matrices stay as element labels. The center and
+quotients call the constructor with a table induced from the parent's.
 
 Character tables are computed by an exact Dixon-style method: the class-sum
 matrices are simultaneously diagonalized over a prime field F_p with
@@ -50,6 +51,8 @@ class FieldInsufficientError(RuntimeError):
 
 Element = object  # GaussianMatrix or tuple of GaussianMatrix
 
+GROUP_ID_MAX_ORDER = 64  # the largest order ``group_id`` will identify
+
 
 def elem_mul(x: Element, y: Element) -> Element:
     if isinstance(x, tuple):
@@ -76,16 +79,26 @@ def elem_is_invertible(x: Element) -> bool:
 
 
 class FiniteMatrixGroup:
-    """A finite group of (tuples of) matrices on an integer Cayley table.
+    """A finite group of (tuples of) matrices given by its integer Cayley table.
 
-    The elements are kept sorted by ``elem_key``, so positions compare like
-    keys. ``generators`` default to all elements. The table is built on
-    first use; every group algorithm reads it, and the matrices are labels.
+    ``cayley_table[a][b]`` is the position of elements[a] * elements[b];
+    ``identity_index`` and ``generator_index`` are positions too. The
+    elements are sorted by ``elem_key`` (``generate_closure`` sorts them, and
+    centers and quotients keep their parent's order), so positions compare
+    like keys. Every group algorithm reads the table; the matrices are labels.
     """
 
-    def __init__(self, elements: Iterable[Element], generators: Sequence[Element] = ()):
-        self.elements: Tuple[Element, ...] = tuple(sorted(set(elements), key=elem_key))
-        self.generators: Tuple[Element, ...] = tuple(generators) if generators else self.elements
+    def __init__(
+        self,
+        elements: Iterable[Element],
+        cayley_table: Sequence[Tuple[int, ...]],
+        identity_index: int,
+        generator_index: Iterable[int],
+    ):
+        self.elements: Tuple[Element, ...] = tuple(elements)
+        self.cayley_table = cayley_table
+        self.identity_index = identity_index
+        self.generator_index: Tuple[int, ...] = tuple(generator_index)
         self._cache: Dict[str, object] = {}
 
     @property
@@ -104,46 +117,6 @@ class FiniteMatrixGroup:
         return self._positions[x]
 
     @cached_property
-    def _right_action(self) -> Optional[List[List[int]]]:
-        """Position of x * g for every generator g and element x; None if not closed."""
-        action = []
-        for g in self.generators:
-            row = [self._positions.get(elem_mul(x, g)) for x in self.elements]
-            if None in row:
-                return None
-            action.append(row)
-        return action
-
-    @cached_property
-    def identity_index(self) -> int:
-        e = self._positions.get(elem_identity_like(self.elements[0]))
-        if e is None:
-            raise ValueError("element set has no identity; not a group")
-        return e
-
-    @cached_property
-    def generator_index(self) -> Tuple[int, ...]:
-        return tuple(self.index(g) for g in self.generators)
-
-    @cached_property
-    def cayley_table(self) -> List[Tuple[int, ...]]:
-        """Row a, column b: the position of elements[a] * elements[b].
-
-        Filled column by column along the word tree of the generators'
-        right action: if b = c * g then a * b = (a * c) * g, one lookup.
-        """
-        action = self._right_action
-        if action is None:
-            raise ValueError("element set is not closed under its generators; not a group")
-        tree, _ = closure_tree(self.identity_index, range(len(action)), lambda x, j: action[j][x])
-        if len(tree) != self.order:
-            raise ValueError("generators do not generate the element set; not a group")
-        cols: Dict[int, Sequence[int]] = {}
-        for b, (c, j) in tree.items():
-            cols[b] = range(self.order) if c is None else [action[j][x] for x in cols[c]]
-        return list(zip(*(cols[b] for b in range(self.order))))
-
-    @cached_property
     def inverse_index(self) -> Tuple[int, ...]:
         return tuple(row.index(self.identity_index) for row in self.cayley_table)
 
@@ -160,9 +133,6 @@ class FiniteMatrixGroup:
 
     def element_order(self, x: Element) -> int:
         return self.element_orders[self.index(x)]
-
-    def is_closed(self) -> bool:
-        return self._right_action is not None
 
     def _central(self, z: int) -> bool:
         mt = self.cayley_table
@@ -184,13 +154,12 @@ class FiniteMatrixGroup:
     ) -> "FiniteMatrixGroup":
         """The group on ``reps`` with product image[a * b], read off this table."""
         mt = self.cayley_table
-        group = FiniteMatrixGroup(())
-        group.elements = tuple(self.elements[a] for a in reps)
-        group.cayley_table = [tuple(image[mt[a][b]] for b in reps) for a in reps]
-        group.identity_index = image[self.identity_index]
-        group.generator_index = tuple(sorted(set(gens)))
-        group.generators = tuple(group.elements[g] for g in group.generator_index)
-        return group
+        return FiniteMatrixGroup(
+            (self.elements[a] for a in reps),
+            [tuple(image[mt[a][b]] for b in reps) for a in reps],
+            image[self.identity_index],
+            sorted(set(gens)),
+        )
 
     def center(self) -> "FiniteMatrixGroup":
         zs = [z for z in range(self.order) if self._central(z)]
@@ -220,25 +189,33 @@ class FiniteMatrixGroup:
 
 
 def generate_closure(generators: Sequence[Element], cap: int = 512) -> FiniteMatrixGroup:
-    """Close a generating set under multiplication; error beyond ``cap``."""
+    """Close a generating set under multiplication; error beyond ``cap``.
+
+    The only group builder that multiplies matrices. The closure's products
+    x * g are the generators' right action on the sorted elements, and the
+    table is filled column by column along the closure's word tree: if
+    b = c * g then a * b = (a * c) * g, one lookup.
+    """
     gens = list(generators)
     if not gens:
         raise ValueError("no generators")
     for g in gens:
         if not elem_is_invertible(g):
             raise ValueError("generators must be invertible")
-    tree, products = closure_tree(
-        elem_identity_like(gens[0]), gens, elem_mul, cap, f"not finite within cap {cap}"
-    )
-    group = FiniteMatrixGroup(tree, generators=gens)
-    # the closure already formed every x * g: they are the right action
-    pos = group._positions
-    action = [[0] * group.order for _ in gens]
+    identity = elem_identity_like(gens[0])
+    tree, products = closure_tree(identity, gens, elem_mul, cap, f"not finite within cap {cap}")
+    elements = sorted(tree, key=elem_key)
+    n = len(elements)
+    pos = {x: i for i, x in enumerate(elements)}
+    action = [[0] * n for _ in gens]
     for x, row in zip(tree, products):
         for j, y in enumerate(row):
             action[j][pos[x]] = pos[y]
-    group._right_action = action
-    return group
+    cols: Dict[int, Sequence[int]] = {}
+    for y, (x, j) in tree.items():
+        cols[pos[y]] = range(n) if x is None else [action[j][a] for a in cols[pos[x]]]
+    table = list(zip(*(cols[b] for b in range(n))))
+    return FiniteMatrixGroup(elements, table, pos[identity], (pos[g] for g in gens))
 
 
 def closure_tree(
@@ -315,14 +292,6 @@ def _conjugacy_classes(group: FiniteMatrixGroup) -> Tuple[ConjClass, ...]:
     )
 
 
-def center_of_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
-    return group.center()
-
-
-def conjugacy_classes(group: FiniteMatrixGroup) -> Tuple[ConjClass, ...]:
-    return group.conjugacy_classes()
-
-
 def abelian_invariants(group: FiniteMatrixGroup) -> AbelianGroupStructure:
     """Invariant factors of a finite abelian group, by peeling maximal orders."""
     if not group.is_abelian():
@@ -346,8 +315,8 @@ def abelian_invariants(group: FiniteMatrixGroup) -> AbelianGroupStructure:
 def group_id(group: FiniteMatrixGroup) -> str:
     """Identify a small group against a fixed catalogue."""
     n = group.order
-    if n > 64:
-        raise CapExceededError("group_id supports order <= 64")
+    if n > GROUP_ID_MAX_ORDER:
+        raise CapExceededError(f"group_id supports order <= {GROUP_ID_MAX_ORDER}")
     if group.is_abelian():
         inv = abelian_invariants(group).torsion
         if not inv:
@@ -637,10 +606,6 @@ def _validate_table(table: CharacterTable) -> None:
             conv = _zi_dot(fre, fim, [fre[z] for z in pos], [fim[z] for z in pos])
             if conv != (scale * re[i], scale * im[i]):
                 raise AssertionError("regular representation cross-check fails")
-
-
-def character_table(group: FiniteMatrixGroup) -> CharacterTable:
-    return group.character_table()
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from gspinlab import presets
+from gspinlab import centralizers, presets
 from gspinlab.centralizers import (
     NormalizationError,
     NotEllipticError,
@@ -16,11 +16,7 @@ from gspinlab.centralizers import (
     twisted_centralizer_space,
     verify_extension,
 )
-from gspinlab.finite_groups import (
-    FiniteMatrixGroup,
-    center_of_group,
-    group_id,
-)
+from gspinlab.finite_groups import FiniteMatrixGroup, group_id
 from gspinlab.gaussian import QI, GaussianMatrix
 
 A = GaussianMatrix.from_strings([["i", "0"], ["0", "-i"]])
@@ -134,7 +130,7 @@ def test_s_groups_gso6_witness():
 
 def test_designated_center_inside_assembly():
     rep = s_groups(presets.witness_parameter("coupled_klein_four"))
-    zin = center_of_group(rep.s_phi_sc)
+    zin = rep.s_phi_sc.center()
     for z in rep.z_elements:
         assert z in zin
 
@@ -197,11 +193,20 @@ def test_twist_enumeration_counts():
 
 def test_verify_extension_rejects_corruption():
     rep = s_groups(presets.witness_parameter("coupled_klein_four"))
+    g = rep.s_phi_sc
     broken = FiniteMatrixGroup(
-        rep.s_phi_sc.elements[:-1], generators=rep.s_phi_sc.elements[:-1]
+        g.elements[:-1], g.cayley_table[:-1], g.identity_index, g.generator_index
     )
     rep.s_phi_sc = broken
     assert not verify_extension(rep)
+
+
+def test_assembled_set_that_fails_to_close_is_rejected(monkeypatch):
+    # lines scaled off SL_n by 2: their products leave the assembled set
+    orig = centralizers.sl_normalize
+    monkeypatch.setattr(centralizers, "sl_normalize", lambda h: orig(h).scale(QI(2)))
+    with pytest.raises(RuntimeError, match="failed to close"):
+        s_groups(presets.witness_parameter("coupled_klein_four"))
 
 
 def test_verify_extension_rejects_wrong_quotient_order():

@@ -2,6 +2,7 @@ import json
 
 from gspinlab import presets
 from gspinlab.cli import main
+from gspinlab.gaussian import QI
 
 
 def run(capsys, *argv):
@@ -294,4 +295,15 @@ def test_failed_internal_check_exits_four(capsys, monkeypatch):
     code, out, err = run(capsys, "group", "table", "--preset", "klein_four_sl2")
     assert code == 4
     assert err.strip() == "internal check failed: row orthogonality fails"
+    assert "Traceback" not in err and out == ""
+
+
+def test_assembly_that_fails_to_close_exits_four(capsys, monkeypatch):
+    import gspinlab.centralizers as cz
+
+    orig = cz.sl_normalize
+    monkeypatch.setattr(cz, "sl_normalize", lambda h: orig(h).scale(QI(2)))
+    code, out, err = run(capsys, "params", "coupled_klein_four")
+    assert code == 4
+    assert err.strip() == "internal check failed: assembled twisted-centralizer set failed to close"
     assert "Traceback" not in err and out == ""

@@ -1,7 +1,9 @@
-"""Property tests on seeded random monomial GSO4 parameter images."""
+"""Property tests on seeded random monomial GSO4 and GSO6 parameter images."""
 import pytest
 
 pytest.importorskip("hypothesis")
+
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,11 @@ from gspinlab.centralizers import (
     s_groups,
     verify_extension,
 )
-from gspinlab.finite_groups import CentralCharacter, irreps_with_central_character
+from gspinlab.finite_groups import (
+    CentralCharacter,
+    NotFiniteError,
+    irreps_with_central_character,
+)
 from gspinlab.gaussian import FOURTH_ROOTS, QI, GaussianMatrix
 from gspinlab.packets import designated_center
 
@@ -54,3 +60,37 @@ def test_monomial_gso4_extension_and_central_characters(generators):
             assert sum(r.degree**2 for r in rows) == report.s_phi_order
             total += sum(r.degree**2 for r in rows)
     assert total == g.order
+
+
+@st.composite
+def monomial_4x4(draw):
+    perm = draw(st.sampled_from(list(permutations(range(4)))))
+    entries = [draw(ROOT) for _ in range(4)]
+    return GaussianMatrix(
+        [[entries[r] if c == perm[r] else QI(0) for c in range(4)] for r in range(4)]
+    )
+
+
+GSO6_PARAMETERS = st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.tuples(ROOT, monomial_4x4()), min_size=k, max_size=k)
+)
+
+
+# each draw first closes its projective image (up to 4,096 pairs of 4x4
+# matrices), which is most of the time; 25 draws keep the test near 5 s
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(GSO6_PARAMETERS)
+def test_monomial_gso6_extension_and_central_characters(generators):
+    try:
+        report = s_groups(ParameterImage("GSO6", tuple(generators)))
+    except (NotEllipticError, NormalizationError, NotFiniteError):
+        return
+    g = report.s_phi_sc
+    assert g.order == 4 * report.s_phi_order
+    assert verify_extension(report)
+    z_elements, (z,) = designated_center("GSpin6")
+    table = g.character_table()
+    # the four characters of mu4, each picked out by its value on i
+    for value in FOURTH_ROOTS:
+        rows = irreps_with_central_character(g, z_elements, CentralCharacter(((z, value),)), table)
+        assert sum(r.degree**2 for r in rows) == report.s_phi_order

@@ -44,7 +44,6 @@ from .finite_groups import (
 from .centralizers import (
     CentralizerReport,
     ParameterImage,
-    TwistCharacter,
     s_groups,
     sl_level_group,
     twisted_centralizer_space,

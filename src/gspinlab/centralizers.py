@@ -4,25 +4,26 @@ A parameter is given by the images of abstract generators w_1..w_k: pairs
 of 2x2 matrices for the GSO4 ambient (modulo the antidiagonal scalar
 kernel), or (scalar, 4x4 matrix) pairs for GSO6 (modulo (z^-2, z)).
 
-For each twist character nu on the generators, the twisted centralizer
-space {h : h g_j = nu(w_j) g_j h} is solved exactly over Q(i). In the
-elliptic case every such space has dimension at most one; the union of the
-determinant-normalized solution lines inside the simply connected cover
-(SL2 x SL2 or SL4) assembles the component-group extension: the full group
-is S_phi_sc, its quotient by the center of the cover is S_phi, and the
-center itself is the kernel of the extension.
+A twist is a tuple nu = (nu_1, ..., nu_k) of scalars, one per generator,
+and its twisted centralizer space {h : h g_j = nu_j g_j h} is solved
+exactly over Q(i). In the elliptic case every such space has dimension at
+most one; the union of the determinant-normalized solution lines inside the
+simply connected cover (SL2 x SL2 or SL4) assembles the component-group
+extension: the full group is S_phi_sc, its quotient by the center of the
+cover is S_phi, and the center itself is the kernel of the extension.
 
 At the level of the similitude quotient only quadratic twists survive (the
 scalar slot forces nu^2 = 1); twists of order four appear for the larger
 projective-linear centralizer, computed by ``sl_level_group``. Both levels
-assemble their groups from the solution lines through one routine, and the
-twist enumerations are one product over a root set.
+run one routine over every tuple of a root set, unpruned: if a word w holds
+in the image up to scalars, h w(g) = w(nu) w(g) h forces h = 0 unless
+w(nu) = 1, so a twist that breaks a true relation is dead anyway.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, format_qi, parse_qi, qi_nullspace
 from .finite_groups import (
@@ -53,56 +54,6 @@ def _first_nonzero(m: GaussianMatrix) -> QI:
             if not x.is_zero():
                 return x
     raise ValueError("zero matrix")
-
-
-def qi_pow(z: QI, e: int) -> QI:
-    if e < 0:
-        return qi_pow(z.inverse(), -e)
-    out = QI(1)
-    for _ in range(e):
-        out = out * z
-    return out
-
-
-@dataclass(frozen=True)
-class TwistCharacter:
-    """Values of a twist on the abstract generators, exact roots of unity."""
-
-    values: Tuple[QI, ...]
-
-    def validate(self, relations: Sequence[Sequence[Tuple[int, int]]]) -> None:
-        if not _relation_ok(self.values, relations):
-            raise ValueError("twist character violates a generator relation")
-
-    def is_trivial(self) -> bool:
-        return all(v == QI(1) for v in self.values)
-
-
-def _relation_ok(values: Sequence[QI], relations) -> bool:
-    for word in relations:
-        acc = QI(1)
-        for idx, e in word:
-            acc = acc * qi_pow(values[idx], e)
-        if acc != QI(1):
-            return False
-    return True
-
-
-def _twists(roots: Sequence[QI], k: int, relations) -> List[TwistCharacter]:
-    """Every assignment of ``roots`` to k generators that satisfies the relations."""
-    return [
-        TwistCharacter(vals)
-        for vals in product(roots, repeat=k)
-        if _relation_ok(vals, relations)
-    ]
-
-
-def quadratic_twists(k: int, relations=()) -> List[TwistCharacter]:
-    return _twists(MU2, k, relations)
-
-
-def quartic_twists(k: int, relations=()) -> List[TwistCharacter]:
-    return _twists(FOURTH_ROOTS, k, relations)
 
 
 def _center_scalars(n: int) -> Tuple[QI, ...]:
@@ -200,7 +151,6 @@ class ParameterImage:
     ambient: str  # "GSO4" | "GSO6"
     generators: Tuple[tuple, ...]
     labels: Tuple[str, ...] = ()
-    relations: Tuple[Tuple[Tuple[int, int], ...], ...] = ()
 
     def __post_init__(self):
         if self.ambient not in ("GSO4", "GSO6"):
@@ -218,10 +168,6 @@ class ParameterImage:
                     raise ValueError("GSO6 generators are (scalar, 4x4 matrix) pairs")
                 if g[0].is_zero() or g[1].det().is_zero() or g[1].n != 4:
                     raise ValueError("generators must be invertible 4x4 with nonzero scalar")
-        for word in self.relations:
-            for idx, _ in word:
-                if not 0 <= idx < len(self.generators):
-                    raise ValueError("relation refers to a missing generator")
         self.projective_closure_order()  # elliptic use case: image must be finite
 
     def factor_images(self) -> List[List[GaussianMatrix]]:
@@ -266,11 +212,11 @@ class ParameterImage:
             "ambient": self.ambient,
             "labels": list(self.labels),
             "generators": gens,
-            "relations": [[list(t) for t in word] for word in self.relations],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParameterImage":
+        """Inverse of ``to_dict``; the keys ``kind`` and ``relations`` are ignored."""
         ambient = d["ambient"]
         gens = []
         for g in d["generators"]:
@@ -280,10 +226,7 @@ class ParameterImage:
                 )
             else:
                 gens.append((parse_qi(g[0]), GaussianMatrix.from_strings(g[1])))
-        relations = tuple(
-            tuple((int(i), int(e)) for i, e in word) for word in d.get("relations", [])
-        )
-        return cls(ambient, tuple(gens), tuple(d.get("labels", [])), relations)
+        return cls(ambient, tuple(gens), tuple(d.get("labels", [])))
 
 
 @dataclass
@@ -296,7 +239,7 @@ class CentralizerReport:
     z_hat: AbelianGroupStructure
     z_elements: Tuple[object, ...]
     extension_ok: bool
-    twists: Tuple[TwistCharacter, ...]
+    twists: Tuple[Tuple[QI, ...], ...]  # the live twists
 
     def to_dict(self) -> dict:
         return {
@@ -308,26 +251,13 @@ class CentralizerReport:
             "z_hat": str(self.z_hat),
             "z_hat_order": self.z_hat.torsion_order(),
             "extension_ok": self.extension_ok,
-            "twists": [[format_qi(v) for v in t.values] for t in self.twists],
+            "twists": [[format_qi(v) for v in t] for t in self.twists],
         }
 
 
-def s_groups(
-    phi: ParameterImage,
-    candidate_twists: Optional[Sequence[TwistCharacter]] = None,
-    cap: int = 512,
-) -> CentralizerReport:
-    """Assemble S_phi_sc, S_phi and the central extension data for phi."""
-    k = len(phi.generators)
-    if candidate_twists is None:
-        twists = quadratic_twists(k, phi.relations)
-    else:
-        twists = list(candidate_twists)
-        if not any(t.is_trivial() for t in twists):
-            raise ValueError("candidate twists must include the trivial character")
-        for t in twists:
-            t.validate(phi.relations)
-    group, used = _assemble_lines(phi.factor_images(), twists, cap)
+def s_groups(phi: ParameterImage, cap: int = 512) -> CentralizerReport:
+    """Assemble S_phi_sc, S_phi and the extension data for phi over every sign twist."""
+    group, used = _assemble_lines(phi.factor_images(), MU2, cap)
     sizes = [images[0].n for images in phi.factor_images()]
     z_elements, _ = cover_center(sizes)
     z_hat = AbelianGroupStructure(0, tuple(len(_center_scalars(n)) for n in sizes))
@@ -368,54 +298,56 @@ def verify_extension(report: CentralizerReport) -> bool:
     return group.order == len(report.z_elements) * len(cosets)
 
 
-def sl_level_group(
-    images: Sequence[GaussianMatrix], relations=(), cap: int = 512
-) -> FiniteMatrixGroup:
+def sl_level_group(images: Sequence[GaussianMatrix], cap: int = 512) -> FiniteMatrixGroup:
     """Centralizer cover for a single factor at the projective-linear level.
 
-    Twists run over mu_2 for 2x2 factors and mu_4 for 4x4 factors (the
-    determinant constraint); the union of normalized lines, scaled by the
-    full scalar group of the cover, is returned as an explicit group.
+    Twists are every tuple over mu_2 (2x2) or mu_4 (4x4), the determinant
+    constraint; the union of normalized lines, scaled by the full scalar
+    group of the cover, is returned as an explicit group.
     """
-    twists = _twists(_center_scalars(images[0].n), len(images), relations)
-    return _assemble_lines([images], twists, cap)[0]
+    return _assemble_lines([images], _center_scalars(images[0].n), cap)[0]
 
 
 def _assemble_lines(
-    factors: Sequence[Sequence[GaussianMatrix]], twists: Sequence[TwistCharacter], cap: int
-) -> Tuple[FiniteMatrixGroup, List[TwistCharacter]]:
+    factors: Sequence[Sequence[GaussianMatrix]], roots: Sequence[QI], cap: int
+) -> Tuple[FiniteMatrixGroup, List[Tuple[QI, ...]]]:
     """The group of determinant-1 twisted centralizers, one factor per cover slot.
 
-    For each twist, every factor's twisted solution line is solved; a twist
+    The twists are every tuple of ``roots``, one value per generator. For
+    each twist, every factor's twisted solution line is solved; a twist
     with a zero line in some factor is dead and skipped. The live lines are
     normalized into SL_n and scaled by the scalars of SL_n, giving matrices
-    (one factor) or tuples (several). The group is generated by one line per
-    live twist and the scalars of each factor, so closing it costs n*k
-    products. Returns the closed group and the live twists.
+    (one factor) or tuples (several); the work stops as soon as these pass
+    ``cap``. The group is generated by one line per live twist and the
+    scalars of each factor, so closing it costs n*k products. Returns the
+    closed group and the live twists. Refusals name the twist.
     """
     generators = list(cover_center([images[0].n for images in factors])[1])
     elements = set()
     live = []
-    for nu in twists:
+    for nu in product(roots, repeat=len(factors[0])):
         lines = []
-        for images in factors:
-            basis = twisted_centralizer_space(images, nu.values)
+        for f, images in enumerate(factors):
+            basis = twisted_centralizer_space(images, nu)
             if len(basis) > 1:
                 raise NotEllipticError(
                     "not elliptic: a twisted solution space has dimension "
-                    f"{len(basis)}"
+                    f"{len(basis)} at twist ({', '.join(map(format_qi, nu))}), factor {f}"
                 )
             if not basis:
                 break
             lines.append(basis[0])
         else:
             live.append(nu)
-            normalized = [sl_normalize(h) for h in lines]
+            try:
+                normalized = [sl_normalize(h) for h in lines]
+            except NormalizationError as exc:
+                raise NormalizationError(f"{exc} at twist ({', '.join(map(format_qi, nu))})")
             generators.append(_cover_element(normalized))
             scaled = [[h.scale(z) for z in _center_scalars(h.n)] for h in normalized]
             elements.update(map(_cover_element, product(*scaled)))
-    if len(elements) > cap:
-        raise NotFiniteError(f"assembled group exceeds cap {cap}")
+            if len(elements) > cap:
+                raise NotFiniteError(f"assembled group exceeds cap {cap}")
     # every element is a product of the generators, so the set is closed
     # exactly when it is their closure; a larger closure stops at its size
     try:

@@ -277,7 +277,6 @@ def _cmd_group(args) -> int:
 def _load_parameter(arg: str) -> ParameterImage:
     if os.path.isfile(arg):
         data = _read_json_file(arg)
-        _require_ints(data, ("relations",), f"bad parameter file {arg}")
         try:
             return ParameterImage.from_dict(data)
         except (LookupError, TypeError, ValueError) as exc:

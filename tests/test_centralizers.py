@@ -1,22 +1,21 @@
 import dataclasses
+from itertools import product
 
 import pytest
 
 from gspinlab import centralizers, presets
 from gspinlab.centralizers import (
+    MU2,
     NormalizationError,
     NotEllipticError,
     ParameterImage,
-    TwistCharacter,
-    quadratic_twists,
-    quartic_twists,
     s_groups,
     sl_level_group,
     sl_normalize,
     twisted_centralizer_space,
     verify_extension,
 )
-from gspinlab.finite_groups import FiniteMatrixGroup, group_id
+from gspinlab.finite_groups import FiniteMatrixGroup, NotFiniteError, group_id
 from gspinlab.gaussian import QI, GaussianMatrix
 
 A = GaussianMatrix.from_strings([["i", "0"], ["0", "-i"]])
@@ -53,8 +52,8 @@ def test_untwisted_space_is_commutant_with_multiplicity_dimension():
 
 def test_twisted_cosets_are_disjoint():
     seen = []
-    for nu in quadratic_twists(2):
-        sp = twisted_centralizer_space(KLEIN, list(nu.values))
+    for nu in product(MU2, repeat=2):
+        sp = twisted_centralizer_space(KLEIN, list(nu))
         assert len(sp) == 1
         for other in seen:
             prod = sp[0] * other.inverse()
@@ -151,7 +150,7 @@ def test_rank6_sl_level_normalization_obstruction():
     # determinant -1; its SL4 normalization needs an eighth root of unity,
     # which Q(i) lacks, and the engine must refuse rather than approximate
     phi6 = presets.witness_parameter("cyclic_quartic_gso6")
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NormalizationError, match=r"fourth root in Q\(i\) at twist \(1, i\)$"):
         sl_level_group(phi6.factor_images()[0])
     # every similitude-level element still solves a quadratic-twist equation
     rep6 = s_groups(phi6)
@@ -168,27 +167,44 @@ def test_rank6_sl_level_normalization_obstruction():
 def test_not_elliptic_rejected():
     diag = GaussianMatrix.from_strings([["1", "0"], ["0", "-1"]])
     phi = ParameterImage("GSO4", ((diag, diag),))
-    with pytest.raises(NotEllipticError):
+    with pytest.raises(NotEllipticError, match=r"dimension 2 at twist \(1\), factor 0$"):
         s_groups(phi)
 
 
-def test_candidate_twists_must_include_trivial():
+def test_cap_stops_twist_work_early(monkeypatch):
     phi = presets.witness_parameter("coupled_klein_four")
-    with pytest.raises(ValueError):
-        s_groups(phi, candidate_twists=[TwistCharacter((MINUS, MINUS))])
+    calls = []
+    orig = centralizers.twisted_centralizer_space
+
+    def counting(images, nu):
+        calls.append(tuple(nu))
+        return orig(images, nu)
+
+    monkeypatch.setattr(centralizers, "twisted_centralizer_space", counting)
+    # the first live twist gives 4 elements; the second passes cap 4 and
+    # stops the loop before the last two twists are solved
+    with pytest.raises(NotFiniteError, match="assembled group exceeds cap 4"):
+        s_groups(phi, cap=4)
+    assert len(calls) == 4
+    # a full run solves every sign twist (2^2) in both factors
+    calls.clear()
+    s_groups(phi)
+    assert len(calls) == 2**2 * 2
+    assert set(calls) == set(product(MU2, repeat=2))
 
 
-def test_twist_character_relation_validation():
-    t = TwistCharacter((QI(0, 1), ONE))
-    with pytest.raises(ValueError):
-        t.validate([((0, 2),)])  # i^2 != 1
-    t.validate([((0, 4),)])
-
-
-def test_twist_enumeration_counts():
-    assert len(quadratic_twists(2)) == 4
-    assert len(quartic_twists(2)) == 16
-    assert len(quadratic_twists(2, [((0, 1),)])) == 2  # forces nu(w1) = 1
+def test_twists_breaking_an_image_relation_are_dead():
+    # w3 has projective order 3 in both factors; a twist with nu_3 = -1
+    # would need nu_3^3 = -1 to equal 1, so its space is empty
+    phi = presets.witness_parameter("binary_tetrahedral_pair")
+    for images in phi.factor_images():
+        g3 = images[2]
+        cube = g3 * g3 * g3
+        assert cube == GaussianMatrix.scalar(2, cube.entry(0, 0))
+        assert g3 != GaussianMatrix.scalar(2, g3.entry(0, 0))
+        for nu in product(MU2, repeat=3):
+            if nu[2] == MINUS:
+                assert twisted_centralizer_space(images, nu) == []
 
 
 def test_verify_extension_rejects_corruption():

@@ -132,6 +132,19 @@ def test_params_not_elliptic_is_input_error(tmp_path, capsys):
     assert "not elliptic" in err
 
 
+def test_params_ignores_relations_key(tmp_path, capsys):
+    # w2 = 1 is false in the image; a relation must not prune the twists
+    outputs = []
+    for extra in ({}, {"relations": [[[1, 1]]]}):
+        f = tmp_path / f"param{len(outputs)}.json"
+        f.write_text(json.dumps({**presets.witness("coupled_klein_four"), **extra}), encoding="utf-8")
+        outputs.append(run(capsys, "params", str(f)))
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[1]
+    assert code == 0 and err == ""
+    assert "S_phi_sc: Q8 x Z/2 (order 16)" in out
+
+
 def test_packets_scenario_output(capsys):
     code, out, _ = run(capsys, "packets", "dihedral3-twist")
     assert code == 0
@@ -257,16 +270,6 @@ def test_exit_codes_for_malformed_inputs(tmp_path, capsys):
         ("packets", {**gspin4, "twist_equivalent": "false"}, "twist_equivalent holds")
     )
     cases.append(("packets", {**gspin4, "p": 3.0}, "p holds"))
-    parameter = {
-        "ambient": "GSO4",
-        "generators": [
-            [[["i", "0"], ["0", "-i"]], [["i", "0"], ["0", "-i"]]],
-            [[["0", "1"], ["-1", "0"]], [["0", "1"], ["-1", "0"]]],
-        ],
-        "relations": [[[0, 4.0]], [[1, 4]]],
-    }
-    cases.append(("params", parameter, "relations holds"))
-    cases.append(("params", {**parameter, "relations": [[[0, 4]], [[True, 4]]]}, "relations holds"))
     for k, (command, data, reason) in enumerate(cases):
         path = tmp_path / f"case{k}.json"
         path.write_text(json.dumps(data), encoding="utf-8")

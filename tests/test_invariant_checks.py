@@ -1,5 +1,6 @@
-"""Internal consistency checks must not depend on ``assert`` statements,
-which ``python -O`` strips."""
+"""Invariants of the package source: internal consistency checks must not
+depend on ``assert`` statements, which ``python -O`` strips, and no module
+keeps an import it never uses."""
 import ast
 import json
 import os
@@ -18,6 +19,28 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == [], "assert statements vanish under python -O: " + ", ".join(found)
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_no_unused_module_level_imports():
+    # __init__.py imports only to re-export
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
+    assert found == [], "unused imports: " + ", ".join(found)
 
 
 def test_verify_paper_passes_under_optimize():

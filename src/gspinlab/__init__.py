@@ -11,8 +11,6 @@ from .lattice import (
 )
 from .root_datum import (
     BasedRootDatum,
-    DiagonalizableData,
-    center_data,
     center_structure,
     central_quotient_datum,
     central_torus_quotient_datum,

@@ -31,7 +31,7 @@ from .gaussian import GaussianMatrix, format_qi
 from .lattice import IntMatrix
 from .morphisms import InfiniteFamilyError, RootDatumMap, check_isomorphism, search_isomorphisms
 from .packets import scenario_from_dict, scenario_report
-from .root_datum import BasedRootDatum, center_structure, dual_sc_center
+from .root_datum import BasedRootDatum, center_structure, dual_sc_center, verify_exact_sequence
 from .verify import run_catalogue
 
 EXIT_OK = 0
@@ -198,8 +198,6 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    from .root_datum import verify_exact_sequence
-
     if os.path.isfile(args.seq):
         data = _read_json_file(args.seq)
         _require_ints(data, ("maps",), f"bad sequence file {args.seq}")
@@ -450,10 +448,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.mode = args.first
                 args.d1, args.d2 = args.d1_or_d2, args.maybe_d2
             else:
-                if args.d1_or_d2 is None:
-                    raise InputError("iso needs two data")
+                if args.maybe_d2 is not None:
+                    raise InputError(f"iso takes two data; unexpected argument {args.maybe_d2!r}")
                 args.mode = "search"
                 args.d1, args.d2 = args.first, args.d1_or_d2
+            if args.mode == "search" and args.map:
+                raise InputError(f"iso search takes no --map (got {args.map!r}); use iso check")
             return _cmd_iso(args)
         if args.command == "exact":
             return _cmd_exact(args)

@@ -27,7 +27,6 @@ built from plain int rows, so they cost no per-entry conversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -374,25 +373,3 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     if any(x != 1 for x in diagonal_of(d)):
         raise AssertionError("Smith normal form of a unimodular matrix is not the identity")
     return v * u
-
-
-def rational_left_inverse(k: IntMatrix) -> List[List[Fraction]]:
-    """A rational left inverse of a full-column-rank integer matrix."""
-    u, d, v = smith_normal_form(k)
-    diag = diagonal_of(d)
-    if k.cols > k.rows or any(x == 0 for x in diag):
-        raise ValueError("matrix does not have full column rank")
-    # k = u^-1 d v^-1, so  v * d^+ * u  is a left inverse
-    urows = u.to_rows()
-    vrows = v.to_rows()
-    m, n = k.cols, k.rows
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            s = Fraction(0)
-            for t in range(m):
-                s += Fraction(vrows[i][t] * urows[t][j], diag[t])
-            row.append(s)
-        out.append(row)
-    return out

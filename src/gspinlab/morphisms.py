@@ -11,25 +11,22 @@ completes each assignment to a lattice isomorphism by solving the linear
 constraints over Z. The constraints S alpha_i = beta_pi(i) and
 S^T beta_j^vee = alpha_pi^-1(j)^vee have one coefficient matrix for every
 bijection pi, so a search builds and reduces one system and solves it with
-one right-hand side per bijection. When the solution set is a
-positive-dimensional affine family, a determinant constraint cuts it down
-exactly (integer roots of the determinant polynomial in the one-parameter
-case, bounded enumeration with max |entry| <= 8 otherwise); unconstrained
-infinite families are reported, never truncated silently.
+one right-hand side per bijection. The solutions form the affine family
+s0 + span(K), and K has (n - s)^2 columns for rank n and s simple roots.
+At n - s = 0 the family is one matrix. At n - s = 1, K has rank one, so
+det(s0 + cK) is affine in c and each target determinant gives at most one
+c. At n - s >= 2 the isomorphisms extending a bijection are none or
+infinitely many (a coset of an infinite group of automorphisms fixing
+every simple root and coroot), so the search refuses rather than truncate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .lattice import (
-    IntMatrix,
-    kernel_basis,
-    rational_left_inverse,
-    solve_integral,
-)
+from .lattice import IntMatrix, kernel_basis, solve_integral
 from .root_datum import (
     BasedRootDatum,
     central_torus_quotient_datum,
@@ -37,12 +34,9 @@ from .root_datum import (
     gspin_datum,
 )
 
-BOX_ENUM_LIMIT = 2_000_000
-ENTRY_BOUND = 8  # largest |entry| of iota tried when a completion family is bounded
-
 
 class InfiniteFamilyError(RuntimeError):
-    """The isomorphism search found an infinite unimodular family."""
+    """The isomorphism search met a family it cannot list: rank - |Delta| >= 2."""
 
 
 @dataclass(frozen=True)
@@ -52,17 +46,6 @@ class RootDatumMap:
 
     def is_adjoint_pair(self) -> bool:
         return self.iota_vee == self.iota.transpose()
-
-    def inverse(self) -> "RootDatumMap":
-        from .lattice import inverse_unimodular
-
-        inv = inverse_unimodular(self.iota)
-        return RootDatumMap(inv, inv.transpose())
-
-    def compose(self, other: "RootDatumMap") -> "RootDatumMap":
-        """self after other (characters), matching cocharacter composite."""
-        iota = self.iota * other.iota
-        return RootDatumMap(iota, iota.transpose())
 
     def to_dict(self) -> dict:
         return {"iota": self.iota.to_rows(), "iota_vee": self.iota_vee.to_rows()}
@@ -159,183 +142,36 @@ def _matrix_from_vec(vec: Sequence[int], n: int) -> IntMatrix:
     return IntMatrix([list(vec[i * n : (i + 1) * n]) for i in range(n)])
 
 
-def _det_poly_coeffs(s0: Sequence[int], kvec: Sequence[int], n: int) -> List[int]:
-    """Integer coefficients of det(S0 + c*K), degree <= n, by interpolation.
-
-    Newton form at the nodes 0..n: the k-th forward difference of the
-    values at 0, divided exactly by k!, is the coefficient of the falling
-    factorial c(c-1)...(c-k+1); Horner's rule then expands into powers of c.
-    """
-    diffs = [
-        _matrix_from_vec([a + c * b for a, b in zip(s0, kvec)], n).det() for c in range(n + 1)
-    ]
-    newton = []
-    fact = 1
-    for k in range(n + 1):
-        if k:
-            fact *= k
-            diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-        q, r = divmod(diffs[0], fact)
-        if r:
-            raise AssertionError("interpolated coefficient is not an integer")
-        newton.append(q)
-    coeffs = [newton[n]]
-    for k in range(n - 1, -1, -1):
-        # coeffs <- coeffs * (c - k) + newton[k]
-        coeffs = [0] + coeffs
-        for t in range(len(coeffs) - 1):
-            coeffs[t] -= k * coeffs[t + 1]
-        coeffs[0] += newton[k]
-    return coeffs
-
-
-def _integer_roots(coeffs: Sequence[int]) -> Optional[List[int]]:
-    """Integer roots of a polynomial; None signals the zero polynomial."""
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return None
-    found = set()
-    while cs[0] == 0:
-        found.add(0)
-        cs = cs[1:]
-    if len(cs) > 1:
-        const = abs(cs[0])
-        divisors = set()
-        d = 1
-        while d * d <= const:
-            if const % d == 0:
-                divisors.update({d, const // d})
-            d += 1
-        for cand in divisors:
-            for c in (cand, -cand):
-                val = 0
-                for a in reversed(cs):
-                    val = val * c + a
-                if val == 0:
-                    found.add(c)
-    return sorted(found)
-
-
-def _line_box_range(
-    s0: Sequence[int], kvec: Sequence[int], entry_bound: int
-) -> List[int]:
-    """Integers c with all |s0 + c*kvec| entries <= entry_bound."""
-    lo, hi = None, None
-    for a, k in zip(s0, kvec):
-        if k == 0:
-            if abs(a) > entry_bound:
-                return []
-            continue
-        # -bound <= a + c k <= bound
-        left = Fraction(-entry_bound - a, k)
-        right = Fraction(entry_bound - a, k)
-        if left > right:
-            left, right = right, left
-        lo = left if lo is None else max(lo, left)
-        hi = right if hi is None else min(hi, right)
-    if lo is None or hi is None or lo > hi:
-        return []
-    import math
-
-    return list(range(math.ceil(lo), math.floor(hi) + 1))
-
-
-def _det_constant_on_grid(
-    s0: Sequence[int], kcols: List[Tuple[int, ...]], n: int
-) -> Optional[int]:
-    """det(S0 + sum c_i K_i) when constant as a polynomial, else None."""
-    m = len(kcols)
-    grid = product(*[range(n + 1)] * m)
-    value = None
-    for cs in grid:
-        vec = list(s0)
-        for ci, kv in zip(cs, kcols):
-            if ci:
-                for t in range(len(vec)):
-                    vec[t] += ci * kv[t]
-        d = _matrix_from_vec(vec, n).det()
-        if value is None:
-            value = d
-        elif d != value:
-            return None
-    return value
-
-
 def _completions(
-    s0: List[int],
-    kern: IntMatrix,
-    n: int,
-    dets: Tuple[int, ...],
-    det_sign: Optional[int],
+    s0: List[int], kern: IntMatrix, n: int, dets: Tuple[int, ...]
 ) -> List[IntMatrix]:
-    """Candidate matrices S in the family s0 + span(kern) with det(S) in dets."""
-    m = kern.cols
-    candidates: List[IntMatrix] = []
-    if m == 0:
-        candidates.append(_matrix_from_vec(s0, n))
-    elif m == 1:
-        kvec = kern.col(0)
-        coeffs = _det_poly_coeffs(s0, kvec, n)
-        cvals = set()
-        hit_infinite = False
-        for target in dets:
-            shifted = [coeffs[0] - target] + list(coeffs[1:])
-            roots = _integer_roots(shifted)
-            if roots is None:
-                hit_infinite = True
-            else:
-                cvals.update(roots)
-        if hit_infinite:
-            if det_sign is None:
-                raise InfiniteFamilyError(
-                    "one-parameter family of unimodular completions; "
-                    f"base {_matrix_from_vec(s0, n).to_rows()}, "
-                    f"direction {_matrix_from_vec(kvec, n).to_rows()}"
-                )
-            cvals.update(_line_box_range(s0, kvec, ENTRY_BOUND))
-        for c in sorted(cvals):
-            candidates.append(
-                _matrix_from_vec([a + c * b for a, b in zip(s0, kvec)], n)
-            )
-    else:
-        kcols = kern.columns()
-        if det_sign is None:
-            const = _det_constant_on_grid(s0, kcols, n)
-            if const in (1, -1):
-                raise InfiniteFamilyError(
-                    "multi-parameter family of unimodular completions; "
-                    "refusing to truncate"
-                )
-        left = rational_left_inverse(kern)
-        smax = max(abs(x) for x in s0) if s0 else 0
-        reach = ENTRY_BOUND + smax
-        bounds = []
-        for i in range(m):
-            bi = sum(abs(fr) for fr in left[i]) * reach
-            bounds.append(int(bi) + 1)
-        total = 1
-        for b in bounds:
-            total *= 2 * b + 1
-        if total > BOX_ENUM_LIMIT:
-            from .finite_groups import CapExceededError
+    """Candidate matrices S in the family s0 + span(kern) with det(S) in dets.
 
-            raise CapExceededError(
-                f"bounded completion search too large ({total} points)"
-            )
-        for cs in product(*[range(-b, b + 1) for b in bounds]):
-            vec = list(s0)
-            for ci, kv in zip(cs, kcols):
-                if ci:
-                    for t in range(n * n):
-                        vec[t] += ci * kv[t]
-            if max(abs(x) for x in vec) > ENTRY_BOUND:
-                continue
-            mat = _matrix_from_vec(vec, n)
-            if mat.det() in dets:
-                candidates.append(mat)
-    return candidates
+    S is fixed on the root span and free only as a map from the source's
+    central part to the target's, so kern has (rank - |Delta|)^2 columns.
+    """
+    m = kern.cols
+    if m == 0:
+        return [_matrix_from_vec(s0, n)]
+    if m == 1:
+        # K has rank one, so det(s0 + cK) = d0 + c (d1 - d0)
+        kvec = kern.col(0)
+        d0 = _matrix_from_vec(s0, n).det()
+        slope = _matrix_from_vec([a + b for a, b in zip(s0, kvec)], n).det() - d0
+        if slope == 0:
+            if d0 in dets:
+                raise AssertionError(
+                    "det is constant on a one-parameter completion family: "
+                    "infinitely many isomorphisms at rank - |Delta| = 1"
+                )
+            return []
+        cvals = sorted({(t - d0) // slope for t in dets if (t - d0) % slope == 0})
+        return [_matrix_from_vec([a + c * b for a, b in zip(s0, kvec)], n) for c in cvals]
+    gap = math.isqrt(m)
+    raise InfiniteFamilyError(
+        f"rank {n}, |Delta| = {n - gap}: the completions form a {m}-parameter "
+        "family, so the isomorphisms are none or infinitely many; refusing to enumerate"
+    )
 
 
 def search_isomorphisms(
@@ -347,8 +183,10 @@ def search_isomorphisms(
     """All based-root-datum isomorphisms d1 -> d2 under the constraints.
 
     ``assignment`` fixes iota(alpha_i) = beta_assignment[i]; ``det_sign``
-    restricts det(iota) to +1 or -1. Raises InfiniteFamilyError when the
-    unconstrained solution set is provably infinite.
+    restricts det(iota) to +1 or -1. Raises InfiniteFamilyError when
+    rank - |Delta| >= 2 and some bijection has an integral completion: the
+    isomorphisms are then none or infinitely many, with or without the
+    constraints.
 
     Every bijection shares one coefficient matrix (``_completion_system``)
     and its one Smith reduction; only the right-hand side changes.
@@ -377,7 +215,7 @@ def search_isomorphisms(
         part = solve_integral(system, _completion_rhs(d1, d2, pi))
         if part is None:
             continue
-        for mat in _completions(list(part), kern, n, dets, det_sign):
+        for mat in _completions(list(part), kern, n, dets):
             f = RootDatumMap(mat, mat.transpose())
             if mat.det() in dets and check_isomorphism(f, d1, d2):
                 results[mat] = f

@@ -33,10 +33,6 @@ def datum(name: str) -> BasedRootDatum:
     return BasedRootDatum.from_dict(data[name])
 
 
-def map_names() -> List[str]:
-    return sorted(_read("maps.json"))
-
-
 def datum_map(name: str) -> Tuple[RootDatumMap, BasedRootDatum, BasedRootDatum]:
     data = _read("maps.json")
     if name not in data:
@@ -44,10 +40,6 @@ def datum_map(name: str) -> Tuple[RootDatumMap, BasedRootDatum, BasedRootDatum]:
     entry = data[name]
     f = RootDatumMap(IntMatrix(entry["iota"]), IntMatrix(entry["iota_vee"]))
     return f, datum(entry["domain"]), datum(entry["codomain"])
-
-
-def sequence_names() -> List[str]:
-    return sorted(_read("sequences.json"))
 
 
 def sequence(name: str) -> List[IntMatrix]:

@@ -166,41 +166,6 @@ class BasedRootDatum:
         return cls(d["rank"], d["simple_roots"], d["simple_coroots"], d.get("label", ""))
 
 
-class DiagonalizableData:
-    """A diagonalizable group presented by a relations matrix.
-
-    The character group is the cokernel of the matrix; two presentations are
-    considered the same exactly when their invariant-factor normal forms
-    agree. Centers, kernels, and cokernels of the lattice maps all land
-    here.
-    """
-
-    __slots__ = ("character_presentation",)
-
-    def __init__(self, character_presentation: IntMatrix):
-        object.__setattr__(self, "character_presentation", character_presentation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiagonalizableData is immutable")
-
-    def structure(self) -> AbelianGroupStructure:
-        return cokernel_structure(self.character_presentation)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiagonalizableData) and self.structure() == other.structure()
-
-    def __hash__(self) -> int:
-        return hash(self.structure())
-
-    def __repr__(self) -> str:
-        return f"DiagonalizableData({self.structure()})"
-
-
-def center_data(d: "BasedRootDatum") -> DiagonalizableData:
-    """The center of d as a diagonalizable group (X modulo the root span)."""
-    return DiagonalizableData(IntMatrix.from_columns(d.simple_roots, rows=d.rank))
-
-
 def _type_a_cartan(n: int) -> List[List[int]]:
     c = [[0] * n for _ in range(n)]
     for i in range(n):

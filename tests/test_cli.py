@@ -71,6 +71,16 @@ def test_iso_search_empty_exits_one(capsys):
     assert code == 1
 
 
+def test_iso_search_refuses_infinite_family(capsys):
+    # rank 4 with 2 simple roots: a 4-parameter family, refused with or without constraints
+    for extra in ((), ("--fix-delta", "--det", "+1")):
+        code, out, err = run(capsys, "iso", "search", "GL2xGL2", "GL2xGL2", *extra)
+        assert code == 3, extra
+        assert out == ""
+        assert err.startswith("cap exceeded: rank 4, |Delta| = 2: ") and "4-parameter family" in err
+        assert "none or infinitely many" in err
+
+
 def test_iso_check_with_map_preset(capsys):
     code, out, _ = run(capsys, "iso", "check", "GSpin4", "G4", "--map", "gspin4_to_g4")
     assert code == 0
@@ -254,6 +264,15 @@ def test_exit_codes_for_malformed_inputs(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("input error: "), argv
+    # an argument the command would otherwise drop is named, not ignored
+    for argv, extra in (
+        (["iso", "GSpin4", "G4", "G6"], "'G6'"),
+        (["iso", "search", "GSpin4", "G4", "--map", "gspin4_to_g4"], "--map"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("input error: ") and extra in err, (argv, err)
+        assert out == ""
     # scenario and parameter numbers: int() would read these as 3, 1, 2 or 4,
     # and bool() reads "false" as true; the error must name the key
     gspin6 = {"family": "GSpin6", "i_sl4": [2, 2], "p": 3, "witness": "cyclic_quartic_gso6"}

@@ -1,6 +1,6 @@
 """Invariants of the package source: internal consistency checks must not
 depend on ``assert`` statements, which ``python -O`` strips, and no module
-keeps an import it never uses."""
+keeps an import it never uses or imports inside a function."""
 import ast
 import json
 import os
@@ -41,6 +41,21 @@ def test_no_unused_module_level_imports():
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert found == [], "unused imports: " + ", ".join(found)
+
+
+def test_no_imports_inside_functions():
+    # a function-level import escapes the unused-import check above
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == [], "imports inside functions: " + ", ".join(sorted(set(found)))
 
 
 def test_verify_paper_passes_under_optimize():

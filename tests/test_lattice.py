@@ -13,7 +13,6 @@ from gspinlab.lattice import (
     cokernel_structure,
     inverse_unimodular,
     kernel_basis,
-    rational_left_inverse,
     smith_normal_form,
     solve_integral,
 )
@@ -196,15 +195,6 @@ def test_inverse_unimodular():
     assert m * inv == IntMatrix.identity(3)
     with pytest.raises(ValueError):
         inverse_unimodular(IntMatrix([[2, 0], [0, 1]]))
-
-
-def test_rational_left_inverse():
-    k = IntMatrix.from_columns([(2, 0, 1), (0, 3, 1)])
-    left = rational_left_inverse(k)
-    for i in range(2):
-        for j in range(2):
-            s = sum(left[i][t] * k.entry(t, j) for t in range(3))
-            assert s == (1 if i == j else 0)
 
 
 def test_abelian_structure_validation():

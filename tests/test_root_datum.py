@@ -8,8 +8,6 @@ from gspinlab.morphisms import search_isomorphisms
 from gspinlab.root_datum import (
     ROOT_CLOSURE_CAP,
     BasedRootDatum,
-    DiagonalizableData,
-    center_data,
     center_structure,
     central_quotient_datum,
     central_torus_quotient_datum,
@@ -184,16 +182,6 @@ def test_exact_sequences():
         verify_exact_sequence(
             [IntMatrix([[1], [1]]), IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])]
         )
-
-
-def test_diagonalizable_data_equality_is_normal_form():
-    # mu2 presented two different ways
-    a = DiagonalizableData(IntMatrix([[2]]))
-    b = DiagonalizableData(IntMatrix([[2, 0], [0, 1]]))
-    assert a == b
-    assert a.structure() == AbelianGroupStructure(0, (2,))
-    assert center_data(gspin_datum(2)) == center_data(gspin_datum(3))
-    assert center_data(gspin_datum(2)).structure() == AbelianGroupStructure(1, (2,))
 
 
 def test_datum_serialization_roundtrip():

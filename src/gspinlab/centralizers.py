@@ -21,7 +21,6 @@ w(nu) = 1, so a twist that breaks a true relation is dead anyway.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import List, Sequence, Tuple
 
@@ -144,13 +143,39 @@ def sl_normalize(h: GaussianMatrix) -> GaussianMatrix:
     raise ValueError(f"unsupported matrix size {n}")
 
 
-@dataclass(frozen=True)
 class ParameterImage:
-    """Generator images of an elliptic parameter in a similitude quotient."""
+    """Generator images of an elliptic parameter in a similitude quotient.
 
-    ambient: str  # "GSO4" | "GSO6"
-    generators: Tuple[tuple, ...]
-    labels: Tuple[str, ...] = ()
+    Construction checks the generators and closes the projective image in
+    ``__post_init__``, which ``__init__`` calls once the fields are set.
+    """
+
+    __slots__ = ("ambient", "generators", "labels")
+
+    def __init__(
+        self,
+        ambient: str,  # "GSO4" | "GSO6"
+        generators: Tuple[tuple, ...],
+        labels: Tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "labels", labels)
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ParameterImage is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ParameterImage)
+            and self.ambient == other.ambient
+            and self.generators == other.generators
+            and self.labels == other.labels
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.generators, self.labels))
 
     def __post_init__(self):
         if self.ambient not in ("GSO4", "GSO6"):
@@ -229,17 +254,33 @@ class ParameterImage:
         return cls(ambient, tuple(gens), tuple(d.get("labels", [])))
 
 
-@dataclass
 class CentralizerReport:
-    ambient: str
-    s_phi_sc: FiniteMatrixGroup
-    s_phi_sc_label: str
-    s_phi_label: str
-    s_phi_order: int
-    z_hat: AbelianGroupStructure
-    z_elements: Tuple[object, ...]
-    extension_ok: bool
-    twists: Tuple[Tuple[QI, ...], ...]  # the live twists
+    __slots__ = (
+        "ambient", "s_phi_sc", "s_phi_sc_label", "s_phi_label", "s_phi_order",
+        "z_hat", "z_elements", "extension_ok", "twists",
+    )
+
+    def __init__(
+        self,
+        ambient: str,
+        s_phi_sc: FiniteMatrixGroup,
+        s_phi_sc_label: str,
+        s_phi_label: str,
+        s_phi_order: int,
+        z_hat: AbelianGroupStructure,
+        z_elements: Tuple[object, ...],
+        extension_ok: bool,
+        twists: Tuple[Tuple[QI, ...], ...],  # the live twists
+    ):
+        self.ambient = ambient
+        self.s_phi_sc = s_phi_sc
+        self.s_phi_sc_label = s_phi_sc_label
+        self.s_phi_label = s_phi_label
+        self.s_phi_order = s_phi_order
+        self.z_hat = z_hat
+        self.z_elements = z_elements
+        self.extension_ok = extension_ok
+        self.twists = twists
 
     def to_dict(self) -> dict:
         return {

@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Verbs: datum | iso | exact | group | params | packets | verify-paper.
-Exit codes: 0 ok, 1 verification-false, 2 input error, 3 cap exceeded,
-4 an internal consistency check failed.
+Exit codes: 0 ok, 1 verification-false, 2 input error, 3 cap exceeded or
+an isomorphism family too large to list, 4 an internal consistency check
+failed.
 All file I/O is UTF-8 JSON; the schemas are documented in docs/schemas.md.
 """
 from __future__ import annotations
@@ -454,6 +455,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.d1, args.d2 = args.first, args.d1_or_d2
             if args.mode == "search" and args.map:
                 raise InputError(f"iso search takes no --map (got {args.map!r}); use iso check")
+            if args.mode == "check":
+                given = [o for o, v in (("--det", args.det), ("--fix-delta", args.fix_delta)) if v]
+                if given:
+                    raise InputError(f"iso check takes no {', '.join(given)}; use iso search")
             return _cmd_iso(args)
         if args.command == "exact":
             return _cmd_exact(args)
@@ -472,8 +477,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (NotEllipticError, NormalizationError, FieldInsufficientError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotFiniteError, CapExceededError, InfiniteFamilyError) as exc:
+    except (NotFiniteError, CapExceededError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except InfiniteFamilyError as exc:
+        print(f"infinite family: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (AssertionError, RuntimeError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

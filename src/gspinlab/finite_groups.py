@@ -27,7 +27,6 @@ built by ``closure_tree``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt, lcm
 from operator import mul
@@ -253,12 +252,20 @@ def closure_tree(
     return tree, products
 
 
-@dataclass(frozen=True)
 class ConjClass:
-    rep: Element
-    members: Tuple[Element, ...]
-    order: int
-    positions: Tuple[int, ...]  # of the members, in the group's element order
+    __slots__ = ("rep", "members", "order", "positions")
+
+    def __init__(
+        self,
+        rep: Element,
+        members: Tuple[Element, ...],
+        order: int,
+        positions: Tuple[int, ...],  # of the members, in the group's element order
+    ):
+        self.rep = rep
+        self.members = members
+        self.order = order
+        self.positions = positions
 
     @property
     def size(self) -> int:
@@ -350,21 +357,31 @@ def group_id(group: FiniteMatrixGroup) -> str:
 # character tables
 
 
-@dataclass(frozen=True)
 class CharacterRow:
-    degree: int
-    values: Tuple[QI, ...]
+    __slots__ = ("degree", "values")
+
+    def __init__(self, degree: int, values: Tuple[QI, ...]):
+        self.degree = degree
+        self.values = values
 
     def sort_key(self):
         return (self.degree, tuple(v.sort_key() for v in self.values))
 
 
-@dataclass
 class CharacterTable:
-    group: FiniteMatrixGroup
-    classes: Tuple[ConjClass, ...]
-    rows: Tuple[CharacterRow, ...]
-    class_of: Tuple[int, ...]  # class index of every element position
+    __slots__ = ("group", "classes", "rows", "class_of")
+
+    def __init__(
+        self,
+        group: FiniteMatrixGroup,
+        classes: Tuple[ConjClass, ...],
+        rows: Tuple[CharacterRow, ...],
+        class_of: Tuple[int, ...],  # class index of every element position
+    ):
+        self.group = group
+        self.classes = classes
+        self.rows = rows
+        self.class_of = class_of
 
     def degrees(self) -> Tuple[int, ...]:
         return tuple(r.degree for r in self.rows)
@@ -608,11 +625,13 @@ def _validate_table(table: CharacterTable) -> None:
                 raise AssertionError("regular representation cross-check fails")
 
 
-@dataclass(frozen=True)
 class CentralCharacter:
     """A character of a designated central subgroup, given on generators."""
 
-    assignments: Tuple[Tuple[Element, QI], ...]
+    __slots__ = ("assignments",)
+
+    def __init__(self, assignments: Tuple[Tuple[Element, QI], ...]):
+        self.assignments = assignments
 
     def extend(self, group: FiniteMatrixGroup) -> Dict[int, QI]:
         """Values on the generated subgroup of ``group``, keyed by element

@@ -26,7 +26,6 @@ built from plain int rows, so they cost no per-entry conversion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -271,28 +270,40 @@ def matrix_rank(m: IntMatrix) -> int:
     return sum(1 for x in diagonal_of(d) if x != 0)
 
 
-@dataclass(frozen=True)
 class AbelianGroupStructure:
     """Isomorphism class of a finitely generated abelian group.
 
-    ``torsion`` lists invariant factors d1 | d2 | ..., each >= 2; factors
-    equal to 1 are suppressed so that equality is a canonical-form test.
+    ``torsion`` lists invariant factors d1 | d2 | ..., each >= 2; a factor
+    below 2 is refused, so that equality is a canonical-form test.
     """
 
-    free_rank: int
-    torsion: Tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: Iterable[int] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        tor = tuple(int(d) for d in self.torsion)
-        object.__setattr__(self, "torsion", tor)
+        tor = tuple(map(int, torsion))
         for d in tor:
             if d < 2:
                 raise ValueError("torsion invariant factors must be >= 2")
         for a, b in zip(tor, tor[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", tor)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AbelianGroupStructure is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, AbelianGroupStructure)
+            and self.free_rank == other.free_rank
+            and self.torsion == other.torsion
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.free_rank, self.torsion))
 
     @property
     def order(self) -> Optional[int]:

@@ -22,7 +22,6 @@ every simple root and coroot), so the search refuses rather than truncate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,10 +38,12 @@ class InfiniteFamilyError(RuntimeError):
     """The isomorphism search met a family it cannot list: rank - |Delta| >= 2."""
 
 
-@dataclass(frozen=True)
 class RootDatumMap:
-    iota: IntMatrix
-    iota_vee: IntMatrix
+    __slots__ = ("iota", "iota_vee")
+
+    def __init__(self, iota: IntMatrix, iota_vee: IntMatrix):
+        self.iota = iota
+        self.iota_vee = iota_vee
 
     def is_adjoint_pair(self) -> bool:
         return self.iota_vee == self.iota.transpose()

@@ -15,7 +15,6 @@ confirms it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
@@ -44,21 +43,19 @@ FACTOR_KINDS: Dict[str, Tuple[int, bool, int]] = {
 }
 
 
-@dataclass(frozen=True)
 class FactorSpec:
-    kind: str
-    labels: Tuple[str, ...] = ()
+    __slots__ = ("kind", "labels")
 
-    def __post_init__(self):
-        if self.kind not in FACTOR_KINDS:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
-        _, _, nlabels = FACTOR_KINDS[self.kind]
-        if self.labels and len(self.labels) != nlabels:
-            raise ValueError(
-                f"kind {self.kind!r} carries {nlabels} named quadratic characters"
-            )
-        if len(set(self.labels)) != len(self.labels):
+    def __init__(self, kind: str, labels: Tuple[str, ...] = ()):
+        if kind not in FACTOR_KINDS:
+            raise ValueError(f"unknown factor kind {kind!r}")
+        _, _, nlabels = FACTOR_KINDS[kind]
+        if labels and len(labels) != nlabels:
+            raise ValueError(f"kind {kind!r} carries {nlabels} named quadratic characters")
+        if len(set(labels)) != len(labels):
             raise ValueError("repeated quadratic-character labels")
+        self.kind = kind
+        self.labels = labels
 
     @property
     def i_rank(self) -> int:
@@ -69,42 +66,48 @@ class FactorSpec:
         return FACTOR_KINDS[self.kind][1]
 
 
-@dataclass(frozen=True)
 class GSpin4Scenario:
-    factor1: FactorSpec
-    factor2: FactorSpec
-    twist_equivalent: bool
-    p: int
-    f: int = 1
-    witness: Optional[str] = None
+    __slots__ = ("factor1", "factor2", "twist_equivalent", "p", "f", "witness")
 
-    def __post_init__(self):
-        if self.twist_equivalent:
-            if self.factor1.kind != self.factor2.kind:
-                raise ValueError(
-                    "twist-equivalent factors must have the same parameter kind"
-                )
-            if (
-                self.factor1.labels
-                and self.factor2.labels
-                and set(self.factor1.labels) != set(self.factor2.labels)
-            ):
+    def __init__(
+        self,
+        factor1: FactorSpec,
+        factor2: FactorSpec,
+        twist_equivalent: bool,
+        p: int,
+        f: int = 1,
+        witness: Optional[str] = None,
+    ):
+        if twist_equivalent:
+            if factor1.kind != factor2.kind:
+                raise ValueError("twist-equivalent factors must have the same parameter kind")
+            if factor1.labels and factor2.labels and set(factor1.labels) != set(factor2.labels):
                 raise ValueError(
                     "inconsistent labels: twist-equivalent factors with different "
                     "quadratic-character sets"
                 )
+        self.factor1 = factor1
+        self.factor2 = factor2
+        self.twist_equivalent = twist_equivalent
+        self.p = p
+        self.f = f
+        self.witness = witness
 
     @property
     def reducible(self) -> bool:
         return not (self.factor1.irreducible and self.factor2.irreducible)
 
 
-@dataclass(frozen=True)
 class GSpin6Scenario:
-    i_sl4: AbelianGroupStructure
-    p: int
-    f: int = 1
-    witness: Optional[str] = None
+    __slots__ = ("i_sl4", "p", "f", "witness")
+
+    def __init__(
+        self, i_sl4: AbelianGroupStructure, p: int, f: int = 1, witness: Optional[str] = None
+    ):
+        self.i_sl4 = i_sl4
+        self.p = p
+        self.f = f
+        self.witness = witness
 
 
 def igroup_gspin4(s: GSpin4Scenario) -> AbelianGroupStructure:
@@ -135,11 +138,13 @@ def igroup_gspin6(s: GSpin6Scenario) -> AbelianGroupStructure:
     return s.i_sl4.two_torsion()
 
 
-@dataclass(frozen=True)
 class SGroupInfo:
-    label: str
-    q8_possible: bool
-    igroup_order: int
+    __slots__ = ("label", "q8_possible", "igroup_order")
+
+    def __init__(self, label: str, q8_possible: bool, igroup_order: int):
+        self.label = label
+        self.q8_possible = q8_possible
+        self.igroup_order = igroup_order
 
 
 def sgroup_structure_gspin4(s: GSpin4Scenario, igroup: AbelianGroupStructure) -> SGroupInfo:
@@ -221,13 +226,22 @@ def kottwitz_characters(family: str) -> Dict[str, CentralCharacter]:
     }
 
 
-@dataclass
 class PacketOutcome:
-    structure: str
-    confirmed: Optional[bool]
-    sizes: Dict[str, Optional[int]]
-    multiplicities: Dict[str, Optional[int]]
-    degrees: Dict[str, Tuple[int, ...]]
+    __slots__ = ("structure", "confirmed", "sizes", "multiplicities", "degrees")
+
+    def __init__(
+        self,
+        structure: str,
+        confirmed: Optional[bool],
+        sizes: Dict[str, Optional[int]],
+        multiplicities: Dict[str, Optional[int]],
+        degrees: Dict[str, Tuple[int, ...]],
+    ):
+        self.structure = structure
+        self.confirmed = confirmed
+        self.sizes = sizes
+        self.multiplicities = multiplicities
+        self.degrees = degrees
 
     def to_dict(self) -> dict:
         return {
@@ -301,16 +315,31 @@ def square_class_bound(p: int, f: int) -> Tuple[int, List[int]]:
     return card, divisors
 
 
-@dataclass
 class PacketReport:
-    family: str
-    igroup: AbelianGroupStructure
-    igroup_order: int
-    outcomes: List[PacketOutcome]
-    bound_card: int
-    bound_divisors: List[int]
-    consistent: bool
-    notes: List[str] = field(default_factory=list)
+    __slots__ = (
+        "family", "igroup", "igroup_order", "outcomes",
+        "bound_card", "bound_divisors", "consistent", "notes",
+    )
+
+    def __init__(
+        self,
+        family: str,
+        igroup: AbelianGroupStructure,
+        igroup_order: int,
+        outcomes: List[PacketOutcome],
+        bound_card: int,
+        bound_divisors: List[int],
+        consistent: bool,
+        notes: Optional[List[str]] = None,  # a fresh list when omitted
+    ):
+        self.family = family
+        self.igroup = igroup
+        self.igroup_order = igroup_order
+        self.outcomes = outcomes
+        self.bound_card = bound_card
+        self.bound_divisors = bound_divisors
+        self.consistent = consistent
+        self.notes = [] if notes is None else notes
 
     def to_dict(self) -> dict:
         return {

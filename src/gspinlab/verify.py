@@ -7,7 +7,6 @@ reports pass/fail. The whole catalogue runs in seconds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 from . import presets
@@ -41,11 +40,13 @@ from .root_datum import (
 )
 
 
-@dataclass
 class ItemResult:
-    name: str
-    ok: bool
-    detail: str
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 def _expect(cond: bool, detail: str) -> Tuple[bool, str]:

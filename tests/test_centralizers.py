@@ -1,10 +1,10 @@
-import dataclasses
 from itertools import product
 
 import pytest
 
 from gspinlab import centralizers, presets
 from gspinlab.centralizers import (
+    CentralizerReport,
     MU2,
     NormalizationError,
     NotEllipticError,
@@ -228,7 +228,18 @@ def test_assembled_set_that_fails_to_close_is_rejected(monkeypatch):
 def test_verify_extension_rejects_wrong_quotient_order():
     rep = s_groups(presets.witness_parameter("coupled_klein_four"))
     assert verify_extension(rep)
-    assert not verify_extension(dataclasses.replace(rep, s_phi_order=rep.s_phi_order + 1))
+    wrong = CentralizerReport(
+        rep.ambient,
+        rep.s_phi_sc,
+        rep.s_phi_sc_label,
+        rep.s_phi_label,
+        rep.s_phi_order + 1,
+        rep.z_hat,
+        rep.z_elements,
+        rep.extension_ok,
+        rep.twists,
+    )
+    assert not verify_extension(wrong)
 
 
 def test_projective_closure_orders():
@@ -244,17 +255,51 @@ def test_parameter_json_roundtrip():
     for name in ("coupled_klein_four", "cyclic_quartic_gso6"):
         phi = presets.witness_parameter(name)
         again = ParameterImage.from_dict(phi.to_dict())
-        assert again == phi
+        assert again == phi and hash(again) == hash(phi)
+
+
+def test_parameter_value_semantics():
+    phi = presets.witness_parameter("coupled_klein_four")
+    assert phi != ParameterImage(phi.ambient, phi.generators, phi.labels + ("extra",))
+    assert phi != ParameterImage(phi.ambient, phi.generators[:1], phi.labels)
+    assert phi != presets.witness_parameter("dihedral_one_pair")
+    assert phi != phi.to_dict()
+    bare = ParameterImage(generators=phi.generators, ambient="GSO4")
+    assert bare.labels == () and bare == ParameterImage("GSO4", phi.generators)
+    with pytest.raises(AttributeError):
+        phi.labels = ()
+
+
+def test_parameter_construction_runs_post_init_once(monkeypatch):
+    # perfbench times parameter construction by patching this hook
+    calls = []
+    check = ParameterImage.__post_init__
+
+    def counting(self):
+        calls.append(self.ambient)
+        check(self)
+
+    monkeypatch.setattr(ParameterImage, "__post_init__", counting)
+    presets.witness_parameter("cyclic_quartic_gso6")
+    assert calls == ["GSO6"]
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        ParameterImage("GSO5", ((A, A),))
-    with pytest.raises(ValueError):
-        ParameterImage("GSO4", ())
     sing = GaussianMatrix.from_strings([["1", "1"], ["1", "1"]])
-    with pytest.raises(ValueError):
-        ParameterImage("GSO4", ((sing, A),))
+    i4 = GaussianMatrix.identity(4)
+    for ambient, gens, message in (
+        ("GSO5", ((A, A),), "unknown ambient 'GSO5'"),
+        ("GSO4", (), "parameter needs at least one generator"),
+        ("GSO4", ((A,),), "GSO4 generators are pairs of 2x2 matrices"),
+        ("GSO4", ((A, i4),), "GSO4 generators are pairs of 2x2 matrices"),
+        ("GSO4", ((sing, A),), "generators must be invertible"),
+        ("GSO6", ((A, i4),), "GSO6 generators are (scalar, 4x4 matrix) pairs"),
+        ("GSO6", ((QI(0), i4),), "generators must be invertible 4x4 with nonzero scalar"),
+        ("GSO6", ((ONE, A),), "generators must be invertible 4x4 with nonzero scalar"),
+    ):
+        with pytest.raises(ValueError) as err:
+            ParameterImage(ambient, gens)
+        assert str(err.value) == message
 
 
 def test_s_groups_matrix_products_for_gspin6_klein_witness(monkeypatch):

@@ -77,7 +77,7 @@ def test_iso_search_refuses_infinite_family(capsys):
         code, out, err = run(capsys, "iso", "search", "GL2xGL2", "GL2xGL2", *extra)
         assert code == 3, extra
         assert out == ""
-        assert err.startswith("cap exceeded: rank 4, |Delta| = 2: ") and "4-parameter family" in err
+        assert err.startswith("infinite family: rank 4, |Delta| = 2: ") and "4-parameter family" in err
         assert "none or infinitely many" in err
 
 
@@ -265,9 +265,14 @@ def test_exit_codes_for_malformed_inputs(tmp_path, capsys):
         assert code == 2, argv
         assert err.startswith("input error: "), argv
     # an argument the command would otherwise drop is named, not ignored
+    iso_check = ["iso", "check", "GSpin4", "G4", "--map", "gspin4_to_g4"]
     for argv, extra in (
         (["iso", "GSpin4", "G4", "G6"], "'G6'"),
         (["iso", "search", "GSpin4", "G4", "--map", "gspin4_to_g4"], "--map"),
+        # a map decides its own determinant and assignment
+        (iso_check + ["--det", "-1", "--fix-delta"], "--det, --fix-delta"),
+        (iso_check + ["--det", "+1"], "--det"),
+        (iso_check + ["--fix-delta"], "--fix-delta"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

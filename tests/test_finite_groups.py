@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -342,7 +341,8 @@ def with_top_row_times(table, unit):
     """The table with its largest-degree row multiplied by a unit of Z[i]."""
     top = table.rows[-1]
     doctored = finite_groups.CharacterRow(top.degree, tuple(unit * v for v in top.values))
-    return dataclasses.replace(table, rows=table.rows[:-1] + (doctored,))
+    rows = table.rows[:-1] + (doctored,)
+    return finite_groups.CharacterTable(table.group, table.classes, rows, table.class_of)
 
 
 @pytest.mark.parametrize(
@@ -381,8 +381,9 @@ def swapped_classes(table, size, members_too):
     if members_too:
         for c, out, into in ((i, x, y), (j, y, x)):
             positions = tuple(sorted(set(classes[c].positions) - {out} | {into}))
-            classes[c] = dataclasses.replace(classes[c], positions=positions)
-    return dataclasses.replace(table, classes=tuple(classes), class_of=tuple(class_of))
+            old = classes[c]
+            classes[c] = finite_groups.ConjClass(old.rep, old.members, old.order, positions)
+    return finite_groups.CharacterTable(table.group, tuple(classes), table.rows, tuple(class_of))
 
 
 @pytest.mark.parametrize(
@@ -405,10 +406,11 @@ def test_merged_classes_rejected():
     i, j = [c for c, cls in enumerate(table.classes) if cls.size == 2][:2]
     positions = tuple(sorted(table.classes[i].positions + table.classes[j].positions))
     members = tuple(table.group.elements[p] for p in positions)
-    merged = dataclasses.replace(table.classes[i], members=members, positions=positions)
+    old = table.classes[i]
+    merged = finite_groups.ConjClass(old.rep, members, old.order, positions)
     classes = table.classes[:i] + (merged,) + table.classes[i + 1 : j] + table.classes[j + 1 :]
     class_of = tuple(i if c == j else c - (c > j) for c in table.class_of)
-    doctored = dataclasses.replace(table, classes=classes, class_of=class_of)
+    doctored = finite_groups.CharacterTable(table.group, classes, table.rows, class_of)
     with pytest.raises(AssertionError, match="a class is not a single conjugacy class"):
         finite_groups._validate_table(doctored)
 

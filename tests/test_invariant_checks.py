@@ -1,6 +1,7 @@
 """Invariants of the package source: internal consistency checks must not
-depend on ``assert`` statements, which ``python -O`` strips, and no module
-keeps an import it never uses or imports inside a function."""
+depend on ``assert`` statements, which ``python -O`` strips, no module
+keeps an import it never uses or imports inside a function, and a cold
+start loads neither ``dataclasses`` nor ``inspect``."""
 import ast
 import json
 import os
@@ -56,6 +57,40 @@ def test_no_imports_inside_functions():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == [], "imports inside functions: " + ", ".join(sorted(set(found)))
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and each decorator
+    # generates and execs its methods at import; records are __slots__ classes
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], "dataclasses imported at: " + ", ".join(found)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    code = (
+        "import sys; before = set(sys.modules); import gspinlab.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "gspinlab.cli" in loaded
+    assert [m for m in ("dataclasses", "inspect") if m in loaded] == []
 
 
 def test_verify_paper_passes_under_optimize():

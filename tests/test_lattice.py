@@ -198,15 +198,34 @@ def test_inverse_unimodular():
 
 
 def test_abelian_structure_validation():
-    with pytest.raises(ValueError):
-        AbelianGroupStructure(0, (1,))
-    with pytest.raises(ValueError):
+    for torsion in ((1,), (1, 2, 4), (0,)):
+        with pytest.raises(ValueError, match="^torsion invariant factors must be >= 2$"):
+            AbelianGroupStructure(0, torsion)
+    with pytest.raises(ValueError, match="^invariant factors must form a divisibility chain$"):
         AbelianGroupStructure(0, (4, 2))
+    with pytest.raises(ValueError, match="^negative free rank$"):
+        AbelianGroupStructure(-1)
+    normalized = AbelianGroupStructure(0, [2, 4.0])
+    assert normalized.torsion == (2, 4) and all(type(d) is int for d in normalized.torsion)
     s = AbelianGroupStructure(1, (2, 4))
     assert s.order is None
     assert s.torsion_order() == 8
     assert s.two_torsion() == AbelianGroupStructure(0, (2, 2))
     assert str(s) == "Z x Z/2 x Z/4"
+
+
+def test_abelian_structure_value_semantics():
+    a, b = AbelianGroupStructure(1, (2, 4)), AbelianGroupStructure(1, (2, 4))
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != AbelianGroupStructure(2, (2, 4))
+    assert a != AbelianGroupStructure(1, (2, 8))
+    assert a != (1, (2, 4))
+    assert AbelianGroupStructure(torsion=[2, 4], free_rank=1) == a
+    assert AbelianGroupStructure(3).torsion == ()
+    with pytest.raises(AttributeError):
+        a.free_rank = 0
+    with pytest.raises(AttributeError):
+        a.torsion = ()
 
 
 # sha256 of the (U, D, V) rows of the inputs below. Kernel bases and

@@ -56,12 +56,16 @@ def test_igroup_intersections():
 
 
 def test_igroup_inconsistent_labels():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         # twist-equivalent factors of different kinds
         scen4("dihedral_one", ["a"], "dihedral_three", ["a", "b", "c"], True)
-    with pytest.raises(ValueError):
+    assert str(err.value) == "twist-equivalent factors must have the same parameter kind"
+    with pytest.raises(ValueError) as err:
         # identical kinds marked twist-equivalent with different label sets
         scen4("dihedral_one", ["a"], "dihedral_one", ["b"], True)
+    assert str(err.value) == (
+        "inconsistent labels: twist-equivalent factors with different quadratic-character sets"
+    )
     with pytest.raises(ValueError):
         # two shared labels cannot form a character subgroup
         s = scen4(
@@ -72,6 +76,28 @@ def test_igroup_inconsistent_labels():
         # intersections need named sets
         s = scen4("dihedral_one", [], "dihedral_one", [], False)
         igroup_gspin4(s)
+
+
+def test_factor_and_scenario_defaults_and_refusals():
+    for kind, labels, message in (
+        ("nope", (), "unknown factor kind 'nope'"),
+        ("dihedral_three", ("a",), "kind 'dihedral_three' carries 3 named quadratic characters"),
+        ("dihedral_three", ("a", "a", "b"), "repeated quadratic-character labels"),
+    ):
+        with pytest.raises(ValueError) as err:
+            FactorSpec(kind, labels)
+        assert str(err.value) == message
+    one = FactorSpec(kind="dihedral_one")
+    assert one.labels == ()
+    s = GSpin4Scenario(one, FactorSpec("dihedral_one", ("a",)), twist_equivalent=True, p=3)
+    assert (s.f, s.witness) == (1, None)
+    s6 = GSpin6Scenario(AbelianGroupStructure(0, (2,)), 5, witness="w")
+    assert (s6.p, s6.f, s6.witness) == (5, 1, "w")
+    reports = [
+        PacketReport("GSpin4", AbelianGroupStructure(0), 1, [], 4, [1, 2, 4], True) for _ in range(2)
+    ]
+    reports[0].notes.append("x")
+    assert reports[1].notes == []
 
 
 def brute_force_two_torsion(invariants):

@@ -11,6 +11,7 @@ most one; the union of the determinant-normalized solution lines inside the
 simply connected cover (SL2 x SL2 or SL4) assembles the component-group
 extension: the full group is S_phi_sc, its quotient by the center of the
 cover is S_phi, and the center itself is the kernel of the extension.
+SL2 x SL2 is held block-diagonally in SL4: (h1, h2) is diag(h1, h2).
 
 At the level of the similitude quotient only quadratic twists survive (the
 scalar slot forces nu^2 = 1); twists of order four appear for the larger
@@ -30,7 +31,6 @@ from .finite_groups import (
     FiniteMatrixGroup,
     NotFiniteError,
     closure_tree,
-    elem_mul,
     generate_closure,
     group_id,
 )
@@ -50,7 +50,7 @@ class NormalizationError(RuntimeError):
 def _first_nonzero(m: GaussianMatrix) -> QI:
     for i in range(m.n):
         for x in m.row(i):
-            if not x.is_zero():
+            if x:
                 return x
     raise ValueError("zero matrix")
 
@@ -60,27 +60,23 @@ def _center_scalars(n: int) -> Tuple[QI, ...]:
     return MU2 if n == 2 else FOURTH_ROOTS
 
 
-def _cover_element(combo: Sequence[GaussianMatrix]):
-    """A matrix for a one-factor cover, a tuple for SL2 x SL2."""
-    return tuple(combo) if len(combo) > 1 else combo[0]
-
-
 def cover_center(sizes: Sequence[int]) -> Tuple[tuple, tuple]:
     """(elements, generators) of the center of the cover with factors SL_n, n in ``sizes``.
 
-    The elements run over the products of the factors' scalars, mu_2 x mu_2
-    for sizes (2, 2) and mu_4 for (4,); generator f is the second scalar of
-    factor f (-1 in SL2, i in SL4) with the identity in every other factor.
+    The elements are the block-diagonal products of the factors' scalars,
+    mu_2 x mu_2 for sizes (2, 2) and mu_4 for (4,); generator f is the
+    second scalar of factor f (-1 in SL2, i in SL4) with the identity in
+    every other block.
     """
     elements = tuple(
-        _cover_element([GaussianMatrix.scalar(n, z) for n, z in zip(sizes, zs)])
+        GaussianMatrix.block_diagonal(*map(GaussianMatrix.scalar, sizes, zs))
         for zs in product(*map(_center_scalars, sizes))
     )
     generators = []
     for f, n in enumerate(sizes):
-        combo = [GaussianMatrix.identity(m) for m in sizes]
-        combo[f] = GaussianMatrix.scalar(n, _center_scalars(n)[1])
-        generators.append(_cover_element(combo))
+        blocks = [GaussianMatrix.identity(m) for m in sizes]
+        blocks[f] = GaussianMatrix.scalar(n, _center_scalars(n)[1])
+        generators.append(GaussianMatrix.block_diagonal(*blocks))
     return elements, tuple(generators)
 
 
@@ -96,7 +92,7 @@ def twisted_centralizer_space(
     if len(nu) != len(images):
         raise ValueError("one twist value per generator required")
     for g in images:
-        if g.det().is_zero():
+        if not g.det():
             raise ValueError("generator images must be invertible")
     rows: List[List[QI]] = []
     for g, z in zip(images, nu):
@@ -110,7 +106,7 @@ def twisted_centralizer_space(
     basis = qi_nullspace(rows, n * n)
     out = []
     for vec in basis:
-        first = next(x for x in vec if not x.is_zero())
+        first = next(x for x in vec if x)
         inv = first.inverse()
         out.append(GaussianMatrix([[inv * vec[i * n + j] for j in range(n)] for i in range(n)]))
     return out
@@ -120,7 +116,7 @@ def sl_normalize(h: GaussianMatrix) -> GaussianMatrix:
     """Scale h into SL_n over Q(i), or report the obstruction."""
     n = h.n
     d = h.det()
-    if d.is_zero():
+    if not d:
         raise ValueError("cannot normalize a singular matrix")
     target = d.inverse()
     if n == 2:
@@ -186,12 +182,12 @@ class ParameterImage:
             if self.ambient == "GSO4":
                 if len(g) != 2 or any(not isinstance(m, GaussianMatrix) or m.n != 2 for m in g):
                     raise ValueError("GSO4 generators are pairs of 2x2 matrices")
-                if any(m.det().is_zero() for m in g):
+                if not all(m.det() for m in g):
                     raise ValueError("generators must be invertible")
             else:
                 if len(g) != 2 or not isinstance(g[0], QI) or not isinstance(g[1], GaussianMatrix):
                     raise ValueError("GSO6 generators are (scalar, 4x4 matrix) pairs")
-                if g[0].is_zero() or g[1].det().is_zero() or g[1].n != 4:
+                if not g[0] or not g[1].det() or g[1].n != 4:
                     raise ValueError("generators must be invertible 4x4 with nonzero scalar")
         self.projective_closure_order()  # elliptic use case: image must be finite
 
@@ -268,7 +264,7 @@ class CentralizerReport:
         s_phi_label: str,
         s_phi_order: int,
         z_hat: AbelianGroupStructure,
-        z_elements: Tuple[object, ...],
+        z_elements: Tuple[GaussianMatrix, ...],
         extension_ok: bool,
         twists: Tuple[Tuple[QI, ...], ...],  # the live twists
     ):
@@ -327,11 +323,9 @@ def verify_extension(report: CentralizerReport) -> bool:
     """Exactness of 1 -> Z_hat -> S_phi_sc -> S_phi -> 1 for the report."""
     group = report.s_phi_sc
     for z in report.z_elements:
-        if z not in group:
+        if z not in group or any(z * x != x * z for x in group.elements):
             return False
-        if any(elem_mul(z, x) != elem_mul(x, z) for x in group.elements):
-            return False
-    cosets = {frozenset(elem_mul(x, z) for z in report.z_elements) for x in group.elements}
+    cosets = {frozenset(x * z for z in report.z_elements) for x in group.elements}
     if len(cosets) != report.s_phi_order:
         return False
     if len(report.z_elements) != report.z_hat.torsion_order():
@@ -357,11 +351,11 @@ def _assemble_lines(
     The twists are every tuple of ``roots``, one value per generator. For
     each twist, every factor's twisted solution line is solved; a twist
     with a zero line in some factor is dead and skipped. The live lines are
-    normalized into SL_n and scaled by the scalars of SL_n, giving matrices
-    (one factor) or tuples (several); the work stops as soon as these pass
-    ``cap``. The group is generated by one line per live twist and the
-    scalars of each factor, so closing it costs n*k products. Returns the
-    closed group and the live twists. Refusals name the twist.
+    normalized into SL_n and scaled by the scalars of SL_n, each combination
+    one block-diagonal matrix; the work stops as soon as these pass ``cap``.
+    The group is generated by one line per live twist and the scalars of
+    each factor, so closing it costs n*k products. Returns the closed group
+    and the live twists. Refusals name the twist.
     """
     generators = list(cover_center([images[0].n for images in factors])[1])
     elements = set()
@@ -384,9 +378,9 @@ def _assemble_lines(
                 normalized = [sl_normalize(h) for h in lines]
             except NormalizationError as exc:
                 raise NormalizationError(f"{exc} at twist ({', '.join(map(format_qi, nu))})")
-            generators.append(_cover_element(normalized))
+            generators.append(GaussianMatrix.block_diagonal(*normalized))
             scaled = [[h.scale(z) for z in _center_scalars(h.n)] for h in normalized]
-            elements.update(map(_cover_element, product(*scaled)))
+            elements.update(GaussianMatrix.block_diagonal(*c) for c in product(*scaled))
             if len(elements) > cap:
                 raise NotFiniteError(f"assembled group exceeds cap {cap}")
     # every element is a product of the generators, so the set is closed

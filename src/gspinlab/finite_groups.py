@@ -1,12 +1,12 @@
 """Finite matrix groups over Q(i): closure, classes, exact character tables.
 
-Group elements are ``GaussianMatrix`` objects or tuples of them (tuples for
-product ambient groups such as SL2 x SL2). A ``FiniteMatrixGroup`` is its
-sorted elements, its integer Cayley table, the identity's position and the
-generators' positions, and nothing else. ``generate_closure`` is the only
-builder that multiplies matrices: the closure's products are the
-generators' right action, and the table is filled along the closure's word
-tree by lookups alone. Every group algorithm (inverses, orders, center,
+Group elements are ``GaussianMatrix`` objects, block-diagonal for products
+such as SL2 x SL2. A ``FiniteMatrixGroup`` is its sorted elements, its
+integer Cayley table, the identity's position and the generators'
+positions, and nothing else. Only ``generate_closure`` multiplies
+matrices to make a group: the closure's products are the generators'
+right action, and the table is filled along the closure's word tree by
+lookups alone. Every group algorithm (inverses, orders, center,
 classes, class sums, central characters, quotients by central subgroups)
 reads that table, and the matrices stay as element labels. The center and
 quotients call the constructor with a table induced from the parent's.
@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import isqrt, lcm
 from operator import mul
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, gauss_jordan, nullspace
 from .lattice import AbelianGroupStructure
@@ -48,53 +48,27 @@ class FieldInsufficientError(RuntimeError):
     """Exact values would leave Q(i); refusing to approximate."""
 
 
-Element = object  # GaussianMatrix or tuple of GaussianMatrix
-
 GROUP_ID_MAX_ORDER = 64  # the largest order ``group_id`` will identify
 
 
-def elem_mul(x: Element, y: Element) -> Element:
-    if isinstance(x, tuple):
-        return tuple(a * b for a, b in zip(x, y))
-    return x * y
-
-
-def elem_identity_like(x: Element) -> Element:
-    if isinstance(x, tuple):
-        return tuple(GaussianMatrix.identity(a.n) for a in x)
-    return GaussianMatrix.identity(x.n)
-
-
-def elem_key(x: Element):
-    if isinstance(x, tuple):
-        return tuple(a.sort_key() for a in x)
-    return (x.sort_key(),)
-
-
-def elem_is_invertible(x: Element) -> bool:
-    if isinstance(x, tuple):
-        return all(not a.det().is_zero() for a in x)
-    return not x.det().is_zero()
-
-
 class FiniteMatrixGroup:
-    """A finite group of (tuples of) matrices given by its integer Cayley table.
+    """A finite group of matrices given by its integer Cayley table.
 
     ``cayley_table[a][b]`` is the position of elements[a] * elements[b];
     ``identity_index`` and ``generator_index`` are positions too. The
-    elements are sorted by ``elem_key`` (``generate_closure`` sorts them, and
+    elements are sorted by ``sort_key`` (``generate_closure`` sorts them, and
     centers and quotients keep their parent's order), so positions compare
     like keys. Every group algorithm reads the table; the matrices are labels.
     """
 
     def __init__(
         self,
-        elements: Iterable[Element],
+        elements: Iterable[GaussianMatrix],
         cayley_table: Sequence[Tuple[int, ...]],
         identity_index: int,
         generator_index: Iterable[int],
     ):
-        self.elements: Tuple[Element, ...] = tuple(elements)
+        self.elements: Tuple[GaussianMatrix, ...] = tuple(elements)
         self.cayley_table = cayley_table
         self.identity_index = identity_index
         self.generator_index: Tuple[int, ...] = tuple(generator_index)
@@ -105,13 +79,13 @@ class FiniteMatrixGroup:
         return len(self.elements)
 
     @cached_property
-    def _positions(self) -> Dict[Element, int]:
+    def _positions(self) -> Dict[GaussianMatrix, int]:
         return {x: i for i, x in enumerate(self.elements)}
 
-    def __contains__(self, x: Element) -> bool:
+    def __contains__(self, x: GaussianMatrix) -> bool:
         return x in self._positions
 
-    def index(self, x: Element) -> int:
+    def index(self, x: GaussianMatrix) -> int:
         """Position of ``x`` in ``elements``; KeyError when it is not there."""
         return self._positions[x]
 
@@ -130,7 +104,7 @@ class FiniteMatrixGroup:
             orders.append(n)
         return tuple(orders)
 
-    def element_order(self, x: Element) -> int:
+    def element_order(self, x: GaussianMatrix) -> int:
         return self.element_orders[self.index(x)]
 
     def _central(self, z: int) -> bool:
@@ -165,7 +139,7 @@ class FiniteMatrixGroup:
         image = {z: i for i, z in enumerate(zs)}
         return self._induced(zs, image, range(len(zs)))
 
-    def quotient(self, z_elements: Iterable[Element]) -> "FiniteMatrixGroup":
+    def quotient(self, z_elements: Iterable[GaussianMatrix]) -> "FiniteMatrixGroup":
         """Quotient by a central subgroup; each coset is labelled by its first element."""
         mt = self.cayley_table
         zs = {self.index(z) for z in z_elements}
@@ -187,7 +161,7 @@ class FiniteMatrixGroup:
         return self._cache["table"]
 
 
-def generate_closure(generators: Sequence[Element], cap: int = 512) -> FiniteMatrixGroup:
+def generate_closure(generators: Sequence[GaussianMatrix], cap: int = 512) -> FiniteMatrixGroup:
     """Close a generating set under multiplication; error beyond ``cap``.
 
     The only group builder that multiplies matrices. The closure's products
@@ -198,12 +172,11 @@ def generate_closure(generators: Sequence[Element], cap: int = 512) -> FiniteMat
     gens = list(generators)
     if not gens:
         raise ValueError("no generators")
-    for g in gens:
-        if not elem_is_invertible(g):
-            raise ValueError("generators must be invertible")
-    identity = elem_identity_like(gens[0])
-    tree, products = closure_tree(identity, gens, elem_mul, cap, f"not finite within cap {cap}")
-    elements = sorted(tree, key=elem_key)
+    if not all(g.det() for g in gens):
+        raise ValueError("generators must be invertible")
+    identity = GaussianMatrix.identity(gens[0].n)
+    tree, products = closure_tree(identity, gens, mul, cap, f"not finite within cap {cap}")
+    elements = sorted(tree, key=GaussianMatrix.sort_key)
     n = len(elements)
     pos = {x: i for i, x in enumerate(elements)}
     action = [[0] * n for _ in gens]
@@ -218,12 +191,12 @@ def generate_closure(generators: Sequence[Element], cap: int = 512) -> FiniteMat
 
 
 def closure_tree(
-    identity: Element,
-    generators: Sequence[Element],
-    mul: Callable[[Element, Element], Element],
+    identity: Hashable,
+    generators: Sequence[Hashable],
+    mul: Callable[[Hashable, Hashable], Hashable],
     cap: Optional[int] = None,
     cap_message: str = "",
-) -> Tuple[Dict[Element, Tuple[Optional[Element], Optional[int]]], List[List[Element]]]:
+) -> Tuple[Dict[Hashable, Tuple[Optional[Hashable], Optional[int]]], List[List[Hashable]]]:
     """Breadth-first word tree of the monoid generated from ``identity``.
 
     Returns ``(tree, products)``. ``tree`` maps each element y to (x, j)
@@ -232,8 +205,8 @@ def closure_tree(
     i-th element x of ``tree``. Raises ``NotFiniteError(cap_message)`` once
     more than ``cap`` elements appear.
     """
-    tree: Dict[Element, Tuple[Optional[Element], Optional[int]]] = {identity: (None, None)}
-    products: List[List[Element]] = []
+    tree: Dict[Hashable, Tuple[Optional[Hashable], Optional[int]]] = {identity: (None, None)}
+    products: List[List[Hashable]] = []
     frontier = [identity]
     while frontier:
         fresh = []
@@ -257,8 +230,8 @@ class ConjClass:
 
     def __init__(
         self,
-        rep: Element,
-        members: Tuple[Element, ...],
+        rep: GaussianMatrix,
+        members: Tuple[GaussianMatrix, ...],
         order: int,
         positions: Tuple[int, ...],  # of the members, in the group's element order
     ):
@@ -387,21 +360,33 @@ class CharacterTable:
         return tuple(r.degree for r in self.rows)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+# Miller-Rabin on these bases is exact below psi_13 (Sorenson-Webster, Math. Comp. 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin. A witness proves n composite at any size; an
+    n >= ``PRIME_TEST_BOUND`` that passes every base raises CapExceededError."""
+    if n < 2 or any(n % q == 0 for q in PRIME_BASES):
+        return n in PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # the power of 2 in n - 1
+    d = (n - 1) >> s
+    for a in PRIME_BASES:
+        x = pow(a, d, n)  # a is a witness unless x = 1 or some x^(2^r), r < s, is n - 1
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
             return False
-        d += 1
+    if n >= PRIME_TEST_BOUND:
+        raise CapExceededError(
+            f"primality of {n} is undecided: the test is exact only below {PRIME_TEST_BOUND}"
+        )
     return True
 
 
 def _choose_prime(exponent: int, order: int) -> int:
     p = 2 * isqrt(order) + 2
     while True:
-        if _is_prime(p) and (p - 1) % exponent == 0:
+        if is_prime(p) and (p - 1) % exponent == 0:
             return p
         p += 1
 
@@ -630,7 +615,7 @@ class CentralCharacter:
 
     __slots__ = ("assignments",)
 
-    def __init__(self, assignments: Tuple[Tuple[Element, QI], ...]):
+    def __init__(self, assignments: Tuple[Tuple[GaussianMatrix, QI], ...]):
         self.assignments = assignments
 
     def extend(self, group: FiniteMatrixGroup) -> Dict[int, QI]:
@@ -651,7 +636,7 @@ class CentralCharacter:
 
 def irreps_with_central_character(
     group: FiniteMatrixGroup,
-    z_elements: Sequence[Element],
+    z_elements: Sequence[GaussianMatrix],
     zeta: CentralCharacter,
     table: Optional[CharacterTable] = None,
 ) -> List[CharacterRow]:

@@ -89,9 +89,6 @@ class QI:
     def norm2(self) -> Fraction:
         return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
-    def is_zero(self) -> bool:
-        return not (self.a or self.b)
-
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
 
@@ -228,6 +225,20 @@ class GaussianMatrix:
         return cls([[z if i == j else QI(0) for j in range(n)] for i in range(n)])
 
     @classmethod
+    def block_diagonal(cls, *blocks: "GaussianMatrix") -> "GaussianMatrix":
+        """diag(*blocks), as SL2 x SL2 sits in SL4; one block is returned as it is.
+
+        The zeros sit at the same places for the same block sizes, so
+        ``sort_key`` orders such matrices as the tuples of their blocks."""
+        if len(blocks) == 1:
+            return blocks[0]
+        n, left, rows = sum(b.n for b in blocks), 0, []
+        for b in blocks:
+            rows += [(QI(0),) * left + row + (QI(0),) * (n - left - b.n) for row in b._data]
+            left += b.n
+        return cls(rows)
+
+    @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]]) -> "GaussianMatrix":
         return cls([[parse_qi(x) for x in row] for row in rows])
 
@@ -259,7 +270,7 @@ class GaussianMatrix:
         for k in range(n):
             piv = -1
             for i in range(k, n):
-                if not a[i][k].is_zero():
+                if a[i][k]:
                     piv = i
                     break
             if piv < 0:
@@ -271,7 +282,7 @@ class GaussianMatrix:
             inv = a[k][k].inverse()
             for i in range(k + 1, n):
                 f = a[i][k] * inv
-                if not f.is_zero():
+                if f:
                     for j in range(k, n):
                         a[i][j] = a[i][j] - f * a[k][j]
         return out

@@ -17,7 +17,8 @@ At n - s = 0 the family is one matrix. At n - s = 1, K has rank one, so
 det(s0 + cK) is affine in c and each target determinant gives at most one
 c. At n - s >= 2 the isomorphisms extending a bijection are none or
 infinitely many (a coset of an infinite group of automorphisms fixing
-every simple root and coroot), so the search refuses rather than truncate.
+every simple root and coroot). The search answers none there when the
+centers differ, and otherwise refuses rather than truncate.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .lattice import IntMatrix, kernel_basis, solve_integral
 from .root_datum import (
     BasedRootDatum,
+    center_structure,
     central_torus_quotient_datum,
     dual_sc_center,
     gspin_datum,
@@ -184,10 +186,10 @@ def search_isomorphisms(
     """All based-root-datum isomorphisms d1 -> d2 under the constraints.
 
     ``assignment`` fixes iota(alpha_i) = beta_assignment[i]; ``det_sign``
-    restricts det(iota) to +1 or -1. Raises InfiniteFamilyError when
-    rank - |Delta| >= 2 and some bijection has an integral completion: the
-    isomorphisms are then none or infinitely many, with or without the
-    constraints.
+    restricts det(iota) to +1 or -1. At rank - |Delta| >= 2, data whose
+    centers differ have none; otherwise InfiniteFamilyError is raised when
+    some bijection has an integral completion: the isomorphisms are then
+    none or infinitely many, with or without the constraints.
 
     Every bijection shares one coefficient matrix (``_completion_system``)
     and its one Smith reduction; only the right-hand side changes.
@@ -207,6 +209,10 @@ def search_isomorphisms(
         # a non-injective assignment cannot extend to an isomorphism
         bijections = [pi] if len(set(pi)) == s else []
     if not bijections:
+        return []
+    if n - s >= 2 and (center_structure(d1) != center_structure(d2) or (
+        s and dual_sc_center(d1) != dual_sc_center(d2)
+    )):
         return []
     system = _completion_system(d1, d2)
     kern = kernel_basis(system)

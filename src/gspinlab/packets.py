@@ -24,6 +24,7 @@ from .finite_groups import (
     FiniteMatrixGroup,
     generate_closure,
     irreps_with_central_character,
+    is_prime,
 )
 from .gaussian import QI, GaussianMatrix
 from .lattice import AbelianGroupStructure
@@ -172,24 +173,22 @@ def sgroup_structure_gspin4(s: GSpin4Scenario, igroup: AbelianGroupStructure) ->
 # canonical matrix realizations for structure labels
 
 
-def _mat2(rows):
-    return GaussianMatrix.from_strings(rows)
-
-
+_mat2 = GaussianMatrix.from_strings
 _I2 = GaussianMatrix.identity(2)
 _NEG_I2 = _I2.scale(QI(-1))
 _A2 = _mat2([["i", "0"], ["0", "-i"]])
 _B2 = _mat2([["0", "1"], ["-1", "0"]])
 _X2 = _mat2([["1", "0"], ["0", "-1"]])
 
-_CENTER_GENS = cover_center(_COVER_SIZES["GSpin4"])[1]  # (-1, 1) and (1, -1)
+_CENTER_GENS = cover_center(_COVER_SIZES["GSpin4"])[1]  # diag(-1, 1) and diag(1, -1)
+_diag = GaussianMatrix.block_diagonal
 
 _CANONICAL_GSPIN4 = {
     "(Z/2)^2": _CENTER_GENS,
-    "(Z/2)^3": _CENTER_GENS + ((_X2, _X2),),
-    "abelian order 8": _CENTER_GENS + ((_X2, _X2),),
-    "abelian order 16 (invariant factors 4,4)": ((_A2, _I2), (_I2, _A2)),
-    "Q8 x Z/2": ((_NEG_I2, _I2), (_I2, _A2), (_I2, _B2)),
+    "(Z/2)^3": _CENTER_GENS + (_diag(_X2, _X2),),
+    "abelian order 8": _CENTER_GENS + (_diag(_X2, _X2),),
+    "abelian order 16 (invariant factors 4,4)": (_diag(_A2, _I2), _diag(_I2, _A2)),
+    "Q8 x Z/2": (_diag(_NEG_I2, _I2), _diag(_I2, _A2), _diag(_I2, _B2)),
 }
 
 
@@ -306,7 +305,7 @@ def packet_sizes(
 
 def square_class_bound(p: int, f: int) -> Tuple[int, List[int]]:
     """|F*/(F*)^2| for a p-adic field of degree f, with its divisor list."""
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if not is_prime(p):
         raise ValueError("p must be prime")
     if f < 1:
         raise ValueError("f must be >= 1")

@@ -159,11 +159,12 @@ def test_criterion_09_property_suites():
     b2 = GaussianMatrix.from_strings([["0", "1"], ["-1", "0"]])
     i2 = GaussianMatrix.identity(2)
     neg = i2.scale(QI(-1))
+    d = GaussianMatrix.block_diagonal
     catalogue = [
         generate_closure([a2, b2]),
-        generate_closure([(a2, a2), (b2, b2), (i2, neg)]),
-        generate_closure([(neg, i2), (i2, a2), (i2, b2)]),
-        generate_closure([(a2, i2), (i2, a2)]),
+        generate_closure([d(a2, a2), d(b2, b2), d(i2, neg)]),
+        generate_closure([d(neg, i2), d(i2, a2), d(i2, b2)]),
+        generate_closure([d(a2, i2), d(i2, a2)]),
     ]
     for group in catalogue:
         table = group.character_table()  # both orthogonality relations asserted
@@ -171,8 +172,8 @@ def test_criterion_09_property_suites():
 
     # central-character partition refines the full set of irreducibles
     g16 = catalogue[1]
-    zs = [(i2.scale(x), i2.scale(y)) for x in (QI(1), QI(-1)) for y in (QI(1), QI(-1))]
-    z1, z2 = (neg, i2), (i2, neg)
+    zs = [d(i2.scale(x), i2.scale(y)) for x in (QI(1), QI(-1)) for y in (QI(1), QI(-1))]
+    z1, z2 = d(neg, i2), d(i2, neg)
     total = 0
     for v1 in (QI(1), QI(-1)):
         for v2 in (QI(1), QI(-1)):

@@ -36,10 +36,7 @@ CANONICAL_LABELS = (
 )
 
 
-def product(*blocks):
-    """The element of SL2 x ... x SL2 with the given blocks."""
-    return tuple(blocks)
-
+product = GaussianMatrix.block_diagonal  # SL2 x ... x SL2, one block per factor
 
 PRODUCT_GENERATORS = {
     16: [product(A, A), product(B, B), product(I2, NEG)],  # Q8 x Z/2

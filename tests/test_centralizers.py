@@ -58,7 +58,7 @@ def test_twisted_cosets_are_disjoint():
         for other in seen:
             prod = sp[0] * other.inverse()
             # matrices from distinct twists never differ by a scalar
-            assert not (prod.entry(0, 1).is_zero() and prod.entry(1, 0).is_zero()) or (
+            assert prod.entry(0, 1) or prod.entry(1, 0) or (
                 prod.entry(0, 0) != prod.entry(1, 1)
             )
         seen.append(sp[0])
@@ -141,7 +141,9 @@ def test_gspin_level_embeds_in_sl_level():
     q1 = sl_level_group(f1)
     q2 = sl_level_group(f2)
     assert q1.order == q2.order == 8
-    for x, y in rep.s_phi_sc.elements:
+    for g in rep.s_phi_sc.elements:
+        x, y = (GaussianMatrix([g.row(i)[k : k + 2] for i in (k, k + 1)]) for k in (0, 2))
+        assert GaussianMatrix.block_diagonal(x, y) == g
         assert x in q1 and y in q2
 
 

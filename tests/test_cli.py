@@ -81,6 +81,24 @@ def test_iso_search_refuses_infinite_family(capsys):
         assert "none or infinitely many" in err
 
 
+def test_iso_search_different_centers_at_gap_two_answers_none(tmp_path, capsys):
+    # rank 3 with one simple root; the centers are Z^2 against Z^2 x Z/2
+    data = {
+        "gl2xgl1": {"rank": 3, "simple_roots": [[1, -1, 0]], "simple_coroots": [[1, -1, 0]]},
+        "sl2xgl1xgl1": {"rank": 3, "simple_roots": [[2, 0, 0]], "simple_coroots": [[1, 0, 0]]},
+    }
+    paths = []
+    for name, d in data.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(d))
+    for first, second in (paths, paths[::-1]):
+        code, out, err = run(capsys, "iso", "search", str(first), str(second))
+        assert (code, out, err) == (1, "0 isomorphism(s)\n", "")
+    # the self-search still refuses: equal centers decide nothing
+    code, _, err = run(capsys, "iso", "search", str(paths[0]), str(paths[0]))
+    assert code == 3 and err.startswith("infinite family: rank 3, |Delta| = 1: ")
+
+
 def test_iso_check_with_map_preset(capsys):
     code, out, _ = run(capsys, "iso", "check", "GSpin4", "G4", "--map", "gspin4_to_g4")
     assert code == 0

@@ -12,10 +12,10 @@ from gspinlab.finite_groups import (
     FieldInsufficientError,
     NotFiniteError,
     abelian_invariants,
-    elem_mul,
     generate_closure,
     group_id,
     irreps_with_central_character,
+    is_prime,
 )
 from gspinlab.gaussian import QI, GaussianMatrix, format_qi
 
@@ -25,10 +25,7 @@ B = GaussianMatrix.from_strings([["0", "1"], ["-1", "0"]])
 I2 = GaussianMatrix.identity(2)
 NEG = I2.scale(QI(-1))
 X = GaussianMatrix.from_strings([["1", "0"], ["0", "-1"]])
-
-
-def matrix_inverse(x):
-    return tuple(a.inverse() for a in x) if isinstance(x, tuple) else x.inverse()
+D = GaussianMatrix.block_diagonal
 
 
 def brute_force_classes(group):
@@ -39,7 +36,7 @@ def brute_force_classes(group):
     classes = []
     while remaining:
         x = next(iter(remaining))
-        orbit = {elem_mul(matrix_inverse(g), elem_mul(x, g)) for g in elems}
+        orbit = {g.inverse() * x * g for g in elems}
         classes.append(frozenset(orbit))
         remaining -= orbit
     return set(classes)
@@ -89,7 +86,7 @@ def test_abelian_group_classes_are_singletons():
 
 
 def test_coupled_pair_group_classes():
-    g = generate_closure([(A, A), (B, B), (I2, NEG)])
+    g = generate_closure([D(A, A), D(B, B), D(I2, NEG)])
     assert g.order == 16
     assert group_id(g) == "Q8 x Z/2"
     assert len(g.conjugacy_classes()) == 10
@@ -129,7 +126,7 @@ def test_z4_character_values():
 
 
 def test_elementary_abelian_table():
-    g = generate_closure([(NEG, I2), (I2, NEG), (X, X)])
+    g = generate_closure([D(NEG, I2), D(I2, NEG), D(X, X)])
     assert group_id(g) == "(Z/2)^3"
     table = g.character_table()
     assert table.degrees() == (1,) * 8
@@ -139,9 +136,9 @@ def test_tables_catalogue_orthogonality():
     groups = [
         generate_closure([A, B]),
         generate_closure(presets.witness_generators("d4_gl2")),
-        generate_closure([(A, A), (B, B), (I2, NEG)]),
-        generate_closure([(NEG, I2), (I2, A), (I2, B)]),
-        generate_closure([(A, I2), (I2, A)]),
+        generate_closure([D(A, A), D(B, B), D(I2, NEG)]),
+        generate_closure([D(NEG, I2), D(I2, A), D(I2, B)]),
+        generate_closure([D(A, I2), D(I2, A)]),
     ]
     for g in groups:
         table = g.character_table()  # orthogonality asserted internally
@@ -150,9 +147,9 @@ def test_tables_catalogue_orthogonality():
 
 
 def test_central_character_partition_counts():
-    g = generate_closure([(A, A), (B, B), (I2, NEG)])
-    z1, z2 = (NEG, I2), (I2, NEG)
-    zs = [(I2.scale(a), I2.scale(b)) for a in (QI(1), QI(-1)) for b in (QI(1), QI(-1))]
+    g = generate_closure([D(A, A), D(B, B), D(I2, NEG)])
+    z1, z2 = D(NEG, I2), D(I2, NEG)
+    zs = [D(I2.scale(a), I2.scale(b)) for a in (QI(1), QI(-1)) for b in (QI(1), QI(-1))]
     total = 0
     for v1 in (QI(1), QI(-1)):
         for v2 in (QI(1), QI(-1)):
@@ -199,8 +196,9 @@ def test_field_insufficient_for_exponent_3():
 
 
 def test_table_cap():
-    # (Z/4)^5: A in one slot of a 5-tuple, the identity in the others
-    gens = [tuple(A if i == j else I2 for j in range(5)) for i in range(5)]
+    # (Z/4)^5: diagonal 5x5 matrices with i in one slot and 1 in the others
+    one, i = (GaussianMatrix.scalar(1, z) for z in (QI(1), QI(0, 1)))
+    gens = [D(*(i if j == k else one for j in range(5))) for k in range(5)]
     g = generate_closure(gens, cap=1024)
     assert g.order == 1024
     with pytest.raises(CapExceededError):
@@ -209,15 +207,34 @@ def test_table_cap():
         group_id(g)
 
 
+def test_is_prime_agrees_with_trial_division():
+    small = [d for d in range(2, 317) if all(d % e for e in range(2, d))]  # 316^2 < 10^5 < 317^2
+    expected = [n for n in range(2, 10**5) if all(n % d for d in small if d * d <= n)]
+    assert [n for n in range(10**5) if is_prime(n)] == expected
+
+
+def test_is_prime_needs_base_41_and_stops_at_its_bound():
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # prime base up to 37; psi_13, the bound, also to 41
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441 and not is_prime(psi12)
+    assert is_prime(2**61 - 1)
+    for undecided in (finite_groups.PRIME_TEST_BOUND, 2**89 - 1):
+        with pytest.raises(CapExceededError, match="exact only below 3317044064679887385961981"):
+            is_prime(undecided)
+    # a witness proves compositeness at any size
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
+
+
 def test_group_id_catalogue():
     assert group_id(generate_closure(presets.witness_generators("d4_gl2"))) == "D4"
-    assert group_id(generate_closure([(NEG, I2), (I2, NEG)])) == "(Z/2)^2"
-    assert group_id(generate_closure([(A, I2), (I2, A)])) == (
+    assert group_id(generate_closure([D(NEG, I2), D(I2, NEG)])) == "(Z/2)^2"
+    assert group_id(generate_closure([D(A, I2), D(I2, A)])) == (
         "abelian order 16 (invariant factors 4,4)"
     )
     assert group_id(generate_closure([A])) == "Z/4"
-    assert group_id(generate_closure([(A, A), (I2, NEG)])) == "Z/2 x Z/4"
-    assert group_id(generate_closure([(NEG, I2), (I2, NEG), (X, X), (A, A)])) == (
+    assert group_id(generate_closure([D(A, A), D(I2, NEG)])) == "Z/2 x Z/4"
+    assert group_id(generate_closure([D(NEG, I2), D(I2, NEG), D(X, X), D(A, A)])) == (
         "(Z/2)^2 x Z/4"
     )
     assert group_id(generate_closure([I2])) == "1"
@@ -227,14 +244,14 @@ def test_group_id_catalogue():
 def test_group_id_rejects_lookalike():
     # D4 x Z/2 shares the order and center shape but has 11 involutions
     d4gens = presets.witness_generators("d4_gl2")
-    g = generate_closure([(m, I2) for m in d4gens] + [(I2, NEG)])
+    g = generate_closure([D(m, I2) for m in d4gens] + [D(I2, NEG)])
     assert g.order == 16
     assert group_id(g).startswith("unrecognized")
 
 
 def test_abelian_invariants_oracle():
     # compare against order statistics of a known product
-    g = generate_closure([(A, I2), (I2, NEG)])  # Z/4 x Z/2
+    g = generate_closure([D(A, I2), D(I2, NEG)])  # Z/4 x Z/2
     inv = abelian_invariants(g)
     assert inv.torsion == (2, 4)
     counts = {}
@@ -244,8 +261,8 @@ def test_abelian_invariants_oracle():
 
 
 def test_quotient_group_by_signs():
-    g = generate_closure([(A, A), (B, B), (I2, NEG)])
-    signs = [(I2.scale(a), I2.scale(b)) for a in (QI(1), QI(-1)) for b in (QI(1), QI(-1))]
+    g = generate_closure([D(A, A), D(B, B), D(I2, NEG)])
+    signs = [D(I2.scale(a), I2.scale(b)) for a in (QI(1), QI(-1)) for b in (QI(1), QI(-1))]
     q = g.quotient(signs)
     assert q.order == 4
     assert group_id(q) == "(Z/2)^2"
@@ -259,7 +276,7 @@ def assert_table_matches_matrix_products(group):
     table = group.cayley_table
     for a, x in enumerate(group.elements):
         for b, y in enumerate(group.elements):
-            assert table[a][b] == group.index(elem_mul(x, y))
+            assert table[a][b] == group.index(x * y)
 
 
 @pytest.mark.parametrize("name", witnesses_of_kind("matrix_group"))
@@ -287,7 +304,7 @@ def test_q8_x_q8_table_and_eigen_split_solves(monkeypatch):
         return nullspace(*args)
 
     monkeypatch.setattr(finite_groups, "nullspace", counting)
-    g = generate_closure([(A, I2), (I2, A), (B, I2), (I2, B)])
+    g = generate_closure([D(A, I2), D(I2, A), D(B, I2), D(I2, B)])
     table = g.character_table()
     assert g.order == 64 and len(table.classes) == 25
     assert table.degrees() == (1,) * 16 + (2,) * 8 + (4,)
@@ -330,9 +347,9 @@ def witness_group(name):
 @functools.lru_cache(maxsize=None)
 def product_table(order):
     gens = {
-        16: [(A, A), (B, B), (I2, NEG)],  # Q8 x Z/2
-        64: [(A, I2), (I2, A), (B, I2), (I2, B)],  # Q8 x Q8
-        128: [(A, I2, I2), (I2, A, I2), (B, I2, I2), (I2, B, I2), (I2, I2, NEG)],  # Q8 x Q8 x Z/2
+        16: [D(A, A), D(B, B), D(I2, NEG)],  # Q8 x Z/2
+        64: [D(A, I2), D(I2, A), D(B, I2), D(I2, B)],  # Q8 x Q8
+        128: [D(A, I2, I2), D(I2, A, I2), D(B, I2, I2), D(I2, B, I2), D(I2, I2, NEG)],  # Q8 x Q8 x Z/2
     }[order]
     return generate_closure(gens).character_table()
 

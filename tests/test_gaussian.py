@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -87,6 +88,28 @@ def test_matrix_inverse_and_det():
         sing.inverse()
 
 
+def test_block_diagonal_products_and_order():
+    a = GaussianMatrix.from_strings([["i", "0"], ["0", "-i"]])
+    b = GaussianMatrix.from_strings([["0", "1"], ["-1", "0"]])
+    i2 = GaussianMatrix.identity(2)
+    d = GaussianMatrix.block_diagonal
+    assert d(a) is a
+    assert d(a, b).to_strings() == [
+        ["i", "0", "0", "0"],
+        ["0", "-i", "0", "0"],
+        ["0", "0", "0", "1"],
+        ["0", "0", "-1", "0"],
+    ]
+    assert d(i2, i2, i2) == GaussianMatrix.identity(6)
+    pairs = [(x, y) for x in (a, b, i2, a * b) for y in (a, b, i2.scale(QI(-1)))]
+    for (x, y), (u, v) in itertools.product(pairs, repeat=2):
+        assert d(x, y) * d(u, v) == d(x * u, y * v)
+        assert (d(x, y) == d(u, v)) == ((x, y) == (u, v))
+    # sorted as the tuples of their blocks, key by key
+    tuple_order = sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    assert [d(*p) for p in tuple_order] == sorted((d(*p) for p in pairs), key=GaussianMatrix.sort_key)
+
+
 def test_nullspace():
     rows = [[QI(1), QI(1)], [QI(2), QI(2)]]
     basis = qi_nullspace(rows, 2)
@@ -115,7 +138,7 @@ def test_elimination_agrees_over_fp_and_qi():
                 acc = QI(0)
                 for a, x in zip(row, v):
                     acc = acc + a * x
-                assert acc.is_zero()
+                assert not acc
         for v in pnull:
             assert all(x == x % P for x in v)
             for row in mat:

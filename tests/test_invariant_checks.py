@@ -1,7 +1,8 @@
 """Invariants of the package source: internal consistency checks must not
 depend on ``assert`` statements, which ``python -O`` strips, no module
-keeps an import it never uses or imports inside a function, and a cold
-start loads neither ``dataclasses`` nor ``inspect``."""
+keeps an import it never uses or imports inside a function, no module
+dispatches on ``isinstance(..., tuple)``, and a cold start loads neither
+``dataclasses`` nor ``inspect``."""
 import ast
 import json
 import os
@@ -105,3 +106,23 @@ def test_verify_paper_passes_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_no_module_dispatches_on_tuple():
+    # every group element is one GaussianMatrix; products are block-diagonal
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and any(
+                    isinstance(t, ast.Name) and t.id == "tuple"
+                    for t in ast.walk(node.args[1])
+                )
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], "isinstance(..., tuple) at: " + ", ".join(found)

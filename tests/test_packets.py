@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from gspinlab import presets
-from gspinlab.finite_groups import generate_closure
+from gspinlab.finite_groups import CapExceededError, generate_closure
 from gspinlab.gaussian import QI, GaussianMatrix
 from gspinlab.lattice import AbelianGroupStructure
 from gspinlab.packets import (
@@ -178,6 +178,16 @@ def test_square_class_bound_values():
         square_class_bound(4, 1)
     with pytest.raises(ValueError):
         square_class_bound(3, 0)
+
+
+def test_square_class_bound_primality_is_bounded_work():
+    # primes of 19 digits and more answer at once; past the test's bound they refuse
+    assert square_class_bound(2**61 - 1, 1) == (4, [1, 2, 4])
+    assert square_class_bound(10000000000000061, 1) == (4, [1, 2, 4])
+    with pytest.raises(ValueError, match="p must be prime"):
+        square_class_bound((2**89 - 1) * (2**61 - 1), 1)
+    with pytest.raises(CapExceededError, match="exact only below"):
+        square_class_bound(2**89 - 1, 1)
 
 
 def unit_square_index(pk, p):

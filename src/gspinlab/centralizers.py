@@ -48,10 +48,9 @@ class NormalizationError(RuntimeError):
 
 
 def _first_nonzero(m: GaussianMatrix) -> QI:
-    for i in range(m.n):
-        for x in m.row(i):
-            if x:
-                return x
+    for k, (x, y) in enumerate(zip(m.a, m.b)):
+        if x or y:
+            return m.entry(*divmod(k, m.n))
     raise ValueError("zero matrix")
 
 
@@ -96,12 +95,14 @@ def twisted_centralizer_space(
             raise ValueError("generator images must be invertible")
     rows: List[List[QI]] = []
     for g, z in zip(images, nu):
+        # h g = z g h is homogeneous in g, so g's numerators give the same rows
+        ge = [QI(x, y) for x, y in zip(g.a, g.b)]
         for r in range(n):
             for c in range(n):
                 row = [QI(0)] * (n * n)
                 for s in range(n):
-                    row[r * n + s] = row[r * n + s] + g.entry(s, c)
-                    row[s * n + c] = row[s * n + c] - z * g.entry(r, s)
+                    row[r * n + s] = row[r * n + s] + ge[s * n + c]
+                    row[s * n + c] = row[s * n + c] - z * ge[r * n + s]
                 rows.append(row)
     basis = qi_nullspace(rows, n * n)
     out = []
@@ -320,12 +321,14 @@ def s_groups(phi: ParameterImage, cap: int = 512) -> CentralizerReport:
 
 
 def verify_extension(report: CentralizerReport) -> bool:
-    """Exactness of 1 -> Z_hat -> S_phi_sc -> S_phi -> 1 for the report."""
+    """Exactness of 1 -> Z_hat -> S_phi_sc -> S_phi -> 1 for the report, on S_phi_sc's Cayley table."""
     group = report.s_phi_sc
-    for z in report.z_elements:
-        if z not in group or any(z * x != x * z for x in group.elements):
-            return False
-    cosets = {frozenset(x * z for z in report.z_elements) for x in group.elements}
+    if any(z not in group for z in report.z_elements):
+        return False
+    mt, zs = group.cayley_table, [group.index(z) for z in report.z_elements]
+    if any(mt[z][x] != mt[x][z] for z in zs for x in range(group.order)):
+        return False
+    cosets = {frozenset(mt[x][z] for z in zs) for x in range(group.order)}
     if len(cosets) != report.s_phi_order:
         return False
     if len(report.z_elements) != report.z_hat.torsion_order():

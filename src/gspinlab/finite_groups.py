@@ -1,7 +1,8 @@
 """Finite matrix groups over Q(i): closure, classes, exact character tables.
 
-Group elements are ``GaussianMatrix`` objects, block-diagonal for products
-such as SL2 x SL2. A ``FiniteMatrixGroup`` is its sorted elements, its
+Group elements are ``GaussianMatrix`` objects (Z[i] numerators over one
+denominator, hashed as int tuples), block-diagonal for products such as
+SL2 x SL2. A ``FiniteMatrixGroup`` is its sorted elements, its
 integer Cayley table, the identity's position and the generators'
 positions, and nothing else. Only ``generate_closure`` multiplies
 matrices to make a group: the closure's products are the generators'
@@ -14,11 +15,14 @@ quotients call the constructor with a table induced from the parent's.
 Character tables are computed by an exact Dixon-style method: the class-sum
 matrices are simultaneously diagonalized over a prime field F_p with
 p = 1 mod exponent, and the character values are lifted back to Z[i] via
-root-of-unity multiplicities. Every table, up to the 512 cap, is then
-checked on integers by ``_validate_table``: the classes are certified from
-the Cayley table, both orthogonality relations must hold, and each row must
-pass the regular-representation cross-check (the projection built from the
-row must be idempotent), a second path independent of the eigen-split.
+root-of-unity multiplicities. Each space is split by trying eigenvalues in
+turn; once one dimension is left, its eigenvalue is read off the trace and
+one solve, which must give a line, finishes the space. Every table, up to
+the 512 cap, is then checked on integers by ``_validate_table``: the
+classes are certified from the Cayley table, both orthogonality relations
+must hold, and each row must pass the regular-representation cross-check
+(the projection built from the row must be idempotent), a second path
+independent of the eigen-split.
 
 The mod-p eigen-split runs on the same Gauss-Jordan routine as the Q(i)
 solves (``gaussian.gauss_jordan``), and every closure in the package,
@@ -32,7 +36,7 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, gauss_jordan, nullspace
+from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, gauss_jordan, nullspace, sorted_matrices
 from .lattice import AbelianGroupStructure
 
 
@@ -56,9 +60,10 @@ class FiniteMatrixGroup:
 
     ``cayley_table[a][b]`` is the position of elements[a] * elements[b];
     ``identity_index`` and ``generator_index`` are positions too. The
-    elements are sorted by ``sort_key`` (``generate_closure`` sorts them, and
-    centers and quotients keep their parent's order), so positions compare
-    like keys. Every group algorithm reads the table; the matrices are labels.
+    elements are in their entries' (re, im) order (``generate_closure`` sorts
+    them with ``sorted_matrices``, exactly across denominators, and centers
+    and quotients keep their parent's order), so positions compare like
+    keys. Every group algorithm reads the table; the matrices are labels.
     """
 
     def __init__(
@@ -176,7 +181,7 @@ def generate_closure(generators: Sequence[GaussianMatrix], cap: int = 512) -> Fi
         raise ValueError("generators must be invertible")
     identity = GaussianMatrix.identity(gens[0].n)
     tree, products = closure_tree(identity, gens, mul, cap, f"not finite within cap {cap}")
-    elements = sorted(tree, key=GaussianMatrix.sort_key)
+    elements = sorted_matrices(tree)
     n = len(elements)
     pos = {x: i for i, x in enumerate(elements)}
     action = [[0] * n for _ in gens]
@@ -469,33 +474,33 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
                 fresh.append(basis)
                 continue
             mdim = len(basis)
-            images = [
-                [sum(mat[t][j] * vec[j] for j in range(k)) % p for t in range(k)]
-                for vec in basis
-            ]
+            images = [[sum(map(mul, row, vec)) % p for row in mat] for vec in basis]
             # coordinates of every image in the basis: reduce [basis^T | images^T]
             aug = [[vec[t] for vec in basis] + [img[t] for img in images] for t in range(k)]
             red, pivots = gauss_jordan(aug, mdim, inverse, reduce)
             rmat = [[0] * mdim for _ in range(mdim)]
             for row, c in zip(red, pivots):
                 rmat[c] = row[mdim:]
+            # rmat is diagonalizable: the eigenspaces fill the basis, and once
+            # one dimension is left its eigenvalue is the trace minus the others
+            rest = sum(rmat[a][a] for a in range(mdim))
+            cols = list(zip(*basis))
             found = 0
-            for lam in range(p):
+            for guess in range(p):
                 if found == mdim:
-                    break  # the eigenspaces fill the basis; no other lam is an eigenvalue
+                    break
+                last = found == mdim - 1
+                lam = rest % p if last else guess
                 shifted = [
                     [(rmat[a][b] - (lam if a == b else 0)) % p for b in range(mdim)]
                     for a in range(mdim)
                 ]
                 null = nullspace(shifted, mdim, inverse, 1, reduce)
+                if last and len(null) != 1:
+                    raise AssertionError("the last eigenvalue of a class-sum matrix has no eigenline")
                 if null:
-                    sub = [
-                        [
-                            sum(coef[t] * basis[t][j] for t in range(mdim)) % p
-                            for j in range(k)
-                        ]
-                        for coef in null
-                    ]
+                    rest -= lam * len(null)
+                    sub = [[sum(map(mul, coef, col)) % p for col in cols] for coef in null]
                     fresh.append(sub)
                     found += len(null)
         spaces = fresh
@@ -508,7 +513,7 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
         t0 = next(t for t in range(k) if v[t] % p)
         om = []
         for i in range(k):
-            img = sum(m_mats[i][t0][j] * v[j] for j in range(k)) % p
+            img = sum(map(mul, m_mats[i][t0], v)) % p
             om.append((img * pow(v[t0], p - 2, p)) % p)
         omegas_list.append(om)
 

@@ -1,32 +1,23 @@
 """Exact arithmetic over the Gaussian rationals Q(i), and square matrices.
 
-Each entry is a normalized integer triple (a, b, d) for (a + b*i)/d, with
-d > 0 and gcd(a, b, d) = 1, so arithmetic, equality and hashing run on
-ints; ``re`` and ``im`` give the components as ``fractions.Fraction`` for
-parsing, printing, square roots and sort keys. A matrix product sums each
-entry on integers over a common denominator and reduces it once. This field
-is enough for every group the package touches (subgroups of SL2(C)^2 and
-SL4(C) generated by monomial and diagonal matrices with fourth-root-of-unity
-entries), and for the character values of groups of exponent dividing 4.
+A scalar ``QI`` is a normalized integer triple (a, b, d) for (a + b*i)/d,
+and a ``GaussianMatrix`` is its real and imaginary numerators, two flat
+row-major int tuples, over one denominator d; both keep d > 0 and the gcd
+of all their ints 1, so equal values have equal fields. Arithmetic,
+equality, hashing, sort keys, square roots, parsing and printing all run on
+ints: the package never loads ``fractions``. A matrix product skips the
+zero entries, so a block-diagonal product costs about what its blocks do,
+and reduces once. This field is enough for every group the package touches
+(subgroups of SL2(C)^2 and SL4(C) generated by monomial and diagonal
+matrices with fourth-root-of-unity entries, and the binary tetrahedral
+group with its entries (+-1 +- i)/2), and for the character values of
+groups of exponent dividing 4.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt
-from typing import Callable, List, Optional, Sequence, Tuple
-
-
-def _frac_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    if x == 0:
-        return Fraction(0)
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+import re
+from math import gcd, isqrt, lcm
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 
 class QI:
@@ -34,7 +25,8 @@ class QI:
 
     ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have equal fields;
     the package's entries are mostly 0 and fourth roots of unity, where
-    ``d == 1`` and no gcd is taken. ``re`` and ``im`` give the components as ``Fraction``.
+    ``d == 1`` and no gcd is taken. ``QI(re, im)`` takes ints or any
+    rationals with ``numerator`` and ``denominator``, such as ``Fraction``.
     """
 
     __slots__ = ("a", "b", "d")
@@ -42,20 +34,11 @@ class QI:
     def __new__(cls, re=0, im=0):
         if type(re) is int and type(im) is int:
             return _qi(re, im, 1)
-        re, im = Fraction(re), Fraction(im)
         p, q = re.denominator, im.denominator
         return _qi(re.numerator * q, im.numerator * p, p * q)
 
     def __setattr__(self, name, value):
         raise AttributeError("QI is immutable")
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
 
     def __add__(self, other: "QI") -> "QI":
         d, e = self.d, other.d
@@ -86,9 +69,6 @@ class QI:
     def conj(self) -> "QI":
         return _qi(self.a, -self.b, self.d)
 
-    def norm2(self) -> Fraction:
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
 
@@ -104,31 +84,28 @@ class QI:
         return hash((self.a, self.b, self.d))
 
     def sort_key(self) -> tuple:
-        """(re, im), ordered lexicographically; plain ints when d == 1."""
-        if self.d == 1:
-            return (self.a, self.b)
-        return (self.re, self.im)
+        """Ordered as (re, im) lexicographically, exactly for any denominators."""
+        return (_rational_key(self.a, self.d), _rational_key(self.b, self.d))
 
     def sqrt(self) -> Optional["QI"]:
-        """A square root in Q(i) when one exists, sign-normalized."""
-        a, b = self.re, self.im
-        if b == 0:
-            r = _frac_sqrt(a)
-            if r is not None:
-                return QI(r)
-            r = _frac_sqrt(-a)
-            if r is not None:
-                return QI(0, r)
+        """A square root in Q(i) when one exists: the one with re > 0, or re = 0 and im >= 0.
+
+        sqrt((a + b*i)/d) = sqrt(a*d + b*d*i)/d, and a Gaussian integer that
+        is a square in Q(i) is the square of some x + y*i in Z[i], with
+        x^2 = (A + N)/2 and y^2 = (N - A)/2 for A + B*i = a*d + b*d*i and
+        N = |A + B*i|.
+        """
+        d = self.d
+        p, q = self.a * d, self.b * d
+        n2 = p * p + q * q
+        n = isqrt(n2)
+        if n * n != n2 or (p + n) % 2:
             return None
-        n = _frac_sqrt(a * a + b * b)
-        if n is None:
+        x2, y2 = (n + p) // 2, (n - p) // 2
+        x, y = isqrt(x2), isqrt(y2)
+        if x * x != x2 or y * y != y2:
             return None
-        x = _frac_sqrt((a + n) / 2)
-        if x is None or x == 0:
-            return None
-        y = b / (2 * x)
-        root = QI(x, y)
-        return root if root.sort_key() > (-root).sort_key() else -root
+        return _qi(x, -y if q < 0 else y, d)
 
     def __repr__(self) -> str:
         return f"QI({format_qi(self)!r})"
@@ -150,16 +127,86 @@ def _qi(a: int, b: int, d: int) -> QI:
     return z
 
 
+def _rational_key(a: int, d: int) -> Tuple[int, ...]:
+    """Ints that order as the rationals a/d (d > 0) do, under tuple comparison.
+
+    The continued fraction of a/d with its odd-placed terms negated (a
+    larger odd-placed term makes a smaller number), taken in its expansion
+    of odd length (a last term t >= 2 may be written t - 1, 1). A number
+    whose expansion is a prefix of another's is then the smaller one, as a
+    tuple prefix is. An integer a is (a,).
+    """
+    terms = []
+    while d:
+        q, r = divmod(a, d)
+        terms.append(-q if len(terms) % 2 else q)
+        a, d = d, r
+    if len(terms) % 2 == 0:
+        terms[-1] += 1
+        terms.append(1)
+    return tuple(terms)
+
+
 FOURTH_ROOTS = (QI(1), QI(0, 1), QI(-1), QI(0, -1))
+
+# the literal grammar of ``fractions.Fraction``, quirks included (its
+# decimal part also matches a run of the letter d, which int() then
+# refuses): sign, digits with single underscores, then a denominator, or a
+# decimal part and an exponent. ``re`` compiles it on first use and caches
+# it, so importing the module does not.
+_RATIONAL = r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)
+    (?P<num>\d*|\d+(_\d+)*)
+    (?:
+        (?:/(?P<den>\d+(_\d+)*))?
+    |
+        (?:\.(?P<dec>d*|\d+(_\d+)*))?
+        (?:E(?P<exp>[-+]?\d+(_\d+)*))?
+    )
+    \s*\Z
+"""
+
+
+def _parse_rational(s: str) -> Tuple[int, int]:
+    """(numerator, denominator > 0) of a rational literal, as ``Fraction(s)`` reads it."""
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if digits.isascii() and digits.isdigit():  # an integer: no regex needed
+        return int(s), 1
+    m = re.match(_RATIONAL, s, re.VERBOSE | re.IGNORECASE)
+    if m is None:  # the messages are Fraction's
+        raise ValueError(f"Invalid literal for Fraction: {s!r}")
+    num, den = int(m["num"] or "0"), m["den"]
+    if den:
+        den = int(den)
+        if den == 0:
+            raise ZeroDivisionError(f"Fraction({-num if m['sign'] == '-' else num}, 0)")
+    else:
+        den = 1
+        if m["dec"]:
+            dec = m["dec"].replace("_", "")
+            den = 10 ** len(dec)
+            num = num * den + int(dec)
+        if m["exp"]:
+            exp = int(m["exp"])
+            if exp >= 0:
+                num *= 10**exp
+            else:
+                den *= 10**-exp
+    return (-num if m["sign"] == "-" else num), den
 
 
 def parse_qi(s: str) -> QI:
-    """Parse strings like '1', '-i', '3/2i', '1/2+1/2i', '2-3i'."""
+    """Parse strings like '1', '-i', '3/2i', '1/2+1/2i', '2-3i'.
+
+    Each part is a ``Fraction`` literal (decimals and exponents too); a bad
+    literal raises ValueError, a zero denominator ZeroDivisionError.
+    """
     t = s.strip().replace(" ", "")
     if not t:
         raise ValueError("empty Gaussian rational literal")
     if "i" not in t:
-        return QI(Fraction(t))
+        a, d = _parse_rational(t)
+        return _qi(a, 0, d)
     body = t[: t.rindex("i")]
     tail = t[t.rindex("i") + 1 :]
     if tail:
@@ -175,54 +222,68 @@ def parse_qi(s: str) -> QI:
     else:
         re_part, im_part = body[:split], body[split:]
     if im_part in ("", "+"):
-        im = Fraction(1)
+        b, e = 1, 1
     elif im_part == "-":
-        im = Fraction(-1)
+        b, e = -1, 1
     else:
-        im = Fraction(im_part)
-    return QI(Fraction(re_part) if re_part else Fraction(0), im)
+        b, e = _parse_rational(im_part)
+    a, d = _parse_rational(re_part) if re_part else (0, 1)
+    return _qi(a * e, b * d, d * e)
+
+
+def _format_rational(a: int, d: int) -> str:
+    g = gcd(a, d)
+    a, d = a // g, d // g
+    return str(a) if d == 1 else f"{a}/{d}"
 
 
 def format_qi(z: QI) -> str:
-    if z.im == 0:
-        return str(z.re)
-    if z.re == 0:
-        if z.im == 1:
-            return "i"
-        if z.im == -1:
-            return "-i"
-        return f"{z.im}i"
-    sign = "+" if z.im > 0 else "-"
-    mag = abs(z.im)
-    istr = "i" if mag == 1 else f"{mag}i"
-    return f"{z.re}{sign}{istr}"
+    a, b, d = z.a, z.b, z.d
+    if not b:
+        return _format_rational(a, d)
+    mag = "i" if abs(b) == d else _format_rational(abs(b), d) + "i"
+    if not a:
+        return "-" + mag if b < 0 else mag
+    return _format_rational(a, d) + ("-" if b < 0 else "+") + mag
 
 
 class GaussianMatrix:
-    """Immutable square matrix over Q(i)."""
+    """Immutable square matrix over Q(i): Z[i] numerators over one denominator.
 
-    __slots__ = ("n", "_data")
+    ``a`` and ``b`` are the real and imaginary numerators, flat row-major
+    int tuples of length n*n, over the denominator ``d``; ``d > 0`` and
+    ``gcd(d, *a, *b) == 1``, so equal matrices have equal fields and
+    ``==`` and ``hash`` compare int tuples. ``entry`` and ``row`` build
+    ``QI`` only when asked.
+    """
 
-    def __init__(self, data: Sequence[Sequence[QI]]):
+    __slots__ = ("n", "a", "b", "d")
+
+    def __new__(cls, data: Sequence[Sequence[QI]]):
         n = len(data)
-        cells = []
-        for row in data:
-            if len(row) != n:
-                raise ValueError("GaussianMatrix must be square")
-            cells.append(tuple(row))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_data", tuple(cells))
+        if any(len(row) != n for row in data):
+            raise ValueError("GaussianMatrix must be square")
+        cells = [x for row in data for x in row]
+        d = lcm(*(x.d for x in cells))
+        scaled = [(x.a * (d // x.d), x.b * (d // x.d)) for x in cells]
+        return _matrix(n, tuple(x for x, _ in scaled), tuple(y for _, y in scaled), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "GaussianMatrix":
-        return cls([[QI(1) if i == j else QI(0) for j in range(n)] for i in range(n)])
+        return cls.scalar(n, QI(1))
 
     @classmethod
     def scalar(cls, n: int, z: QI) -> "GaussianMatrix":
-        return cls([[z if i == j else QI(0) for j in range(n)] for i in range(n)])
+        on = range(0, n * n, n + 1)
+        return _matrix(
+            n,
+            tuple(z.a if k in on else 0 for k in range(n * n)),
+            tuple(z.b if k in on else 0 for k in range(n * n)),
+            z.d,
+        )
 
     @classmethod
     def block_diagonal(cls, *blocks: "GaussianMatrix") -> "GaussianMatrix":
@@ -232,40 +293,68 @@ class GaussianMatrix:
         ``sort_key`` orders such matrices as the tuples of their blocks."""
         if len(blocks) == 1:
             return blocks[0]
-        n, left, rows = sum(b.n for b in blocks), 0, []
-        for b in blocks:
-            rows += [(QI(0),) * left + row + (QI(0),) * (n - left - b.n) for row in b._data]
-            left += b.n
-        return cls(rows)
+        n = sum(b.n for b in blocks)
+        d = lcm(*(b.d for b in blocks))
+        real, imag, left = [], [], 0
+        for blk in blocks:
+            m, s = blk.n, d // blk.d
+            before, after = [0] * left, [0] * (n - left - m)
+            for k in range(0, m * m, m):
+                real += before + [x * s for x in blk.a[k : k + m]] + after
+                imag += before + [x * s for x in blk.b[k : k + m]] + after
+            left += m
+        return _matrix(n, tuple(real), tuple(imag), d)
 
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]]) -> "GaussianMatrix":
         return cls([[parse_qi(x) for x in row] for row in rows])
 
     def to_strings(self) -> List[List[str]]:
-        return [[format_qi(x) for x in row] for row in self._data]
+        return [[format_qi(x) for x in self.row(i)] for i in range(self.n)]
 
     def entry(self, i: int, j: int) -> QI:
-        return self._data[i][j]
+        k = i * self.n + j
+        return _qi(self.a[k], self.b[k], self.d)
 
     def row(self, i: int) -> Tuple[QI, ...]:
-        return self._data[i]
+        return tuple(self.entry(i, j) for j in range(self.n))
 
     def __mul__(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        if self.n != other.n:
+        n = self.n
+        if other.n != n:
             raise ValueError("dimension mismatch")
-        cols = tuple(zip(*other._data))
-        return GaussianMatrix([[_dot(row, col) for col in cols] for row in self._data])
+        xa, xb, ya, yb = self.a, self.b, other.a, other.b
+        nn = n * n
+        real, imag = [0] * nn, [0] * nn
+        for i in range(0, nn, n):
+            for k in range(n):
+                p, q = xa[i + k], xb[i + k]
+                if p or q:
+                    kn = k * n
+                    for j in range(n):
+                        c, e = ya[kn + j], yb[kn + j]
+                        if c or e:
+                            real[i + j] += p * c - q * e
+                            imag[i + j] += p * e + q * c
+        return _matrix(n, tuple(real), tuple(imag), self.d * other.d)
 
     def scale(self, z: QI) -> "GaussianMatrix":
-        return GaussianMatrix([[z * x for x in row] for row in self._data])
+        p, q = z.a, z.b
+        return _matrix(
+            self.n,
+            tuple(p * x - q * y for x, y in zip(self.a, self.b)),
+            tuple(p * y + q * x for x, y in zip(self.a, self.b)),
+            self.d * z.d,
+        )
 
     def __neg__(self) -> "GaussianMatrix":
         return self.scale(QI(-1))
 
     def det(self) -> QI:
+        """det(N / d) = det(N) / d^n, eliminating on the numerators N."""
         n = self.n
-        a = [list(row) for row in self._data]
+        nums = [QI(x, y) for x, y in zip(self.a, self.b)]
+        a = [nums[k : k + n] for k in range(0, n * n, n)]
         out = QI(1)
         for k in range(n):
             piv = -1
@@ -285,54 +374,66 @@ class GaussianMatrix:
                 if f:
                     for j in range(k, n):
                         a[i][j] = a[i][j] - f * a[k][j]
-        return out
+        return _qi(out.a, out.b, out.d * self.d**n)
 
     def inverse(self) -> "GaussianMatrix":
         n = self.n
-        aug = [list(row) + [QI(1) if i == j else QI(0) for j in range(n)] for i, row in enumerate(self._data)]
+        aug = [list(self.row(i)) + [QI(1) if i == j else QI(0) for j in range(n)] for i in range(n)]
         a, pivots = gauss_jordan(aug, n, QI.inverse)
         if len(pivots) < n:
             raise ZeroDivisionError("singular matrix")
         return GaussianMatrix([row[n:] for row in a])
 
     def is_identity(self) -> bool:
-        for i, row in enumerate(self._data):
-            for j, x in enumerate(row):
-                if x.b or x.a != (x.d if i == j else 0):
-                    return False
-        return True
+        return self == GaussianMatrix.identity(self.n)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GaussianMatrix)
-            and self.n == other.n
-            and self._data == other._data
+            and self.a == other.a
+            and self.b == other.b
+            and self.d == other.d
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._data))
+        return hash((self.a, self.b, self.d))
 
-    def sort_key(self):
-        return tuple(x.sort_key() for row in self._data for x in row)
+    def sort_key(self, den: int) -> Tuple[int, ...]:
+        """The numerators over ``den``, a multiple of ``d``, as re, im of each entry in turn.
+
+        Keys over one common ``den`` order matrices exactly as the tuples
+        of their entries' (re, im); ``sorted_matrices`` sorts that way."""
+        s = den // self.d
+        return tuple(v * s for pair in zip(self.a, self.b) for v in pair)
 
     def __repr__(self) -> str:
         return f"GaussianMatrix({self.to_strings()!r})"
 
 
-def _dot(xs: Sequence[QI], ys: Sequence[QI]) -> QI:
-    """Sum of x*y over Q(i), accumulated on integers and reduced once."""
-    re = im = 0
-    den = 1
-    for x, y in zip(xs, ys):
-        a, b, c, e = x.a, x.b, y.a, y.b
-        if (a or b) and (c or e):
-            p, q, d = a * c - b * e, a * e + b * c, x.d * y.d
-            if d == den:
-                re += p
-                im += q
-            else:
-                re, im, den = re * d + p * den, im * d + q * den, den * d
-    return _qi(re, im, den)
+_set_n, _set_ma, _set_mb, _set_md = (
+    getattr(GaussianMatrix, f).__set__ for f in GaussianMatrix.__slots__
+)
+
+
+def _matrix(n: int, a: Tuple[int, ...], b: Tuple[int, ...], d: int) -> GaussianMatrix:
+    """The matrix with numerators a, b over d > 0, reduced by the common gcd."""
+    if d != 1:
+        g = gcd(d, *a, *b)
+        if g != 1:
+            a, b, d = tuple(x // g for x in a), tuple(x // g for x in b), d // g
+    m = object.__new__(GaussianMatrix)
+    _set_n(m, n)
+    _set_ma(m, a)
+    _set_mb(m, b)
+    _set_md(m, d)
+    return m
+
+
+def sorted_matrices(matrices: Iterable[GaussianMatrix]) -> List[GaussianMatrix]:
+    """The matrices in their entries' (re, im) order: keys over the lcm of the denominators."""
+    matrices = list(matrices)
+    den = lcm(*(m.d for m in matrices))
+    return sorted(matrices, key=lambda m: m.sort_key(den))
 
 
 def gauss_jordan(
@@ -360,13 +461,13 @@ def gauss_jordan(
             continue
         a[r], a[piv] = a[piv], a[r]
         inv = inverse(a[r][c])
-        a[r] = [x * inv for x in a[r]]
+        a[r] = [x * inv if x else x for x in a[r]]
         if reduce:
             a[r] = reduce(a[r])
         for i in range(m):
             f = a[i][c]
             if i != r and f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
                 if reduce:
                     a[i] = reduce(a[i])
         pivots.append(c)

@@ -111,8 +111,8 @@ def test_q8_character_table_matches_textbook():
     for row in table.rows:
         vals = []
         for v in row.values:
-            assert v.im == 0
-            vals.append(int(v.re))
+            assert v.b == 0 and v.d == 1
+            vals.append(v.a)
         got.add(tuple(vals))
     assert got == KNOWN_Q8_TABLE
 
@@ -311,8 +311,28 @@ def test_q8_x_q8_table_and_eigen_split_solves(monkeypatch):
     text = "\n".join(" ".join(format_qi(v) for v in row.values) for row in table.rows)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "8b44a977871d0c57d5997e36f46fc9539a2a921cf2ffcada9a3e9d1209c228d1"
-    # trying every lam in F_29 for every unsplit space took 1,305 solves
-    assert len(solves) <= 930
+    # trying every lam in F_29 for every unsplit space took 1,305 solves,
+    # stopping once the eigenspaces fill the basis took 930, and reading the
+    # last eigenvalue of a space off the trace takes 616
+    assert len(solves) <= 616
+
+
+def test_eigen_split_refuses_a_last_eigenvalue_without_a_line(monkeypatch):
+    # Z/2 = {I, -I}: the identity's class sum keeps F_p^2 whole (solves at
+    # lam = 0, 1), then -I's class sum splits it: lam = 0, lam = 1, and the
+    # last line at the trace's eigenvalue -1, the fifth solve
+    nullspace = finite_groups.nullspace
+    calls = []
+
+    def losing_fifth(*args):
+        calls.append(1)
+        return [] if len(calls) == 5 else nullspace(*args)
+
+    g = generate_closure([GaussianMatrix.scalar(2, QI(-1))])
+    monkeypatch.setattr(finite_groups, "nullspace", losing_fifth)
+    with pytest.raises(AssertionError, match="the last eigenvalue of a class-sum matrix has no eigenline"):
+        g.character_table()
+    assert len(calls) == 5
 
 
 def matrix_square_check(table):

@@ -12,6 +12,7 @@ from gspinlab.gaussian import (
     nullspace,
     parse_qi,
     qi_nullspace,
+    sorted_matrices,
 )
 
 # a prime above the Hadamard bound of every minor of the matrices below, so
@@ -55,7 +56,7 @@ def test_arithmetic():
     assert (z * z.inverse()) == QI(1)
     assert QI(0, 1) * QI(0, 1) == QI(-1)
     assert QI(3, -4).conj() == QI(3, 4)
-    assert QI(3, 4).norm2() == 25
+    assert QI(3, 4) * QI(3, 4).conj() == QI(25)
 
 
 def test_sqrt_examples():
@@ -106,8 +107,8 @@ def test_block_diagonal_products_and_order():
         assert d(x, y) * d(u, v) == d(x * u, y * v)
         assert (d(x, y) == d(u, v)) == ((x, y) == (u, v))
     # sorted as the tuples of their blocks, key by key
-    tuple_order = sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-    assert [d(*p) for p in tuple_order] == sorted((d(*p) for p in pairs), key=GaussianMatrix.sort_key)
+    tuple_order = sorted(pairs, key=lambda p: (p[0].sort_key(1), p[1].sort_key(1)))
+    assert [d(*p) for p in tuple_order] == sorted_matrices(d(*p) for p in pairs)
 
 
 def test_nullspace():

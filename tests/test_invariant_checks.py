@@ -1,14 +1,18 @@
 """Invariants of the package source: internal consistency checks must not
 depend on ``assert`` statements, which ``python -O`` strips, no module
 keeps an import it never uses or imports inside a function, no module
-dispatches on ``isinstance(..., tuple)``, and a cold start loads neither
-``dataclasses`` nor ``inspect``."""
+dispatches on ``isinstance(..., tuple)`` or imports ``fractions`` or
+``decimal``, a cold start loads neither ``dataclasses`` nor ``inspect``, and
+cold ``verify-paper`` and ``packets`` runs load neither ``fractions`` nor
+``decimal``."""
 import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gspinlab
 
@@ -60,9 +64,8 @@ def test_no_imports_inside_functions():
     assert found == [], "imports inside functions: " + ", ".join(sorted(set(found)))
 
 
-def test_no_module_imports_dataclasses():
-    # dataclasses pulls in inspect, ast, dis and tokenize, and each decorator
-    # generates and execs its methods at import; records are __slots__ classes
+def _imports_of(names: set) -> list:
+    """Where package modules import any of the top-level modules ``names``."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -73,9 +76,23 @@ def test_no_module_imports_dataclasses():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "dataclasses" for m in modules):
+            if any(m.split(".")[0] in names for m in modules):
                 found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and each decorator
+    # generates and execs its methods at import; records are __slots__ classes
+    found = _imports_of({"dataclasses"})
     assert found == [], "dataclasses imported at: " + ", ".join(found)
+
+
+def test_no_module_imports_fractions_or_decimal():
+    # Q(i) runs on int triples and int matrices; fractions would pull in
+    # decimal at every cold start
+    found = _imports_of({"fractions", "decimal"})
+    assert found == [], "fractions or decimal imported at: " + ", ".join(found)
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
@@ -92,6 +109,26 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     loaded = proc.stdout.split()
     assert "gspinlab.cli" in loaded
     assert [m for m in ("dataclasses", "inspect") if m in loaded] == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify-paper", "--json"], ["packets", "gspin6-klein", "--json"]]
+)
+def test_cold_commands_load_no_fractions_or_decimal(argv):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    code = (
+        "import contextlib, io, sys\n"
+        "import gspinlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = gspinlab.cli.main({argv!r})\n"
+        "print(code, *[m for m in ('fractions', 'decimal') if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_verify_paper_passes_under_optimize():

@@ -2,7 +2,8 @@
 
 A parameter is given by the images of abstract generators w_1..w_k: pairs
 of 2x2 matrices for the GSO4 ambient (modulo the antidiagonal scalar
-kernel), or (scalar, 4x4 matrix) pairs for GSO6 (modulo (z^-2, z)).
+kernel), or (scalar, 4x4 matrix) pairs for GSO6 (modulo (z^-2, z)); the
+image is closed as plain matrices h1 (x) h2 in GL4 or a * Lambda^2 h in GL6.
 
 A twist is a tuple nu = (nu_1, ..., nu_k) of scalars, one per generator,
 and its twisted centralizer space {h : h g_j = nu_j g_j h} is solved
@@ -22,7 +23,8 @@ w(nu) = 1, so a twist that breaks a true relation is dead anyway.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, format_qi, parse_qi, qi_nullspace
@@ -45,13 +47,6 @@ class NotEllipticError(RuntimeError):
 
 class NormalizationError(RuntimeError):
     """A solution line admits no determinant-1 scaling inside Q(i)."""
-
-
-def _first_nonzero(m: GaussianMatrix) -> QI:
-    for k, (x, y) in enumerate(zip(m.a, m.b)):
-        if x or y:
-            return m.entry(*divmod(k, m.n))
-    raise ValueError("zero matrix")
 
 
 def _center_scalars(n: int) -> Tuple[QI, ...]:
@@ -140,11 +135,29 @@ def sl_normalize(h: GaussianMatrix) -> GaussianMatrix:
     raise ValueError(f"unsupported matrix size {n}")
 
 
-class ParameterImage:
-    """Generator images of an elliptic parameter in a similitude quotient.
+def _standard_image(ambient: str, g: tuple) -> GaussianMatrix:
+    """g in its ambient's faithful representation, whose kernel is the scalar kernel.
 
-    Construction checks the generators and closes the projective image in
-    ``__post_init__``, which ``__init__`` calls once the fields are set.
+    GSO4: h1 (x) h2 in GL4, entry [(i,k),(j,l)] = h1[i][j] * h2[k][l].
+    GSO6: a * Lambda^2 h in GL6 on the pairs i < j in lexicographic order,
+    entry [(i,j),(k,l)] = h[i][k] * h[j][l] - h[i][l] * h[j][k].
+    """
+    if ambient == "GSO4":
+        x, y = ([m.row(i) for i in range(2)] for m in g)
+        idx = list(product(range(2), repeat=2))
+        return GaussianMatrix([[x[i][j] * y[k][l] for j, l in idx] for i, k in idx])
+    a, e = g[0], [g[1].row(i) for i in range(4)]
+    pairs = list(combinations(range(4), 2))
+    return GaussianMatrix(
+        [[a * (e[i][k] * e[j][l] - e[i][l] * e[j][k]) for k, l in pairs] for i, j in pairs]
+    )
+
+
+class ParameterImage:
+    """Generator images of an elliptic parameter in GSO4(C) or GSO6(C).
+
+    Construction checks the generators and closes their image (it must be
+    finite) in ``__post_init__``, which ``__init__`` calls once the fields are set.
     """
 
     __slots__ = ("ambient", "generators", "labels")
@@ -197,29 +210,11 @@ class ParameterImage:
             return [[g[0] for g in self.generators], [g[1] for g in self.generators]]
         return [[g[1] for g in self.generators]]
 
-    def projective_canonical(self, g: tuple) -> tuple:
-        """Canonical representative modulo the ambient's scalar kernel."""
-        if self.ambient == "GSO4":
-            h1, h2 = g
-            c = _first_nonzero(h2)
-            return (h1.scale(c), h2.scale(c.inverse()))
-        a, h = g
-        c = _first_nonzero(h)
-        return (a * c * c, h.scale(c.inverse()))
-
     def projective_closure_order(self, cap: int = 4096) -> int:
-        """Order of the image in the projectivized quotient; errors past cap."""
-        if self.ambient == "GSO4":
-            ident = (GaussianMatrix.identity(2), GaussianMatrix.identity(2))
-        else:
-            ident = (QI(1), GaussianMatrix.identity(4))
-        tree, _ = closure_tree(
-            self.projective_canonical(ident),
-            [self.projective_canonical(g) for g in self.generators],
-            lambda x, y: self.projective_canonical((x[0] * y[0], x[1] * y[1])),
-            cap,
-            f"projective image not finite within cap {cap}",
-        )
+        """Order of the image in GSO4(C) or GSO6(C); NotFiniteError past ``cap``."""
+        images = [_standard_image(self.ambient, g) for g in self.generators]
+        message = f"projective image not finite within cap {cap}"
+        tree, _ = closure_tree(GaussianMatrix.identity(images[0].n), images, mul, cap, message)
         return len(tree)
 
     def to_dict(self) -> dict:

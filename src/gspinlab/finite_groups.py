@@ -25,9 +25,9 @@ must hold, and each row must pass the regular-representation cross-check
 independent of the eigen-split.
 
 The mod-p eigen-split runs on the same Gauss-Jordan routine as the Q(i)
-solves (``gaussian.gauss_jordan``), and every closure in the package,
-including projective images and central-character values, is the word tree
-built by ``closure_tree``.
+solves (``gaussian.gauss_jordan``), and every closure in the package is the
+word tree built by ``closure_tree``: groups and parameter images (plain 4x4
+and 6x6 matrices, see ``centralizers``), and central-character values.
 """
 from __future__ import annotations
 
@@ -343,7 +343,8 @@ class CharacterRow:
         self.values = values
 
     def sort_key(self):
-        return (self.degree, tuple(v.sort_key() for v in self.values))
+        # the values are Gaussian integers (d == 1), ordered as (re, im)
+        return (self.degree, tuple((v.a, v.b) for v in self.values))
 
 
 class CharacterTable:

@@ -83,10 +83,6 @@ class QI:
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.d))
 
-    def sort_key(self) -> tuple:
-        """Ordered as (re, im) lexicographically, exactly for any denominators."""
-        return (_rational_key(self.a, self.d), _rational_key(self.b, self.d))
-
     def sqrt(self) -> Optional["QI"]:
         """A square root in Q(i) when one exists: the one with re > 0, or re = 0 and im >= 0.
 
@@ -125,26 +121,6 @@ def _qi(a: int, b: int, d: int) -> QI:
     _set_b(z, b)
     _set_d(z, d)
     return z
-
-
-def _rational_key(a: int, d: int) -> Tuple[int, ...]:
-    """Ints that order as the rationals a/d (d > 0) do, under tuple comparison.
-
-    The continued fraction of a/d with its odd-placed terms negated (a
-    larger odd-placed term makes a smaller number), taken in its expansion
-    of odd length (a last term t >= 2 may be written t - 1, 1). A number
-    whose expansion is a prefix of another's is then the smaller one, as a
-    tuple prefix is. An integer a is (a,).
-    """
-    terms = []
-    while d:
-        q, r = divmod(a, d)
-        terms.append(-q if len(terms) % 2 else q)
-        a, d = d, r
-    if len(terms) % 2 == 0:
-        terms[-1] += 1
-        terms.append(1)
-    return tuple(terms)
 
 
 FOURTH_ROOTS = (QI(1), QI(0, 1), QI(-1), QI(0, -1))
@@ -199,8 +175,11 @@ def parse_qi(s: str) -> QI:
     """Parse strings like '1', '-i', '3/2i', '1/2+1/2i', '2-3i'.
 
     Each part is a ``Fraction`` literal (decimals and exponents too); a bad
-    literal raises ValueError, a zero denominator ZeroDivisionError.
+    literal raises ValueError, a zero denominator ZeroDivisionError, and
+    anything but a string TypeError.
     """
+    if not isinstance(s, str):
+        raise TypeError(f"Gaussian rational literal must be a string, not {type(s).__name__}")
     t = s.strip().replace(" ", "")
     if not t:
         raise ValueError("empty Gaussian rational literal")

@@ -7,6 +7,7 @@ through the generic machinery.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from importlib import resources
 from typing import List, Tuple
 
@@ -17,7 +18,9 @@ from .morphisms import RootDatumMap
 from .root_datum import BasedRootDatum
 
 
+@lru_cache(maxsize=None)
 def _read(name: str) -> dict:
+    """The data file ``name``, parsed once per process and shared: callers only read it."""
     ref = resources.files("gspinlab.data").joinpath(name)
     return json.loads(ref.read_text("utf-8"))
 
@@ -54,7 +57,7 @@ def witness_names() -> List[str]:
 
 
 def witness(name: str) -> dict:
-    """Raw witness record; see ``witness_parameter``/``witness_generators``."""
+    """Raw witness record (shared, read-only); see ``witness_parameter``/``witness_generators``."""
     data = _read("witnesses.json")
     if name not in data:
         raise KeyError(f"unknown witness preset {name!r}")

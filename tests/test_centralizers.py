@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import permutations, product
 
 import pytest
 
@@ -15,8 +16,8 @@ from gspinlab.centralizers import (
     twisted_centralizer_space,
     verify_extension,
 )
-from gspinlab.finite_groups import FiniteMatrixGroup, NotFiniteError, group_id
-from gspinlab.gaussian import QI, GaussianMatrix
+from gspinlab.finite_groups import FiniteMatrixGroup, NotFiniteError, closure_tree, group_id
+from gspinlab.gaussian import FOURTH_ROOTS, QI, GaussianMatrix, parse_qi
 
 A = GaussianMatrix.from_strings([["i", "0"], ["0", "-i"]])
 B = GaussianMatrix.from_strings([["0", "1"], ["-1", "0"]])
@@ -251,6 +252,109 @@ def test_projective_closure_orders():
     # image there is twice the projective-linear image of order 16
     phi6 = presets.witness_parameter("cyclic_quartic_gso6")
     assert phi6.projective_closure_order() == 32
+
+
+# The canonical-form closure that ``projective_closure_order`` replaced: each
+# pair is reduced modulo the ambient's scalar kernel, {(c, c^-1)} or
+# {(z^-2, z)}, by making the first nonzero entry of its matrix 1.
+def _oracle_canonical(ambient, g):
+    m = g[1]
+    c = next(m.entry(*divmod(k, m.n)) for k, (x, y) in enumerate(zip(m.a, m.b)) if x or y)
+    if ambient == "GSO4":
+        return (g[0].scale(c), m.scale(c.inverse()))
+    return (g[0] * c * c, m.scale(c.inverse()))
+
+
+def _oracle_closure(ambient, generators, cap=4096):
+    """The order of the image, or the refusal message."""
+    if ambient == "GSO4":
+        ident = (I2, I2)
+    else:
+        ident = (ONE, GaussianMatrix.identity(4))
+    try:
+        tree, _ = closure_tree(
+            _oracle_canonical(ambient, ident),
+            [_oracle_canonical(ambient, g) for g in generators],
+            lambda x, y: _oracle_canonical(ambient, (x[0] * y[0], x[1] * y[1])),
+            cap,
+            f"projective image not finite within cap {cap}",
+        )
+    except NotFiniteError as exc:
+        return str(exc)
+    return len(tree)
+
+
+NON_UNITS = tuple(map(parse_qi, ("2", "1+i", "1/2", "-3i")))
+# a binary tetrahedral element (denominator 2), one of order 6 and a unipotent
+SPECIAL_2X2 = tuple(
+    GaussianMatrix.from_strings(m)
+    for m in (
+        [["-1/2-1/2i", "-1/2-1/2i"], ["1/2-1/2i", "-1/2+1/2i"]],
+        [["0", "-1"], ["1", "1"]],
+        [["1", "1"], ["0", "1"]],
+    )
+)
+
+
+def _random_entry(rng):
+    return rng.choice(NON_UNITS) if rng.random() < 0.04 else rng.choice(FOURTH_ROOTS)
+
+
+def _random_2x2(rng):
+    if rng.random() < 0.25:
+        return rng.choice(SPECIAL_2X2).scale(rng.choice(FOURTH_ROOTS))
+    a, b, z = _random_entry(rng), _random_entry(rng), QI(0)
+    return GaussianMatrix([[a, z], [z, b]] if rng.random() < 0.5 else [[z, a], [b, z]])
+
+
+def _random_4x4(rng):
+    if rng.random() < 0.3:
+        return GaussianMatrix.block_diagonal(_random_2x2(rng), _random_2x2(rng))
+    perm = rng.choice(list(permutations(range(4))))
+    e = [_random_entry(rng) for _ in range(4)]
+    return GaussianMatrix([[e[r] if c == perm[r] else QI(0) for c in range(4)] for r in range(4)])
+
+
+def _random_generators(rng, ambient):
+    """One or two generators, each moved by a kernel element (c, c^-1) or (c^-2, c)."""
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        c = rng.choice(NON_UNITS) if rng.random() < 0.3 else ONE
+        if ambient == "GSO4":
+            x = _random_2x2(rng)
+            y = x if rng.random() < 0.3 else _random_2x2(rng)
+            gens.append((x.scale(c), y.scale(c.inverse())))
+        else:
+            gens.append((_random_entry(rng) * c.inverse() * c.inverse(), _random_4x4(rng).scale(c)))
+    return tuple(gens)
+
+
+def test_projective_closure_matches_canonical_form_oracle():
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(12):
+        for ambient in ("GSO4", "GSO6"):
+            gens = _random_generators(rng, ambient)
+            expected = _oracle_closure(ambient, gens)
+            try:
+                phi = ParameterImage(ambient, gens)
+            except NotFiniteError as exc:
+                assert str(exc) == expected, gens
+                seen.add((ambient, "refused"))
+                continue
+            order = phi.projective_closure_order()
+            assert order == expected, gens
+            seen.add((ambient, "finite"))
+            if any(isinstance(m, GaussianMatrix) and m.d > 1 for g in gens for m in g):
+                seen.add((ambient, "denominator"))
+            if 1 < order <= 512:
+                # both refuse once the cap falls one short of the order
+                with pytest.raises(NotFiniteError) as err:
+                    phi.projective_closure_order(order - 1)
+                assert str(err.value) == _oracle_closure(ambient, gens, order - 1)
+    assert seen == {
+        (a, kind) for a in ("GSO4", "GSO6") for kind in ("refused", "finite", "denominator")
+    }
 
 
 def test_parameter_json_roundtrip():

@@ -209,6 +209,23 @@ def test_verify_paper_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_run_catalogue_parses_each_data_file_once(monkeypatch):
+    from gspinlab.verify import run_catalogue
+
+    parsed = []
+    loads = json.loads
+
+    def counting(text, *args, **kwargs):
+        parsed.append(text)
+        return loads(text, *args, **kwargs)
+
+    presets._read.cache_clear()
+    monkeypatch.setattr(json, "loads", counting)
+    assert all(item.ok for item in run_catalogue())
+    # root data, maps, sequences, witnesses and realizations, each parsed once
+    assert len(parsed) == len(set(parsed)) == 5
+
+
 def test_verify_paper_fault_injection(capsys, monkeypatch):
     import gspinlab.verify as verify_mod
 
@@ -232,6 +249,13 @@ def test_exit_codes_for_malformed_inputs(tmp_path, capsys):
         "generators": '{"generators": [5]}',
         "parameter": '{"ambient": "GSO4", "generators": [5]}',
         "short-pair": '{"ambient": "GSO4", "generators": [[["1"]]]}',
+        # Q(i) entries must be strings
+        "int-entry": '{"generators": [[["1", 2], ["0", "1"]]]}',
+        "int-entry-gso4": '{"ambient": "GSO4", "generators": '
+        '[[[["1", "0"], ["0", 1]], [["1", "0"], ["0", "1"]]]]}',
+        "list-scalar-gso6": '{"ambient": "GSO6", "generators": [[["1"], '
+        '[["1", "0", "0", "0"], ["0", "1", "0", "0"], '
+        '["0", "0", "1", "0"], ["0", "0", "0", "1"]]]]}',
         "scenario": '{"family": "GSpin6", "i_sl4": 5, "p": 3}',
         "maps": '{"maps": 5}',
         # entries that int() would silently turn into 1 or 2
@@ -259,6 +283,9 @@ def test_exit_codes_for_malformed_inputs(tmp_path, capsys):
         ["group", "id", "--file", str(bad["generators"])],
         ["params", str(bad["parameter"])],
         ["params", str(bad["short-pair"])],
+        ["group", "gen", "--file", str(bad["int-entry"])],
+        ["params", str(bad["int-entry-gso4"])],
+        ["params", str(bad["list-scalar-gso6"])],
         ["packets", str(bad["scenario"])],
         ["exact", str(bad["maps"])],
         ["exact", str(bad["float-entry"])],

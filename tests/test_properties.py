@@ -76,9 +76,9 @@ GSO6_PARAMETERS = st.integers(1, 3).flatmap(
 )
 
 
-# each draw first closes its projective image (up to 4,096 pairs of 4x4
-# matrices), which is most of the time; 25 draws keep the test near 5 s
-@settings(derandomize=True, deadline=None, max_examples=25)
+# each draw first closes its image in GSO6(C) as 6x6 matrices a * Lambda^2 h
+# (up to 4,096 of them), which is most of the time
+@settings(derandomize=True, deadline=None, max_examples=40)
 @given(GSO6_PARAMETERS)
 def test_monomial_gso6_extension_and_central_characters(generators):
     try:

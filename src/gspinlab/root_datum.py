@@ -11,7 +11,16 @@ The full root set is generated on demand by reflection closure with a hard
 cap; a datum whose closure does not terminate below the cap is rejected,
 which also rules out non-finite-type Cartan data. A reflection s_a with
 <b, a^> = 0 fixes b, so the closure builds no vectors for it; it only checks
-that the coroot side agrees (<a, b^> = 0 as well).
+that the coroot side agrees (<a, b^> = 0 as well). Each root in the closure
+carries its pairings with the simple coroots, and each coroot its pairings
+with the simple roots, so a reflection updates them with one row or column
+of the Cartan matrix instead of pairing over the whole rank.
+
+Validation decides that the simple roots and coroots are independent on
+the Cartan matrix C = A^T B (A, B with the simple roots, coroots as
+columns): C has rank at most min(rank A, rank B), so det C != 0 proves both
+families independent. Only when det C = 0 (never for finite type) does it
+fall back to the Smith-form rank of A and of B.
 """
 from __future__ import annotations
 
@@ -70,6 +79,12 @@ class BasedRootDatum:
         raise AttributeError("BasedRootDatum is immutable")
 
     def _validate(self):
+        """Raise ValueError unless this is a based root datum of finite type.
+
+        Independence of the simple roots and of the simple coroots is read
+        off det C of the Cartan matrix; the two Smith-form ranks run only
+        when det C = 0, to say which family is dependent, if either is.
+        """
         if self.rank < 0:
             raise ValueError("negative rank")
         if len(self.simple_roots) != len(self.simple_coroots):
@@ -90,11 +105,12 @@ class BasedRootDatum:
                         raise ValueError("positive off-diagonal Cartan entry")
                     if (c[i][j] == 0) != (c[j][i] == 0):
                         raise ValueError("Cartan zero pattern is not symmetric")
-        if n and matrix_rank(IntMatrix.from_columns(self.simple_roots, rows=self.rank)) != n:
-            raise ValueError("simple roots are linearly dependent")
-        if n and matrix_rank(IntMatrix.from_columns(self.simple_coroots, rows=self.rank)) != n:
-            raise ValueError("simple coroots are linearly dependent")
-        self.roots()  # raises when the reflection closure is not finite
+        if n and not IntMatrix(c).det():
+            if matrix_rank(IntMatrix.from_columns(self.simple_roots, rows=self.rank)) != n:
+                raise ValueError("simple roots are linearly dependent")
+            if matrix_rank(IntMatrix.from_columns(self.simple_coroots, rows=self.rank)) != n:
+                raise ValueError("simple coroots are linearly dependent")
+        self._closure(c, ROOT_CLOSURE_CAP)  # raises when it is not finite
 
     def cartan_matrix(self) -> List[List[int]]:
         """Entries <alpha_i, alpha_j^>."""
@@ -104,19 +120,33 @@ class BasedRootDatum:
         ]
 
     def pairing(self, x: Sequence[int], y: Sequence[int]) -> int:
+        if len(x) != self.rank:
+            raise ValueError("character length does not match rank")
+        if len(y) != self.rank:
+            raise ValueError("cocharacter length does not match rank")
         return _dot(x, y)
 
     def roots(self, cap: int = ROOT_CLOSURE_CAP) -> Tuple[Tuple[Vector, Vector], ...]:
         """All (root, coroot) pairs, by reflection closure of the simple ones."""
-        simple = list(zip(self.simple_roots, self.simple_coroots))
-        seen: Dict[Vector, Vector] = dict(simple)
+        return self._closure(self.cartan_matrix(), cap)
+
+    def _closure(
+        self, c: List[List[int]], cap: int
+    ) -> Tuple[Tuple[Vector, Vector], ...]:
+        """Reflection closure, with pairings read from the Cartan matrix c.
+
+        A frontier entry (b, bv, p, q) has p_j = <b, alpha_j^> and
+        q_j = <alpha_j, bv>; s_j subtracts k = p_j times row j of c from p
+        and kv = q_j times column j from q.
+        """
+        simple = list(zip(self.simple_roots, self.simple_coroots, c, zip(*c)))
+        seen: Dict[Vector, Vector] = {a: av for a, av, _, _ in simple}
         frontier = simple
         while frontier:
             new = []
-            for b, bv in frontier:
-                for a, av in simple:
-                    k = _dot(b, av)
-                    kv = _dot(a, bv)
+            for b, bv, p, q in frontier:
+                for j, (a, av, row, col) in enumerate(simple):
+                    k, kv = p[j], q[j]
                     if not k:
                         # s_a fixes b, so its coroot must stay bv
                         if kv:
@@ -126,7 +156,9 @@ class BasedRootDatum:
                     rbv = tuple([x - kv * y for x, y in zip(bv, av)])
                     if rb not in seen:
                         seen[rb] = rbv
-                        new.append((rb, rbv))
+                        p2 = [x - k * y for x, y in zip(p, row)]
+                        q2 = [x - kv * y for x, y in zip(q, col)]
+                        new.append((rb, rbv, p2, q2))
                     elif seen[rb] != rbv:
                         raise ValueError("inconsistent root/coroot reflection closure")
             frontier = new
@@ -201,8 +233,8 @@ def pgl_datum(n: int) -> BasedRootDatum:
     """PGL_n, the dual datum of SL_n."""
     if n < 1:
         raise ValueError("pgl_datum requires n >= 1")
-    d = sl_datum(n).dual()
-    return BasedRootDatum(d.rank, d.simple_roots, d.simple_coroots, label=f"PGL{n}")
+    coroots = [[1 if j == i else 0 for j in range(n - 1)] for i in range(n - 1)]
+    return BasedRootDatum(n - 1, coroots, _type_a_cartan(n - 1), label=f"PGL{n}")
 
 
 def gspin_datum(n: int) -> BasedRootDatum:
@@ -339,9 +371,9 @@ def central_torus_quotient_datum(
     Dual to taking the kernel of a similitude character: characters become
     the orthogonal complement of y, cocharacters X^ / Z*y.
     """
-    out = similitude_kernel_datum(d.dual(), y).dual()
+    k = similitude_kernel_datum(d.dual(), y)
     return BasedRootDatum(
-        out.rank, out.simple_roots, out.simple_coroots, label=label or f"({d.label})/GL1"
+        k.rank, k.simple_coroots, k.simple_roots, label=label or f"({d.label})/GL1"
     )
 
 
@@ -370,6 +402,8 @@ def dual_sc_center(d: BasedRootDatum) -> AbelianGroupStructure:
 def is_central_cocharacter_of_order_two(d: BasedRootDatum, y: Sequence[int]) -> bool:
     """Does y(-1) define a central element of exact order 2?"""
     y = tuple(int(x) for x in y)
+    if len(y) != d.rank:
+        raise ValueError("cocharacter length does not match rank")
     evenly = all(_dot(a, y) % 2 == 0 for a, _ in d.roots())
     nontrivial = any(x % 2 for x in y)
     return evenly and nontrivial

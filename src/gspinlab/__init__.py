@@ -4,7 +4,6 @@ from .lattice import (
     AbelianGroupStructure,
     IntMatrix,
     cokernel_structure,
-    inverse_unimodular,
     kernel_basis,
     smith_normal_form,
     solve_integral,

@@ -230,7 +230,7 @@ def _load_group_generators(args) -> List[GaussianMatrix]:
     data = _read_json_file(args.file)
     try:
         return [GaussianMatrix.from_strings(gm) for gm in data["generators"]]
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad group file {args.file}: {exc}")
 
 
@@ -278,7 +278,7 @@ def _load_parameter(arg: str) -> ParameterImage:
         data = _read_json_file(arg)
         try:
             return ParameterImage.from_dict(data)
-        except (LookupError, TypeError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad parameter file {arg}: {exc}")
     try:
         return presets.witness_parameter(arg)

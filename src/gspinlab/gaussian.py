@@ -240,6 +240,8 @@ class GaussianMatrix:
 
     def __new__(cls, data: Sequence[Sequence[QI]]):
         n = len(data)
+        if not n:
+            raise ValueError("GaussianMatrix must be at least 1x1, got a 0x0 matrix")
         if any(len(row) != n for row in data):
             raise ValueError("GaussianMatrix must be square")
         cells = [x for row in data for x in row]

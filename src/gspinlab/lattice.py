@@ -373,14 +373,3 @@ def solve_integral(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
             return None
     return v.apply(y)
 
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix: U m V = 1 gives m^-1 = V U."""
-    if m.rows != m.cols:
-        raise ValueError("inverse of a non-square matrix")
-    if m.det() not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    u, d, v = smith_normal_form(m)
-    if any(x != 1 for x in diagonal_of(d)):
-        raise AssertionError("Smith normal form of a unimodular matrix is not the identity")
-    return v * u

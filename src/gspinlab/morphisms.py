@@ -236,17 +236,13 @@ def search_isomorphisms(
 _DUAL_CASES = {
     "GSpin4": {
         "spin_rank": 2,
-        "ambient_label": "GL2xGL2",
         "similitude_char": (1, 1, -1, -1),
         "kernel_cochar": (-1, -1, 1, 1),
-        "expected_sc_center": (2, 2),
     },
     "GSpin6": {
         "spin_rank": 3,
-        "ambient_label": "GL1xGL4",
         "similitude_char": (-2, 1, 1, 1, 1),
         "kernel_cochar": (-2, 1, 1, 1, 1),
-        "expected_sc_center": (4,),
     },
 }
 

@@ -24,7 +24,6 @@ fall back to the Smith-form rank of A and of B.
 """
 from __future__ import annotations
 
-from math import gcd
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
@@ -32,7 +31,7 @@ from .lattice import (
     AbelianGroupStructure,
     IntMatrix,
     cokernel_structure,
-    inverse_unimodular,
+    diagonal_of,
     kernel_basis,
     matrix_rank,
     smith_normal_form,
@@ -273,42 +272,53 @@ def product_datum(d1: BasedRootDatum, d2: BasedRootDatum) -> BasedRootDatum:
     return BasedRootDatum(r1 + r2, roots, coroots, label=label)
 
 
+def _restricted(
+    c: IntMatrix, inner: Sequence[Vector], outer: Sequence[Vector], refusal: str
+) -> Tuple[List[Vector], List[Vector]]:
+    """Restrict one side to the sublattice spanned by the columns of c.
+
+    Each inner v is read as the u with c u = v (ValueError(refusal) if there
+    is none), each outer w maps to c^T w: <c u, w> = <u, c^T w>.
+    """
+    read = []
+    for v in inner:
+        u = solve_integral(c, v)
+        if u is None:
+            raise ValueError(refusal)
+        read.append(u)
+    ct = c.transpose()
+    return read, [ct.apply(w) for w in outer]
+
+
+def _complement_restricted(
+    v: Sequence[int], rank: int, inner: Sequence[Vector], outer: Sequence[Vector]
+) -> Tuple[List[Vector], List[Vector]]:
+    """``_restricted`` to v^perp, for a primitive v (read off the row's Smith form)."""
+    if len(v) != rank:
+        raise ValueError("character length does not match rank")
+    row = IntMatrix([v], cols=rank)
+    g = sum(diagonal_of(smith_normal_form(row)[1]))  # gcd of v; 0 when v = 0
+    if g == 0:
+        raise ValueError("similitude character must be nonzero")
+    if g != 1:
+        raise ValueError("similitude character must be a lattice direct-summand generator")
+    return _restricted(
+        kernel_basis(row), inner, outer,
+        "similitude character must be central (pair to 0 with coroots)",
+    )
+
+
 def similitude_kernel_datum(
     d: BasedRootDatum, chi: Sequence[int], label: str = ""
 ) -> BasedRootDatum:
     """Datum of the kernel of a central character chi of d.
 
-    Characters become X / Z*chi, cocharacters the orthogonal complement of
-    chi; both are re-expressed in a Smith basis so the standard pairing is
-    preserved. chi must be primitive and pair to zero with every coroot.
+    Cocharacters become the orthogonal complement of chi, read in a basis C
+    of it; characters become X / Z*chi, mapped by C^T. chi must be
+    primitive and pair to zero with every coroot.
     """
-    chi = tuple(int(x) for x in chi)
-    if len(chi) != d.rank:
-        raise ValueError("character length does not match rank")
-    g = 0
-    for x in chi:
-        g = gcd(g, x)
-    if g == 0:
-        raise ValueError("similitude character must be nonzero")
-    if g != 1:
-        raise ValueError("similitude character must be a lattice direct-summand generator")
-    for av in d.simple_coroots:
-        if _dot(chi, av):
-            raise ValueError("similitude character must be central (pair to 0 with coroots)")
-    u, dd, _ = smith_normal_form(IntMatrix.column(chi))
-    if dd.entry(0, 0) != 1:
-        raise AssertionError("similitude character does not split off a basis vector")
-    uinv_t = inverse_unimodular(u).transpose()
-    new_roots = [u.apply(a)[1:] for a in d.simple_roots]
-    new_coroots = []
-    for av in d.simple_coroots:
-        w = uinv_t.apply(av)
-        if w[0] != 0:
-            raise AssertionError("coroot leaves the kernel of the similitude character")
-        new_coroots.append(w[1:])
-    return BasedRootDatum(
-        d.rank - 1, new_roots, new_coroots, label=label or f"ker-chi({d.label})"
-    )
+    coroots, roots = _complement_restricted(chi, d.rank, d.simple_coroots, d.simple_roots)
+    return BasedRootDatum(d.rank - 1, roots, coroots, label=label or f"ker-chi({d.label})")
 
 
 def central_quotient_datum(
@@ -347,20 +357,13 @@ def central_quotient_datum(
     kern = kernel_basis(IntMatrix(rows, cols=r + k))
     if kern.cols != r:
         raise ValueError("degenerate central subgroup data")
-    basis_cols = [kern.col(j)[:r] for j in range(kern.cols)]
-    c = IntMatrix.from_columns(basis_cols, rows=r)
-    det_c = abs(c.det())
-    if det_c == 0:
+    c = IntMatrix(kern.to_rows()[:r], cols=r)
+    if not c.det():
         raise ValueError("character sublattice is degenerate")
-    ct = c.transpose()
-    new_roots = []
-    for a in d.simple_roots:
-        sol = solve_integral(c, a)
-        if sol is None:
-            raise ValueError("root does not survive the central quotient")
-        new_roots.append(sol)
-    new_coroots = [ct.apply(av) for av in d.simple_coroots]
-    return BasedRootDatum(r, new_roots, new_coroots, label=label or f"({d.label})/Z")
+    roots, coroots = _restricted(
+        c, d.simple_roots, d.simple_coroots, "root does not survive the central quotient"
+    )
+    return BasedRootDatum(r, roots, coroots, label=label or f"({d.label})/Z")
 
 
 def central_torus_quotient_datum(
@@ -368,13 +371,11 @@ def central_torus_quotient_datum(
 ) -> BasedRootDatum:
     """Quotient of d by the central one-parameter subgroup with cocharacter y.
 
-    Dual to taking the kernel of a similitude character: characters become
-    the orthogonal complement of y, cocharacters X^ / Z*y.
+    Mirror of the similitude kernel: characters become the complement of y,
+    read in a basis C of it, and cocharacters X^ / Z*y, mapped by C^T.
     """
-    k = similitude_kernel_datum(d.dual(), y)
-    return BasedRootDatum(
-        k.rank, k.simple_coroots, k.simple_roots, label=label or f"({d.label})/GL1"
-    )
+    roots, coroots = _complement_restricted(y, d.rank, d.simple_roots, d.simple_coroots)
+    return BasedRootDatum(d.rank - 1, roots, coroots, label=label or f"({d.label})/GL1")
 
 
 def center_structure(d: BasedRootDatum) -> AbelianGroupStructure:
@@ -404,7 +405,8 @@ def is_central_cocharacter_of_order_two(d: BasedRootDatum, y: Sequence[int]) -> 
     y = tuple(int(x) for x in y)
     if len(y) != d.rank:
         raise ValueError("cocharacter length does not match rank")
-    evenly = all(_dot(a, y) % 2 == 0 for a, _ in d.roots())
+    # the simple roots span the root lattice, so they decide evenness
+    evenly = all(_dot(a, y) % 2 == 0 for a in d.simple_roots)
     nontrivial = any(x % 2 for x in y)
     return evenly and nontrivial
 

@@ -348,6 +348,30 @@ def test_exit_codes_for_malformed_inputs(tmp_path, capsys):
         assert out == ""
 
 
+
+def test_zero_denominator_and_empty_matrix_are_input_errors(tmp_path, capsys):
+    one = [["1", "0"], ["0", "1"]]
+    files = {
+        "group-zero": {"generators": [[["1/0", "0"], ["0", "1"]]]},
+        "group-empty": {"generators": [[]]},
+        "param-zero": {"ambient": "GSO4", "generators": [[[["1/0", "0"], ["0", "1"]], one]]},
+        "param-empty": {"ambient": "GSO4", "generators": [[[], one]]},
+        "param6-empty": {"ambient": "GSO6", "generators": [["1", []]]},
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+    empty = "GaussianMatrix must be at least 1x1, got a 0x0 matrix"
+    for argv, reason in (
+        (["group", "gen", "--file", "group-zero.json"], "bad group file {}: Fraction(1, 0)"),
+        (["group", "id", "--file", "group-empty.json"], "bad group file {}: " + empty),
+        (["params", "param-zero.json"], "bad parameter file {}: Fraction(1, 0)"),
+        (["params", "param-empty.json"], "bad parameter file {}: " + empty),
+        (["params", "param6-empty.json"], "bad parameter file {}: " + empty),
+    ):
+        path = str(tmp_path / argv[-1])
+        code, out, err = run(capsys, *argv[:-1], path)
+        assert (code, out, err) == (2, "", f"input error: {reason.format(path)}\n"), argv
+
 def test_verify_paper_json(capsys):
     code, out, _ = run(capsys, "verify-paper", "--json")
     assert code == 0

@@ -87,6 +87,10 @@ def test_matrix_inverse_and_det():
     assert sing.det() == QI(0)
     with pytest.raises(ZeroDivisionError):
         sing.inverse()
+    with pytest.raises(ValueError, match="^GaussianMatrix must be at least 1x1, got a 0x0 matrix$"):
+        GaussianMatrix.from_strings([])
+    with pytest.raises(ValueError, match="^GaussianMatrix must be square$"):
+        GaussianMatrix.from_strings([[]])
 
 
 def test_block_diagonal_products_and_order():

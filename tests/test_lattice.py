@@ -11,7 +11,6 @@ from gspinlab.lattice import (
     AbelianGroupStructure,
     IntMatrix,
     cokernel_structure,
-    inverse_unimodular,
     kernel_basis,
     smith_normal_form,
     solve_integral,
@@ -187,14 +186,6 @@ def test_solve_integral_roundtrip():
 
 def test_solve_integral_unsolvable():
     assert solve_integral(IntMatrix([[2]]), [1]) is None
-
-
-def test_inverse_unimodular():
-    m = IntMatrix([[0, 0, -1], [0, -1, 0], [-1, 1, 1]])
-    inv = inverse_unimodular(m)
-    assert m * inv == IntMatrix.identity(3)
-    with pytest.raises(ValueError):
-        inverse_unimodular(IntMatrix([[2, 0], [0, 1]]))
 
 
 def test_abelian_structure_validation():

@@ -1,4 +1,7 @@
+import itertools
 import random
+import re
+from math import gcd
 
 import pytest
 
@@ -502,3 +505,114 @@ def test_cocharacter_of_wrong_length_is_refused():
         with pytest.raises(ValueError, match="^character length does not match rank$"):
             d.pairing(y, (1, 0, 0))
     assert d.pairing((0, 1, 1), (-1, 1, 1)) == 2
+
+
+def test_derived_constructors_validate_once(monkeypatch):
+    calls = []
+    validate = BasedRootDatum._validate
+
+    def counting(self):
+        calls.append(self.label)
+        return validate(self)
+
+    gl22, gl14 = presets.datum("GL2xGL2"), presets.datum("GL1xGL4")
+    gl14_dual = gl14.dual()
+    amb = product_datum(gl_datum(1), product_datum(sl_datum(2), sl_datum(2)))
+    monkeypatch.setattr(BasedRootDatum, "_validate", counting)
+    for build in (
+        lambda: similitude_kernel_datum(gl22, (1, 1, -1, -1)),
+        lambda: similitude_kernel_datum(gl14, (-2, 1, 1, 1, 1)),
+        lambda: central_quotient_datum(amb, [((1, 1, 1), 2)]),
+        lambda: central_torus_quotient_datum(gl22, (-1, -1, 1, 1)),
+        lambda: central_torus_quotient_datum(gl14_dual, (-2, 1, 1, 1, 1)),
+    ):
+        calls.clear()
+        label = build().label
+        assert calls == [label]
+
+
+def _random_central(rng, vectors, rank):
+    """A random primitive vector orthogonal to all of ``vectors``, or None."""
+    perp = kernel_basis(IntMatrix(vectors, cols=rank)) if vectors else IntMatrix.identity(rank)
+    if not perp.cols:
+        return None
+    while True:
+        coeffs = [rng.randint(-3, 3) for _ in range(perp.cols)]
+        v = perp.apply(coeffs)
+        g = gcd(*v)
+        if g:
+            return tuple(x // g for x in v)
+
+
+def test_derived_data_property():
+    rng = random.Random(1601)
+    makers = [gl_datum, gl_datum, sl_datum, gspin_datum]
+    checked = 0
+    for _ in range(120):
+        d = BasedRootDatum(0, [], [], label="pt")
+        for _ in range(rng.randint(1, 3)):
+            make = rng.choice(makers)
+            d = product_datum(d, make(rng.randint(1 if make is gl_datum else 2, 3)))
+        chi = _random_central(rng, d.simple_coroots, d.rank)
+        y = _random_central(rng, d.simple_roots, d.rank)
+        if chi is None:
+            assert y is None  # both complements have rank r - |Delta|
+            continue
+        ker = similitude_kernel_datum(d, chi)
+        quo = central_torus_quotient_datum(d, y)
+        for derived in (ker, quo):
+            assert derived.rank == d.rank - 1
+            assert derived.cartan_matrix() == d.cartan_matrix()
+        # X / (Z chi + Z R) is the character group of the center of ker chi
+        assert center_structure(ker) == lattice.cokernel_structure(
+            IntMatrix.from_columns([chi, *d.simple_roots])
+        )
+        assert center_structure(quo.dual()) == lattice.cokernel_structure(
+            IntMatrix.from_columns([y, *d.simple_coroots])
+        )
+        assert quo == similitude_kernel_datum(d.dual(), y).dual()
+        checked += 1
+    assert checked == 105
+
+
+@pytest.mark.parametrize("build", [similitude_kernel_datum, central_torus_quotient_datum])
+def test_kernel_refusals_in_order(build):
+    d = presets.datum("GL2xGL2")
+    length = "^character length does not match rank$"
+    nonzero = "^similitude character must be nonzero$"
+    primitive = "^similitude character must be a lattice direct-summand generator$"
+    central = re.escape("similitude character must be central (pair to 0 with coroots)")
+    for v, message in (
+        ((0, 0, 0), length),
+        ((1, 1, -1, -1, 0), length),
+        ((0, 0, 0, 0), nonzero),
+        ((2, 0, 0, 0), primitive),  # neither primitive nor central
+        ((2, 2, -2, -2), primitive),
+        ((1, 0, 0, 0), central),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build(d, v)
+    with pytest.raises(ValueError, match=nonzero):
+        build(BasedRootDatum(0, [], [], label="pt"), ())
+
+
+def test_order_two_cocharacter_reads_only_simple_roots(monkeypatch):
+    data = [presets.datum(name) for name in presets.datum_names()]
+    data += [gspin_datum(2), gspin_datum(3)]
+    cases = 0
+    for d in data:
+        if d.rank > 5:
+            continue
+        roots = [a for a, _ in d.roots()]
+        for y in itertools.product(range(-2, 3), repeat=d.rank):
+            by_closure = all(dot(a, y) % 2 == 0 for a in roots) and any(x % 2 for x in y)
+            assert is_central_cocharacter_of_order_two(d, y) == by_closure, (d.label, y)
+            cases += 1
+    assert cases == 6155
+
+    def no_closure(self, cap=ROOT_CLOSURE_CAP):
+        raise RuntimeError("the reflection closure is not needed")
+
+    monkeypatch.setattr(BasedRootDatum, "roots", no_closure)
+    assert is_central_cocharacter_of_order_two(gspin_datum(3), (1, 0, 0, 0))
+    assert not is_central_cocharacter_of_order_two(gspin_datum(3), (0, 1, 0, 0))

@@ -27,7 +27,15 @@ from itertools import combinations, product
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, format_qi, parse_qi, qi_nullspace
+from .gaussian import (
+    FOURTH_ROOTS,
+    QI,
+    GaussianMatrix,
+    _matrix,
+    format_qi,
+    parse_qi,
+    qi_nullspace,
+)
 from .finite_groups import (
     GROUP_ID_MAX_ORDER,
     FiniteMatrixGroup,
@@ -135,22 +143,42 @@ def sl_normalize(h: GaussianMatrix) -> GaussianMatrix:
     raise ValueError(f"unsupported matrix size {n}")
 
 
+_TENSOR_ROWS = tuple(product(range(2), repeat=2))
+_WEDGE_ROWS = tuple(combinations(range(4), 2))
+
+
 def _standard_image(ambient: str, g: tuple) -> GaussianMatrix:
     """g in its ambient's faithful representation, whose kernel is the scalar kernel.
 
     GSO4: h1 (x) h2 in GL4, entry [(i,k),(j,l)] = h1[i][j] * h2[k][l].
     GSO6: a * Lambda^2 h in GL6 on the pairs i < j in lexicographic order,
     entry [(i,j),(k,l)] = h[i][k] * h[j][l] - h[i][l] * h[j][k].
+    Both are formed on the Z[i] numerators over the product of the
+    denominators; a 2x2 minor skips each product with a zero factor.
     """
     if ambient == "GSO4":
-        x, y = ([m.row(i) for i in range(2)] for m in g)
-        idx = list(product(range(2), repeat=2))
-        return GaussianMatrix([[x[i][j] * y[k][l] for j, l in idx] for i, k in idx])
-    a, e = g[0], [g[1].row(i) for i in range(4)]
-    pairs = list(combinations(range(4), 2))
-    return GaussianMatrix(
-        [[a * (e[i][k] * e[j][l] - e[i][l] * e[j][k]) for k, l in pairs] for i, j in pairs]
-    )
+        x, y = g
+        real, imag = [], []
+        for i, k in _TENSOR_ROWS:
+            for j, l in _TENSOR_ROWS:
+                p, q, c, e = x.a[2 * i + j], x.b[2 * i + j], y.a[2 * k + l], y.b[2 * k + l]
+                real.append(p * c - q * e)
+                imag.append(p * e + q * c)
+        return _matrix(4, tuple(real), tuple(imag), x.d * y.d)
+    z, h = g
+    ha, hb = h.a, h.b
+    real, imag = [], []
+    for i, j in _WEDGE_ROWS:
+        for k, l in _WEDGE_ROWS:
+            mr = mi = 0
+            for s, t, sign in ((4 * i + k, 4 * j + l, 1), (4 * i + l, 4 * j + k, -1)):
+                p, q, c, e = ha[s], hb[s], ha[t], hb[t]
+                if (p or q) and (c or e):
+                    mr += sign * (p * c - q * e)
+                    mi += sign * (p * e + q * c)
+            real.append(z.a * mr - z.b * mi)
+            imag.append(z.a * mi + z.b * mr)
+    return _matrix(6, tuple(real), tuple(imag), z.d * h.d * h.d)
 
 
 class ParameterImage:

@@ -7,6 +7,13 @@ general spin groups, plus the three lattice-level operations everything
 else is built from: products, kernels of central characters (similitude
 kernels), and quotients by finite central subgroups or central tori.
 
+Validity is checked at entry; derivations carry it. The public
+``BasedRootDatum(...)`` (and so ``from_dict``, the presets and the GL, SL,
+PGL and GSpin constructors) runs the validator; ``dual``, products,
+similitude kernels and central quotients build their result from a valid
+datum by a derivation that provably keeps it valid, so they skip the
+validator and carry the size of the reflection closure it computed.
+
 The full root set is generated on demand by reflection closure with a hard
 cap; a datum whose closure does not terminate below the cap is rejected,
 which also rules out non-finite-type Cartan data. A reflection s_a with
@@ -52,10 +59,13 @@ class BasedRootDatum:
 
     ``simple_roots`` live in X = Z^rank, ``simple_coroots`` in the dual
     copy of Z^rank; validity (pairing 2 on diagonal, generalized Cartan
-    conditions, finite reflection closure) is checked at construction.
+    conditions, finite reflection closure) is checked at entry, by this
+    constructor; derivations carry it (see ``_derived``). The private
+    ``_root_count`` is the size of the proven reflection closure; equality,
+    hashing and ``to_dict`` ignore it.
     """
 
-    __slots__ = ("rank", "simple_roots", "simple_coroots", "label")
+    __slots__ = ("rank", "simple_roots", "simple_coroots", "label", "_root_count")
 
     def __init__(
         self,
@@ -72,13 +82,13 @@ class BasedRootDatum:
             self, "simple_coroots", tuple(tuple(int(x) for x in a) for a in simple_coroots)
         )
         object.__setattr__(self, "label", label)
-        self._validate()
+        object.__setattr__(self, "_root_count", self._validate())
 
     def __setattr__(self, name, value):
         raise AttributeError("BasedRootDatum is immutable")
 
-    def _validate(self):
-        """Raise ValueError unless this is a based root datum of finite type.
+    def _validate(self) -> int:
+        """The number of roots; ValueError unless this is a finite-type based root datum.
 
         Independence of the simple roots and of the simple coroots is read
         off det C of the Cartan matrix; the two Smith-form ranks run only
@@ -109,7 +119,7 @@ class BasedRootDatum:
                 raise ValueError("simple roots are linearly dependent")
             if matrix_rank(IntMatrix.from_columns(self.simple_coroots, rows=self.rank)) != n:
                 raise ValueError("simple coroots are linearly dependent")
-        self._closure(c, ROOT_CLOSURE_CAP)  # raises when it is not finite
+        return len(self._closure(c, ROOT_CLOSURE_CAP))  # raises when it is not finite
 
     def cartan_matrix(self) -> List[List[int]]:
         """Entries <alpha_i, alpha_j^>."""
@@ -166,8 +176,14 @@ class BasedRootDatum:
         return tuple(sorted(seen.items()))
 
     def dual(self) -> "BasedRootDatum":
-        return BasedRootDatum(
-            self.rank, self.simple_coroots, self.simple_roots, label=f"dual({self.label})"
+        """Roots and coroots swapped.
+
+        The Cartan matrix becomes its transpose, and the reflection closure
+        swaps each (root, coroot) pair, so the dual is valid with as many roots.
+        """
+        return _derived(
+            self.rank, self.simple_coroots, self.simple_roots, f"dual({self.label})",
+            self._root_count,
         )
 
     def __eq__(self, other) -> bool:
@@ -195,6 +211,27 @@ class BasedRootDatum:
     @classmethod
     def from_dict(cls, d: dict) -> "BasedRootDatum":
         return cls(d["rank"], d["simple_roots"], d["simple_coroots"], d.get("label", ""))
+
+
+_SETTERS = tuple(getattr(BasedRootDatum, f).__set__ for f in BasedRootDatum.__slots__)
+
+
+def _derived(
+    rank: int,
+    roots: Sequence[Vector],
+    coroots: Sequence[Vector],
+    label: str,
+    root_count: int,
+) -> BasedRootDatum:
+    """A datum that its derivation proves valid, with ``root_count`` roots.
+
+    The fields are set as given (int tuples) and ``_validate`` does not
+    run; each caller states in its docstring why the result is valid.
+    """
+    d = object.__new__(BasedRootDatum)
+    for put, value in zip(_SETTERS, (rank, tuple(roots), tuple(coroots), label, root_count)):
+        put(d, value)
+    return d
 
 
 def _type_a_cartan(n: int) -> List[List[int]]:
@@ -262,38 +299,52 @@ def gspin_datum(n: int) -> BasedRootDatum:
 
 
 def product_datum(d1: BasedRootDatum, d2: BasedRootDatum) -> BasedRootDatum:
-    """Direct sum of lattices, concatenation of simple data."""
+    """Direct sum of lattices, concatenation of simple data.
+
+    The Cartan matrix is block diagonal, diag(C1, C2), and the reflection
+    closure is the disjoint union of the factors' closures, so the product
+    is valid with n1 + n2 roots. Like the validator, it refuses with
+    "root closure exceeded cap" when n1 + n2 > ROOT_CLOSURE_CAP.
+    """
+    count = d1._root_count + d2._root_count
+    if count > ROOT_CLOSURE_CAP:
+        raise ValueError(f"root closure exceeded cap {ROOT_CLOSURE_CAP}")
     r1, r2 = d1.rank, d2.rank
     roots = [tuple(a) + (0,) * r2 for a in d1.simple_roots]
     roots += [(0,) * r1 + tuple(a) for a in d2.simple_roots]
     coroots = [tuple(a) + (0,) * r2 for a in d1.simple_coroots]
     coroots += [(0,) * r1 + tuple(a) for a in d2.simple_coroots]
     label = f"{d1.label} x {d2.label}" if d1.label and d2.label else ""
-    return BasedRootDatum(r1 + r2, roots, coroots, label=label)
+    return _derived(r1 + r2, roots, coroots, label, count)
 
 
 def _restricted(
-    c: IntMatrix, inner: Sequence[Vector], outer: Sequence[Vector], refusal: str
+    c: IntMatrix, inner: Sequence[Vector], outer: Sequence[Vector]
 ) -> Tuple[List[Vector], List[Vector]]:
-    """Restrict one side to the sublattice spanned by the columns of c.
+    """Restrict one side to the sublattice spanned by the independent columns of c.
 
-    Each inner v is read as the u with c u = v (ValueError(refusal) if there
-    is none), each outer w maps to c^T w: <c u, w> = <u, c^T w>.
+    Each inner v, which the caller has shown to lie in that span, is read as
+    the unique u with c u = v; each outer w maps to c^T w. Every pairing is
+    kept, <c u, w> = <u, c^T w>, so the Cartan matrix is kept. The simple
+    roots and coroots stay distinct: two equal images would give the Cartan
+    matrix two equal rows (or columns) i and j, which c_ii = 2 and c_ji <= 0
+    forbid. The maps intertwine the simple reflections, and a root is fixed
+    by its pairings with the simple coroots (the Cartan matrix of a finite
+    type is invertible), so the map is a bijection on the reflection
+    closure: the result is valid with as many roots.
     """
-    read = []
-    for v in inner:
-        u = solve_integral(c, v)
-        if u is None:
-            raise ValueError(refusal)
-        read.append(u)
     ct = c.transpose()
-    return read, [ct.apply(w) for w in outer]
+    return [solve_integral(c, v) for v in inner], [ct.apply(w) for w in outer]
 
 
 def _complement_restricted(
     v: Sequence[int], rank: int, inner: Sequence[Vector], outer: Sequence[Vector]
 ) -> Tuple[List[Vector], List[Vector]]:
-    """``_restricted`` to v^perp, for a primitive v (read off the row's Smith form)."""
+    """``_restricted`` to v^perp, for a primitive v (read off the row's Smith form).
+
+    The kernel basis of the row v is saturated, so it spans every vector
+    of v^perp: each inner vector solves once it pairs to 0 with v.
+    """
     if len(v) != rank:
         raise ValueError("character length does not match rank")
     row = IntMatrix([v], cols=rank)
@@ -302,10 +353,9 @@ def _complement_restricted(
         raise ValueError("similitude character must be nonzero")
     if g != 1:
         raise ValueError("similitude character must be a lattice direct-summand generator")
-    return _restricted(
-        kernel_basis(row), inner, outer,
-        "similitude character must be central (pair to 0 with coroots)",
-    )
+    if any(_dot(v, w) for w in inner):
+        raise ValueError("similitude character must be central (pair to 0 with coroots)")
+    return _restricted(kernel_basis(row), inner, outer)
 
 
 def similitude_kernel_datum(
@@ -315,10 +365,11 @@ def similitude_kernel_datum(
 
     Cocharacters become the orthogonal complement of chi, read in a basis C
     of it; characters become X / Z*chi, mapped by C^T. chi must be
-    primitive and pair to zero with every coroot.
+    primitive and pair to zero with every coroot. A lattice restriction
+    keeps validity and the root count (``_restricted``).
     """
     coroots, roots = _complement_restricted(chi, d.rank, d.simple_coroots, d.simple_roots)
-    return BasedRootDatum(d.rank - 1, roots, coroots, label=label or f"ker-chi({d.label})")
+    return _derived(d.rank - 1, roots, coroots, label or f"ker-chi({d.label})", d._root_count)
 
 
 def central_quotient_datum(
@@ -333,6 +384,14 @@ def central_quotient_datum(
     sublattice pairing integrally with the extended cocharacter lattice
     X^ + sum Z*(y_i/n_i); the result is re-coordinatized so the standard
     pairing survives.
+
+    That sublattice X' = {x : <x, y_i> = 0 mod n_i} is the projection of the
+    kernel of [Y | -diag(n_i)], {(x, t) : <x, y_i> = n_i t_i}; x fixes t, so
+    the projection is a bijection and the kernel has r columns, whose first
+    r rows C are a basis of X' (det C != 0, as X' contains (n_1...n_k) X).
+    Centrality, checked first, puts every simple root in X', so each one
+    solves, and the lattice restriction keeps validity and the root count
+    (``_restricted``). A subgroup of orders 1 only copies d under the new label.
     """
     gens = [(tuple(int(x) for x in y), int(n)) for y, n in subgroup]
     r = d.rank
@@ -346,7 +405,7 @@ def central_quotient_datum(
                 raise ValueError("subgroup is not central (a root is nontrivial on it)")
     gens = [(y, n) for y, n in gens if n > 1]
     if not gens:
-        return BasedRootDatum(r, d.simple_roots, d.simple_coroots, label=label or d.label)
+        return _derived(r, d.simple_roots, d.simple_coroots, label or d.label, d._root_count)
     k = len(gens)
     # x in X' iff <x, y_i> = 0 mod n_i for all i; encode as a kernel problem
     rows = []
@@ -355,15 +414,9 @@ def central_quotient_datum(
         row[r + idx] = -n
         rows.append(row)
     kern = kernel_basis(IntMatrix(rows, cols=r + k))
-    if kern.cols != r:
-        raise ValueError("degenerate central subgroup data")
     c = IntMatrix(kern.to_rows()[:r], cols=r)
-    if not c.det():
-        raise ValueError("character sublattice is degenerate")
-    roots, coroots = _restricted(
-        c, d.simple_roots, d.simple_coroots, "root does not survive the central quotient"
-    )
-    return BasedRootDatum(r, roots, coroots, label=label or f"({d.label})/Z")
+    roots, coroots = _restricted(c, d.simple_roots, d.simple_coroots)
+    return _derived(r, roots, coroots, label or f"({d.label})/Z", d._root_count)
 
 
 def central_torus_quotient_datum(
@@ -372,10 +425,11 @@ def central_torus_quotient_datum(
     """Quotient of d by the central one-parameter subgroup with cocharacter y.
 
     Mirror of the similitude kernel: characters become the complement of y,
-    read in a basis C of it, and cocharacters X^ / Z*y, mapped by C^T.
+    read in a basis C of it, and cocharacters X^ / Z*y, mapped by C^T. A
+    lattice restriction keeps validity and the root count (``_restricted``).
     """
     roots, coroots = _complement_restricted(y, d.rank, d.simple_roots, d.simple_coroots)
-    return BasedRootDatum(d.rank - 1, roots, coroots, label=label or f"({d.label})/GL1")
+    return _derived(d.rank - 1, roots, coroots, label or f"({d.label})/GL1", d._root_count)
 
 
 def center_structure(d: BasedRootDatum) -> AbelianGroupStructure:

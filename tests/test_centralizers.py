@@ -1,5 +1,5 @@
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -355,6 +355,43 @@ def test_projective_closure_matches_canonical_form_oracle():
     assert seen == {
         (a, kind) for a in ("GSO4", "GSO6") for kind in ("refused", "finite", "denominator")
     }
+
+
+# The entrywise QI formula that ``_standard_image`` replaced.
+def _entrywise_image(ambient, g):
+    if ambient == "GSO4":
+        x, y = ([m.row(i) for i in range(2)] for m in g)
+        idx = list(product(range(2), repeat=2))
+        return GaussianMatrix([[x[i][j] * y[k][l] for j, l in idx] for i, k in idx])
+    a, e = g[0], [g[1].row(i) for i in range(4)]
+    pairs = list(combinations(range(4), 2))
+    return GaussianMatrix(
+        [[a * (e[i][k] * e[j][l] - e[i][l] * e[j][k]) for k, l in pairs] for i, j in pairs]
+    )
+
+
+def _dense(rng, n):
+    entries = NON_UNITS + FOURTH_ROOTS + (QI(0),) * 4
+    return GaussianMatrix([[rng.choice(entries) for _ in range(n)] for _ in range(n)])
+
+
+def test_standard_image_matches_entrywise_oracle():
+    rng = random.Random(1701)
+    checked = with_denominator = 0
+    for _ in range(150):
+        for ambient in ("GSO4", "GSO6"):
+            gens = list(_random_generators(rng, ambient))
+            if ambient == "GSO4":
+                gens.append((_dense(rng, 2), _dense(rng, 2)))
+            else:
+                gens.append((rng.choice(NON_UNITS + FOURTH_ROOTS), _dense(rng, 4)))
+            for g in gens:
+                image = centralizers._standard_image(ambient, g)
+                assert image == _entrywise_image(ambient, g), g
+                checked += 1
+                with_denominator += image.d > 1
+    assert checked >= 700
+    assert with_denominator >= 100
 
 
 def test_parameter_json_roundtrip():

@@ -507,7 +507,7 @@ def test_cocharacter_of_wrong_length_is_refused():
     assert d.pairing((0, 1, 1), (-1, 1, 1)) == 2
 
 
-def test_derived_constructors_validate_once(monkeypatch):
+def _counting_validations(monkeypatch):
     calls = []
     validate = BasedRootDatum._validate
 
@@ -515,20 +515,36 @@ def test_derived_constructors_validate_once(monkeypatch):
         calls.append(self.label)
         return validate(self)
 
-    gl22, gl14 = presets.datum("GL2xGL2"), presets.datum("GL1xGL4")
-    gl14_dual = gl14.dual()
-    amb = product_datum(gl_datum(1), product_datum(sl_datum(2), sl_datum(2)))
     monkeypatch.setattr(BasedRootDatum, "_validate", counting)
+    return calls
+
+
+def test_derived_constructors_never_validate(monkeypatch):
+    gl22, gl14 = presets.datum("GL2xGL2"), presets.datum("GL1xGL4")
+    gl14_dual, gspin6 = gl14.dual(), presets.datum("GSpin6")
+    amb = product_datum(gl_datum(1), product_datum(sl_datum(2), sl_datum(2)))
+    calls = _counting_validations(monkeypatch)
     for build in (
+        lambda: product_datum(gspin6, gl22),
+        lambda: product_datum(amb, gl14),
+        lambda: gspin6.dual(),
         lambda: similitude_kernel_datum(gl22, (1, 1, -1, -1)),
         lambda: similitude_kernel_datum(gl14, (-2, 1, 1, 1, 1)),
         lambda: central_quotient_datum(amb, [((1, 1, 1), 2)]),
+        lambda: central_quotient_datum(amb, [((1, 0, 0), 1)], label="copy"),
         lambda: central_torus_quotient_datum(gl22, (-1, -1, 1, 1)),
         lambda: central_torus_quotient_datum(gl14_dual, (-2, 1, 1, 1, 1)),
     ):
+        build()
+    assert calls == []
+
+
+def test_preset_datum_validates_once(monkeypatch):
+    calls = _counting_validations(monkeypatch)
+    for name in presets.datum_names():
         calls.clear()
-        label = build().label
-        assert calls == [label]
+        d = presets.datum(name)
+        assert calls == [d.label]
 
 
 def _random_central(rng, vectors, rank):
@@ -616,3 +632,115 @@ def test_order_two_cocharacter_reads_only_simple_roots(monkeypatch):
     monkeypatch.setattr(BasedRootDatum, "roots", no_closure)
     assert is_central_cocharacter_of_order_two(gspin_datum(3), (1, 0, 0, 0))
     assert not is_central_cocharacter_of_order_two(gspin_datum(3), (0, 1, 0, 0))
+
+
+def _random_central_generator(rng, d):
+    """(y, n) with <alpha, y> = 0 mod n for every simple root alpha.
+
+    y is a random point of the projection of the kernel of [A^T | -n I],
+    {(y, t) : <alpha_i, y> = n t_i}, with the simple roots as columns of A.
+    """
+    n = rng.randint(2, 4)
+    m = len(d.simple_roots)
+    if not m:
+        return tuple(rng.randint(-3, 3) for _ in range(d.rank)), n
+    rows = [list(a) + [-n if j == i else 0 for j in range(m)] for i, a in enumerate(d.simple_roots)]
+    kern = kernel_basis(IntMatrix(rows, cols=d.rank + m))
+    y = kern.apply([rng.randint(-2, 2) for _ in range(kern.cols)])
+    return y[: d.rank], n
+
+
+def _random_small_datum(rng, max_rank):
+    """A product of one or two FACTORS of total rank 1..max_rank."""
+    while True:
+        d = rng.choice(FACTORS)
+        if rng.random() < 0.6:
+            d = product_datum(d, rng.choice(FACTORS))
+        if d.rank <= max_rank:
+            return d
+
+
+def _cramer_solution(c, v):
+    """The rational solution of c u = v for a nonsingular c, by Cramer's rule
+    on Bareiss determinants, as (numerators, det c): no Smith form runs."""
+    rows = c.to_rows()
+    replaced = [[row[:j] + [x] + row[j + 1 :] for row, x in zip(rows, v)] for j in range(c.cols)]
+    return [IntMatrix(m).det() for m in replaced], c.det()
+
+
+def test_central_quotient_sublattice_is_always_full():
+    # the invariants that make the quotient's removed refusals dead: the
+    # kernel has r columns, its first r rows C are nonsingular, and every
+    # simple root solves C u = alpha in integers. The solve is checked by
+    # Cramer's rule, not solve_integral: a drawn C can carry 12-digit entries
+    # whose Smith form does not finish (ROADMAP item 1)
+    rng = random.Random(1702)
+    for _ in range(3000):
+        d = _random_small_datum(rng, 6)
+        r = d.rank
+        gens = [_random_central_generator(rng, d) for _ in range(rng.randint(1, 3))]
+        rows = []
+        for idx, (y, n) in enumerate(gens):
+            row = list(y) + [0] * len(gens)
+            row[r + idx] = -n
+            rows.append(row)
+        kern = kernel_basis(IntMatrix(rows, cols=r + len(gens)))
+        assert kern.cols == r
+        c = IntMatrix(kern.to_rows()[:r], cols=r)
+        assert c.det() != 0
+        for a in d.simple_roots:
+            nums, det = _cramer_solution(c, a)
+            assert all(x % det == 0 for x in nums)
+            assert c.apply([x // det for x in nums]) == a
+
+
+def _derive(rng, d):
+    """(step, one random derivation of d), or (step, None) when d admits none."""
+    step = rng.choice(("product", "dual", "kernel", "torus", "finite", "copy"))
+    if step == "product":
+        return step, product_datum(d, rng.choice(FACTORS)) if d.rank <= 8 else None
+    if step == "dual":
+        return step, d.dual()
+    if step == "kernel":
+        chi = _random_central(rng, d.simple_coroots, d.rank)
+        return step, chi and similitude_kernel_datum(d, chi)
+    if step == "torus":
+        y = _random_central(rng, d.simple_roots, d.rank)
+        return step, y and central_torus_quotient_datum(d, y)
+    if step == "finite":
+        gens = [_random_central_generator(rng, d) for _ in range(rng.randint(1, 2))]
+        return step, central_quotient_datum(d, gens)
+    return step, central_quotient_datum(d, [(tuple([1] * d.rank), 1)], label="copy")
+
+
+def test_derived_data_pass_the_full_validator():
+    rng = random.Random(1703)
+    steps = set()
+    for _ in range(400):
+        d = rng.choice(FACTORS)
+        for _ in range(rng.randint(1, 5)):
+            step, derived = _derive(rng, d)
+            if derived is None:
+                continue
+            again = BasedRootDatum(
+                derived.rank, derived.simple_roots, derived.simple_coroots, derived.label
+            )
+            assert again == derived and again.label == derived.label
+            assert again._root_count == derived._root_count == len(again.roots())
+            steps.add(step)
+            d = derived
+    assert steps == {"product", "dual", "kernel", "torus", "finite", "copy"}
+
+
+def test_product_refuses_past_the_closure_cap(monkeypatch):
+    d1, d2 = gspin_datum(3), gl_datum(3)  # 12 and 6 roots
+    monkeypatch.setattr(root_datum, "ROOT_CLOSURE_CAP", 18)
+    p = product_datum(d1, d2)
+    assert p._root_count == 18
+    assert BasedRootDatum(p.rank, p.simple_roots, p.simple_coroots)._root_count == 18
+    monkeypatch.setattr(root_datum, "ROOT_CLOSURE_CAP", 17)
+    with pytest.raises(ValueError) as refused:
+        product_datum(d1, d2)
+    with pytest.raises(ValueError) as validated:
+        BasedRootDatum(p.rank, p.simple_roots, p.simple_coroots)
+    assert str(refused.value) == str(validated.value) == "root closure exceeded cap 17"

@@ -9,16 +9,21 @@ iota_vee = transpose(iota).
 The search enumerates Cartan-compatible assignments of simple roots, then
 completes each assignment to a lattice isomorphism by solving the linear
 constraints over Z. The constraints S alpha_i = beta_pi(i) and
-S^T beta_j^vee = alpha_pi^-1(j)^vee have one coefficient matrix for every
-bijection pi, so a search builds and reduces one system and solves it with
-one right-hand side per bijection. The solutions form the affine family
-s0 + span(K), and K has (n - s)^2 columns for rank n and s simple roots.
-At n - s = 0 the family is one matrix. At n - s = 1, K has rank one, so
-det(s0 + cK) is affine in c and each target determinant gives at most one
-c. At n - s >= 2 the isomorphisms extending a bijection are none or
-infinitely many (a coset of an infinite group of automorphisms fixing
-every simple root and coroot). The search answers none there when the
-centers differ, and otherwise refuses rather than truncate.
+S^T beta_pi(i)^vee = alpha_i^vee split into one system on the rows of S,
+with the source's simple roots as coefficient rows, and one on its columns,
+with the target's simple coroots as coefficient rows. Both matrices are
+s x n for rank n and s simple roots, the same for every bijection pi, so a
+search reduces each once and solves them with a right-hand side per
+bijection. The solutions form the affine family S0 + K_Z E K_A^T, with
+K_A and K_Z the saturated kernels of the two matrices (n x (n - s) each)
+and E any integral (n - s) x (n - s) matrix: (n - s)^2 directions.
+At n - s = 0 the family is one matrix. At n - s = 1 it is a line S0 + cK
+with K of rank one, so det(S0 + cK) is affine in c and each target
+determinant gives at most one c. At n - s >= 2 the isomorphisms extending a
+bijection are none or infinitely many (a coset of an infinite group of
+automorphisms fixing every simple root and coroot). The search answers
+none there when the centers differ, and otherwise refuses rather than
+truncate.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ import math
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .lattice import IntMatrix, kernel_basis, solve_integral
+from .lattice import IntMatrix, Vector, kernel_basis, solve_integral
 from .root_datum import (
     BasedRootDatum,
     center_structure,
@@ -68,7 +73,8 @@ def check_isomorphism(f: RootDatumMap, d1: BasedRootDatum, d2: BasedRootDatum) -
         return False
     if not f.is_adjoint_pair():
         return False
-    if not f.iota.is_unimodular() or not f.iota_vee.is_unimodular():
+    # iota_vee = iota^T is square (equal ranks) with the same determinant
+    if f.iota.det() not in (1, -1):
         return False
     targets = {b: i for i, b in enumerate(d2.simple_roots)}
     hit = set()
@@ -104,41 +110,55 @@ def cartan_compatible_bijections(
     return out
 
 
-def _completion_system(d1: BasedRootDatum, d2: BasedRootDatum) -> IntMatrix:
-    """Coefficients of the equations on the entries of S, read row-major.
+def _solve_each(m: IntMatrix, rhs: Sequence[Sequence[int]]) -> Optional[List[Vector]]:
+    """An integral x with m x = b for each b in rhs, or None when one has none."""
+    out = [solve_integral(m, b) for b in rhs]
+    return None if None in out else out
 
-    Rows n*i + r give (S alpha_i)_r; the rows after them, n*j + c, give
-    (S^T beta_j^vee)_c. Indexing the coroot equations by the target coroot
-    makes the matrix the same for every bijection.
+
+def _completion_directions(ka: IntMatrix, kz: IntMatrix) -> IntMatrix:
+    """The directions K_Z[:, a] K_A[:, b]^T of the completion family, read row-major."""
+    n = ka.rows
+    return IntMatrix.from_columns(
+        [[z * x for z in zc for x in xc] for zc in kz.columns() for xc in ka.columns()],
+        rows=n * n,
+    )
+
+
+def _base_completion(
+    d1: BasedRootDatum,
+    d2: BasedRootDatum,
+    pi: Sequence[int],
+    roots: IntMatrix,
+    coroots: IntMatrix,
+    ka: IntMatrix,
+) -> Optional[List[int]]:
+    """One integral S0 with S0 alpha_i = beta_pi(i) and S0^T beta_pi(i)^vee = alpha_i^vee.
+
+    Returned row-major, or None when there is none. ``roots`` is A (rows
+    alpha_i), ``coroots`` is Z (rows beta_j^vee) and ``ka`` is K_A.
     """
     n = d1.rank
-    rows: List[List[int]] = []
-    for a in d1.simple_roots:
-        for r in range(n):
-            row = [0] * (n * n)
-            row[r * n : (r + 1) * n] = a
-            rows.append(row)
-    for bv in d2.simple_coroots:
-        for c in range(n):
-            row = [0] * (n * n)
-            row[c::n] = bv
-            rows.append(row)
-    return IntMatrix(rows, cols=n * n)
-
-
-def _completion_rhs(
-    d1: BasedRootDatum, d2: BasedRootDatum, pi: Sequence[int]
-) -> List[int]:
-    """Right-hand side for pi: S alpha_i = beta_pi(i), S^T beta_j^vee = alpha_pi^-1(j)^vee."""
-    back = [0] * len(pi)
+    g = ka.cols
+    # 1. row r of S solves A x = (beta_pi(i)[r])_i, so S = P + C K_A^T
+    p = _solve_each(roots, [[d2.simple_roots[j][r] for j in pi] for r in range(n)])
+    if p is None:
+        return None
+    # 2. Z S = W_pi, row j of W_pi being alpha_pi^-1(j)^vee, leaves
+    #    (Z C) K_A^T = W_pi - Z P, one row j at a time
+    zp = coroots * IntMatrix(p, cols=n)
+    rest: List[List[int]] = [[]] * len(pi)
     for i, j in enumerate(pi):
-        back[j] = i
-    rhs: List[int] = []
-    for j in pi:
-        rhs.extend(d2.simple_roots[j])
-    for i in back:
-        rhs.extend(d1.simple_coroots[i])
-    return rhs
+        rest[j] = [w - x for w, x in zip(d1.simple_coroots[i], zp.row(j))]
+    m = _solve_each(ka, rest)
+    if m is None:
+        return None
+    # 3. column b of C solves Z c = (m_j[b])_j
+    c = _solve_each(coroots, [[row[b] for row in m] for b in range(g)])
+    if c is None:
+        return None
+    shift = IntMatrix.from_columns(c, rows=n) * ka.transpose()
+    return [x + y for pr, sr in zip(p, shift.iter_rows()) for x, y in zip(pr, sr)]
 
 
 def _matrix_from_vec(vec: Sequence[int], n: int) -> IntMatrix:
@@ -155,7 +175,8 @@ def _completions(
     """
     m = kern.cols
     if m == 0:
-        return [_matrix_from_vec(s0, n)]
+        mat = _matrix_from_vec(s0, n)
+        return [mat] if mat.det() in dets else []
     if m == 1:
         # K has rank one, so det(s0 + cK) = d0 + c (d1 - d0)
         kvec = kern.col(0)
@@ -191,8 +212,17 @@ def search_isomorphisms(
     some bijection has an integral completion: the isomorphisms are then
     none or infinitely many, with or without the constraints.
 
-    Every bijection shares one coefficient matrix (``_completion_system``)
-    and its one Smith reduction; only the right-hand side changes.
+    The constraints on S = iota for a bijection pi are A S^T = B_pi and
+    Z S = W_pi, with A the source's simple roots as rows, Z the target's
+    simple coroots as rows (both s x n), B_pi the rows beta_pi(i) and W_pi
+    the rows alpha_pi^-1(j)^vee. Every bijection shares A, Z and their
+    saturated kernel bases K_A and K_Z (n x (n - s)); a search reduces A, Z
+    and K_A once each (``_base_completion``). The integral solutions are
+    exactly S0 + K_Z E K_A^T, E integral of size (n - s) x (n - s):
+    each row of S differs from that of S0 by an integral kernel vector of
+    A, which K_A (saturated) spans over Z, so S = S0 + C K_A^T with C
+    integral; then Z C K_A^T = 0 and K_A has full column rank, so Z C = 0,
+    and each column of C is an integral kernel vector of Z, spanned by K_Z.
     """
     if d1.rank != d2.rank or len(d1.simple_roots) != len(d2.simple_roots):
         return []
@@ -214,17 +244,20 @@ def search_isomorphisms(
         s and dual_sc_center(d1) != dual_sc_center(d2)
     )):
         return []
-    system = _completion_system(d1, d2)
-    kern = kernel_basis(system)
+    roots = IntMatrix(d1.simple_roots, cols=n)
+    coroots = IntMatrix(d2.simple_coroots, cols=n)
+    ka = kernel_basis(roots)
+    kern = _completion_directions(ka, kernel_basis(coroots))
     dets = (1, -1) if det_sign is None else (det_sign,)
     results: Dict[IntMatrix, RootDatumMap] = {}
     for pi in bijections:
-        part = solve_integral(system, _completion_rhs(d1, d2, pi))
-        if part is None:
+        s0 = _base_completion(d1, d2, pi, roots, coroots, ka)
+        if s0 is None:
             continue
-        for mat in _completions(list(part), kern, n, dets):
+        # each candidate already has det(S) in dets
+        for mat in _completions(s0, kern, n, dets):
             f = RootDatumMap(mat, mat.transpose())
-            if mat.det() in dets and check_isomorphism(f, d1, d2):
+            if check_isomorphism(f, d1, d2):
                 results[mat] = f
     return sorted(results.values(), key=lambda f: f.iota.to_rows())
 

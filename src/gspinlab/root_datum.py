@@ -8,11 +8,12 @@ else is built from: products, kernels of central characters (similitude
 kernels), and quotients by finite central subgroups or central tori.
 
 Validity is checked at entry; derivations carry it. The public
-``BasedRootDatum(...)`` (and so ``from_dict``, the presets and the GL, SL,
-PGL and GSpin constructors) runs the validator; ``dual``, products,
+``BasedRootDatum(...)`` (and so ``from_dict`` and the presets) runs the
+validator. The GL, SL, PGL and GSpin constructors build data of a known
+type, A_{n-1} or D_n, and carry that type's root count; ``dual``, products,
 similitude kernels and central quotients build their result from a valid
-datum by a derivation that provably keeps it valid, so they skip the
-validator and carry the size of the reflection closure it computed.
+datum by a derivation that provably keeps it valid. Neither runs the
+validator, and both carry the size of the reflection closure.
 
 The full root set is generated on demand by reflection closure with a hard
 cap; a datum whose closure does not terminate below the cap is rejected,
@@ -234,43 +235,62 @@ def _derived(
     return d
 
 
-def _type_a_cartan(n: int) -> List[List[int]]:
-    c = [[0] * n for _ in range(n)]
-    for i in range(n):
-        c[i][i] = 2
-        if i + 1 < n:
-            c[i][i + 1] = -1
-            c[i + 1][i] = -1
-    return c
+def _counted(
+    rank: int, roots: Sequence[Vector], coroots: Sequence[Vector], label: str, root_count: int
+) -> BasedRootDatum:
+    """``_derived``, refused like the validator refuses: "root closure exceeded
+    cap" when ``root_count`` is above ROOT_CLOSURE_CAP (read at call time)."""
+    if root_count > ROOT_CLOSURE_CAP:
+        raise ValueError(f"root closure exceeded cap {ROOT_CLOSURE_CAP}")
+    return _derived(rank, roots, coroots, label, root_count)
+
+
+def _units(n: int) -> List[Vector]:
+    return [tuple([int(j == i) for j in range(n)]) for i in range(n)]
+
+
+def _type_a_cartan(n: int) -> List[Vector]:
+    return [
+        tuple([2 if j == i else -1 if abs(j - i) == 1 else 0 for j in range(n)])
+        for i in range(n)
+    ]
+
+
+def _type_a_roots(n: int) -> List[Vector]:
+    """e_i - e_{i+1} in Z^n, i < n - 1."""
+    return [
+        tuple([1 if j == i else -1 if j == i + 1 else 0 for j in range(n)])
+        for i in range(n - 1)
+    ]
+
+
+# The named constructors build their data directly: the simple roots and
+# coroots are independent and pair to the Cartan matrix of type A_{n-1}
+# (GL, SL, PGL) or D_n (GSpin, with D_2 = A_1 x A_1 and D_3 = A_3), so the
+# reflection closure is the root system of that type: n(n - 1) roots for
+# A_{n-1}, 2n(n - 1) for D_n.
 
 
 def gl_datum(n: int) -> BasedRootDatum:
     """GL_n on the character basis e_1..e_n; roots e_i - e_{i+1}."""
     if n < 1:
         raise ValueError("gl_datum requires n >= 1")
-    roots = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        roots.append(v)
-    return BasedRootDatum(n, roots, [list(r) for r in roots], label=f"GL{n}")
+    roots = _type_a_roots(n)
+    return _counted(n, roots, roots, f"GL{n}", n * (n - 1))
 
 
 def sl_datum(n: int) -> BasedRootDatum:
     """SL_n on the fundamental-weight basis: roots are Cartan matrix rows."""
     if n < 1:
         raise ValueError("sl_datum requires n >= 1")
-    c = _type_a_cartan(n - 1)
-    coroots = [[1 if j == i else 0 for j in range(n - 1)] for i in range(n - 1)]
-    return BasedRootDatum(n - 1, c, coroots, label=f"SL{n}")
+    return _counted(n - 1, _type_a_cartan(n - 1), _units(n - 1), f"SL{n}", n * (n - 1))
 
 
 def pgl_datum(n: int) -> BasedRootDatum:
     """PGL_n, the dual datum of SL_n."""
     if n < 1:
         raise ValueError("pgl_datum requires n >= 1")
-    coroots = [[1 if j == i else 0 for j in range(n - 1)] for i in range(n - 1)]
-    return BasedRootDatum(n - 1, coroots, _type_a_cartan(n - 1), label=f"PGL{n}")
+    return _counted(n - 1, _units(n - 1), _type_a_cartan(n - 1), f"PGL{n}", n * (n - 1))
 
 
 def gspin_datum(n: int) -> BasedRootDatum:
@@ -282,20 +302,14 @@ def gspin_datum(n: int) -> BasedRootDatum:
     if n < 2:
         raise ValueError("gspin_datum requires n >= 2")
     rank = n + 1
-    roots = []
-    coroots = []
-    for i in range(1, n):
-        v = [0] * rank
-        v[i], v[i + 1] = 1, -1
-        roots.append(v)
-        coroots.append(list(v))
+    roots = [(0,) + v for v in _type_a_roots(n)]
     last = [0] * rank
     last[n - 1], last[n] = 1, 1
-    roots.append(last)
     lastv = [0] * rank
     lastv[0], lastv[n - 1], lastv[n] = -1, 1, 1
-    coroots.append(lastv)
-    return BasedRootDatum(rank, roots, coroots, label=f"GSpin{2 * n}")
+    return _counted(
+        rank, roots + [tuple(last)], roots + [tuple(lastv)], f"GSpin{2 * n}", 2 * n * (n - 1)
+    )
 
 
 def product_datum(d1: BasedRootDatum, d2: BasedRootDatum) -> BasedRootDatum:
@@ -303,19 +317,15 @@ def product_datum(d1: BasedRootDatum, d2: BasedRootDatum) -> BasedRootDatum:
 
     The Cartan matrix is block diagonal, diag(C1, C2), and the reflection
     closure is the disjoint union of the factors' closures, so the product
-    is valid with n1 + n2 roots. Like the validator, it refuses with
-    "root closure exceeded cap" when n1 + n2 > ROOT_CLOSURE_CAP.
+    is valid with n1 + n2 roots, refused past the cap (``_counted``).
     """
-    count = d1._root_count + d2._root_count
-    if count > ROOT_CLOSURE_CAP:
-        raise ValueError(f"root closure exceeded cap {ROOT_CLOSURE_CAP}")
     r1, r2 = d1.rank, d2.rank
     roots = [tuple(a) + (0,) * r2 for a in d1.simple_roots]
     roots += [(0,) * r1 + tuple(a) for a in d2.simple_roots]
     coroots = [tuple(a) + (0,) * r2 for a in d1.simple_coroots]
     coroots += [(0,) * r1 + tuple(a) for a in d2.simple_coroots]
     label = f"{d1.label} x {d2.label}" if d1.label and d2.label else ""
-    return _derived(r1 + r2, roots, coroots, label, count)
+    return _counted(r1 + r2, roots, coroots, label, d1._root_count + d2._root_count)
 
 
 def _restricted(

@@ -16,7 +16,11 @@ from gspinlab.lattice import (
     solve_integral,
 )
 from gspinlab.morphisms import cartan_compatible_bijections, search_isomorphisms
-from gspinlab.root_datum import verify_exact_sequence
+from gspinlab.root_datum import (
+    central_torus_quotient_datum,
+    similitude_kernel_datum,
+    verify_exact_sequence,
+)
 from test_morphisms import ISO_VARIANTS, SHIPPED_PAIRS, per_bijection_system, variant_kwargs
 
 
@@ -254,15 +258,16 @@ def test_snf_output_pinned(monkeypatch):
     assert len(systems) == 4
     payload = [[x.to_rows() for x in smith_normal_form(m)] for m in [*_suite_500(), *systems]]
     assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == SNF_PIN
-    # each pair's searches reduce one system: its identity-bijection system
-    identity = [
-        per_bijection_system(d1, d2, tuple(range(len(d1.simple_roots))))[0]
-        for d1, d2 in SHIPPED_PAIRS
-    ]
-    assert _search_systems(monkeypatch) == identity
+    # each pair's searches reduce the source's simple roots A, the target's
+    # simple coroots Z (both as rows) and the kernel basis K_A of A
+    reduced = []
+    for d1, d2 in SHIPPED_PAIRS:
+        roots = IntMatrix(d1.simple_roots)
+        reduced += [roots, IntMatrix(d2.simple_coroots), kernel_basis(roots)]
+    assert _search_systems(monkeypatch) == reduced
 
 
-def _count_reductions(monkeypatch, run):
+def _reductions(monkeypatch, run):
     calls = []
     reduce = lattice._smith
 
@@ -272,18 +277,36 @@ def _count_reductions(monkeypatch, run):
 
     monkeypatch.setattr(lattice, "_smith", counted)
     run()
-    return len(calls)
+    return calls
 
 
 def test_search_reduces_each_system_once(monkeypatch):
     d1, d2 = presets.datum("GSpin6"), presets.datum("G6")
-    assert _count_reductions(monkeypatch, lambda: search_isomorphisms(d1, d2)) <= 1
+    reduced = _reductions(monkeypatch, lambda: search_isomorphisms(d1, d2))
+    assert len(reduced) <= 3
+    assert all(m.cols <= d1.rank for m in reduced)
 
 
 @pytest.mark.parametrize("name", ["gspin4_in_gl2xgl2", "gspin6_in_gl1xgl4"])
 def test_exact_sequence_reduces_each_map_once(monkeypatch, name):
     maps = presets.sequence(name)
-    assert _count_reductions(monkeypatch, lambda: verify_exact_sequence(maps)) <= 2
+    assert len(_reductions(monkeypatch, lambda: verify_exact_sequence(maps))) <= 2
+
+
+@pytest.mark.parametrize(
+    "build, d, v",
+    [
+        (similitude_kernel_datum, presets.datum("GL1xGL4"), (-2, 1, 1, 1, 1)),
+        (central_torus_quotient_datum, presets.datum("GL1xGL4").dual(), (-2, 1, 1, 1, 1)),
+        (similitude_kernel_datum, presets.datum("GL2xGL2"), (1, 1, -1, -1)),
+        (central_torus_quotient_datum, presets.datum("GL2xGL2"), (-1, -1, 1, 1)),
+    ],
+    ids=["kernel-GL1xGL4", "torus-GL1xGL4", "kernel-GL2xGL2", "torus-GL2xGL2"],
+)
+def test_complement_restriction_reduces_two_matrices(monkeypatch, build, d, v):
+    # the row v once, and its kernel basis C once for every solve
+    reduced = _reductions(monkeypatch, lambda: build(d, v))
+    assert [(m.rows, m.cols) for m in reduced] == [(1, d.rank), (d.rank, d.rank - 1)]
 
 
 def test_snf_second_call_returns_same_triple():

@@ -225,10 +225,11 @@ def test_search_rejects_malformed_assignment():
 
 
 def test_non_injective_assignment_builds_no_system(monkeypatch):
-    def refuse(d1, d2):
-        raise AssertionError("a system was built")
+    def refuse(*args):
+        raise AssertionError("a system was reduced")
 
-    monkeypatch.setattr(morphisms, "_completion_system", refuse)
+    monkeypatch.setattr(morphisms, "kernel_basis", refuse)
+    monkeypatch.setattr(morphisms, "solve_integral", refuse)
     assert search_isomorphisms(PSI6, G6, assignment=(0, 0, 2)) == []
     assert search_isomorphisms(PSI4, G4, assignment=(1, 1)) == []
 
@@ -244,6 +245,27 @@ def test_search_matches_per_bijection_reference_on_shipped_pairs(variant):
         assert _as_dicts(search_isomorphisms(d1, d2, **kwargs)) == _as_dicts(
             reference_search(d1, d2, **kwargs)
         )
+
+
+def _outcome(search, d1, d2, kwargs):
+    try:
+        return _as_dicts(search(d1, d2, **kwargs))
+    except InfiniteFamilyError as exc:
+        return f"InfiniteFamilyError: {exc}"
+
+
+def test_search_matches_per_bijection_reference_on_all_preset_pairs():
+    names = presets.datum_names()
+    refusals = 0
+    for d1 in map(presets.datum, names):
+        for d2 in map(presets.datum, names):
+            for variant in ISO_VARIANTS:
+                kwargs = variant_kwargs(variant, d1)
+                got = _outcome(search_isomorphisms, d1, d2, kwargs)
+                assert got == _outcome(reference_search, d1, d2, kwargs), (d1.label, d2.label, variant)
+                refusals += isinstance(got, str)
+    assert len(names) ** 2 == 81
+    assert refusals == 2 * len(ISO_VARIANTS)  # GL2xGL2 and GL1xGL4 onto themselves
 
 
 def _elementary_pair(rng, n, steps):
@@ -339,8 +361,22 @@ def _gap(d):
 def test_completion_family_has_gap_squared_columns():
     for d in SEEDED_PRODUCTS:
         for x in (d, d.dual()):
-            kern = kernel_basis(morphisms._completion_system(x, x))
+            n = x.rank
+            roots = IntMatrix(x.simple_roots, cols=n)
+            coroots = IntMatrix(x.simple_coroots, cols=n)
+            kern = morphisms._completion_directions(kernel_basis(roots), kernel_basis(coroots))
             assert kern.cols == _gap(x) ** 2, x.to_dict()
+            # the lattice of the Kronecker system's saturated kernel
+            ref = kernel_basis(per_bijection_system(x, x, range(len(x.simple_roots)))[0])
+            assert all(solve_integral(kern, col) is not None for col in ref.columns())
+            assert all(solve_integral(ref, col) is not None for col in kern.columns())
+            for k in range(kern.cols):
+                vec = kern.col(k)
+                step = IntMatrix([vec[i * n : (i + 1) * n] for i in range(n)], cols=n)
+                assert any(vec)
+                # S + step keeps S alpha_i and S^T beta_j^vee
+                assert all(not any(step.apply(a)) for a in x.simple_roots)
+                assert all(not any(step.transpose().apply(b)) for b in x.simple_coroots)
 
 
 def _searches_to_replay():

@@ -534,9 +534,50 @@ def test_derived_constructors_never_validate(monkeypatch):
         lambda: central_quotient_datum(amb, [((1, 0, 0), 1)], label="copy"),
         lambda: central_torus_quotient_datum(gl22, (-1, -1, 1, 1)),
         lambda: central_torus_quotient_datum(gl14_dual, (-2, 1, 1, 1, 1)),
+        lambda: gl_datum(4),
+        lambda: sl_datum(4),
+        lambda: pgl_datum(4),
+        lambda: gspin_datum(3),
     ):
         build()
     assert calls == []
+
+
+def test_named_constructors_carry_the_validated_count():
+    for make, sizes in (
+        (gl_datum, range(1, 16)),
+        (sl_datum, range(1, 16)),
+        (pgl_datum, range(1, 16)),
+        (gspin_datum, range(2, 11)),
+    ):
+        for n in sizes:
+            d = make(n)
+            again = BasedRootDatum(d.rank, d.simple_roots, d.simple_coroots, d.label)
+            assert again == d and again.label == d.label
+            assert again._root_count == d._root_count, (make.__name__, n)
+            assert d._root_count == (2 if make is gspin_datum else 1) * n * (n - 1)
+
+
+@pytest.mark.parametrize("make, n", [(gl_datum, 4), (sl_datum, 5), (pgl_datum, 3), (gspin_datum, 4)])
+def test_named_constructors_refuse_past_the_closure_cap(monkeypatch, make, n):
+    count = make(n)._root_count
+    monkeypatch.setattr(root_datum, "ROOT_CLOSURE_CAP", count)
+    d = make(n)
+    assert BasedRootDatum(d.rank, d.simple_roots, d.simple_coroots)._root_count == count
+    monkeypatch.setattr(root_datum, "ROOT_CLOSURE_CAP", count - 1)
+    with pytest.raises(ValueError) as refused:
+        make(n)
+    with pytest.raises(ValueError) as validated:
+        BasedRootDatum(d.rank, d.simple_roots, d.simple_coroots)
+    assert str(refused.value) == str(validated.value) == f"root closure exceeded cap {count - 1}"
+
+
+def test_named_constructors_refuse_at_the_shipped_cap():
+    # n(n - 1) and 2n(n - 1) roots: the first sizes past 10000 refuse at once
+    for make, n in ((gl_datum, 101), (sl_datum, 101), (pgl_datum, 101), (gspin_datum, 72)):
+        with pytest.raises(ValueError, match=f"^root closure exceeded cap {ROOT_CLOSURE_CAP}$"):
+            make(n)
+    assert gl_datum(100)._root_count == 9900 and gspin_datum(71)._root_count == 9940
 
 
 def test_preset_datum_validates_once(monkeypatch):

@@ -16,13 +16,17 @@ kernel bases and solutions are read from them, so the sequence of row and
 column operations is part of the contract (``tests/test_lattice.py`` pins
 its output).
 
-Each ``IntMatrix`` stores its reduction when first asked for it: the
-kernel, solve, cokernel and rank of one matrix object share one reduction.
+Each ``IntMatrix`` stores its reduction when first asked for it: one
+stored reduction per matrix shared by kernel, solve, cokernel and rank.
+Cokernel and rank read only the diagonal, which is unique: they read the
+stored triple when there is one, and otherwise run the same elimination
+with U and V left out, storing nothing.
 
 The constructor keeps a row whose entries are all exact ``int`` as given
 and passes any other entry through ``int()``. The library's own results
-(the Smith triple, products, transposes, negations and kernel bases) are
-built from plain int rows, so they cost no per-entry conversion.
+(the Smith triple, identities, products, transposes, negations and kernel
+bases) are tuples of exact ints already, so they are built by
+``_trusted``, which sets the slots without checking them.
 """
 from __future__ import annotations
 
@@ -64,7 +68,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return _trusted(tuple(map(tuple, _unit_rows(n))), n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -101,15 +105,15 @@ class IntMatrix:
         return list(zip(*self._data))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.columns(), cols=self.rows)
+        return _trusted(tuple(self.columns()), self.rows)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         ocols = other.columns()
-        return IntMatrix(
-            [[sum(map(mul, row, col)) for col in ocols] for row in self._data],
-            cols=other.cols,
+        return _trusted(
+            tuple([tuple([sum(map(mul, row, col)) for col in ocols]) for row in self._data]),
+            other.cols,
         )
 
     def apply(self, vec: Sequence[int]) -> Vector:
@@ -119,7 +123,7 @@ class IntMatrix:
         return tuple(sum(map(mul, row, vec)) for row in self._data)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self._data], cols=self.cols)
+        return _trusted(tuple([tuple([-x for x in row]) for row in self._data]), self.cols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -165,6 +169,34 @@ class IntMatrix:
         return self.rows == self.cols and self.det() in (1, -1)
 
 
+_new = object.__new__
+_set_rows = IntMatrix.rows.__set__
+_set_cols = IntMatrix.cols.__set__
+_set_data = IntMatrix._data.__set__
+
+
+def _trusted(data: Tuple[Vector, ...], cols: int) -> IntMatrix:
+    """An IntMatrix on rows the library made: a tuple of ``cols``-long tuples of ints.
+
+    Nothing is checked, so only the library's own results come here; data
+    from outside goes through ``IntMatrix(...)``.
+    """
+    m = _new(IntMatrix)
+    _set_rows(m, len(data))
+    _set_cols(m, cols)
+    _set_data(m, data)
+    return m
+
+
+def _unit_rows(n: int) -> List[List[int]]:
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        rows.append(row)
+    return rows
+
+
 def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U*m*V = D, U and V unimodular, D diagonal.
 
@@ -179,21 +211,26 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     return snf
 
 
-def _smith(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
+def _smith(
+    m: IntMatrix, track: bool = True
+) -> Tuple[Optional[IntMatrix], IntMatrix, Optional[IntMatrix]]:
+    """The reduction behind ``smith_normal_form``; U and V are None unless track."""
     nr, nc = m.rows, m.cols
     a = m.to_rows()
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    vt = [[int(i == j) for j in range(nc)] for i in range(nc)]  # the columns of V
+    u = _unit_rows(nr) if track else None
+    vt = _unit_rows(nc) if track else None  # the columns of V
     # Rows above t are zero from column t on, so column operations skip them.
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if track:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in a[t:]:
             r[i], r[j] = r[j], r[i]
-        vt[i], vt[j] = vt[j], vt[i]
+        if track:
+            vt[i], vt[j] = vt[j], vt[i]
 
     t = 0
     lim = min(nr, nc)
@@ -226,7 +263,8 @@ def _smith(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
                     q = x // a[t][t]
                     if q:
                         a[i] = [y - q * z for y, z in zip(a[i], a[t])]
-                        u[i] = [y - q * z for y, z in zip(u[i], u[t])]
+                        if track:
+                            u[i] = [y - q * z for y, z in zip(u[i], u[t])]
                     if a[i][t]:
                         swap_rows(t, i)
                         dirty = True
@@ -237,7 +275,8 @@ def _smith(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
                     if q:
                         for r in a[t:]:
                             r[j] -= q * r[t]
-                        vt[j] = [y - q * z for y, z in zip(vt[j], vt[t])]
+                        if track:
+                            vt[j] = [y - q * z for y, z in zip(vt[j], vt[t])]
                     if a[t][j]:
                         swap_cols(t, j)
                         dirty = True
@@ -252,22 +291,32 @@ def _smith(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
             )
             if offender >= 0:
                 a[t] = [y + z for y, z in zip(a[t], a[offender])]
-                u[t] = [y + z for y, z in zip(u[t], u[offender])]
+                if track:
+                    u[t] = [y + z for y, z in zip(u[t], u[offender])]
                 continue
         if p < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+            if track:
+                u[t] = [-x for x in u[t]]
         t += 1
-    return IntMatrix(u, cols=nr), IntMatrix(a, cols=nc), IntMatrix(list(zip(*vt)), cols=nc)
+    d = _trusted(tuple(map(tuple, a)), nc)
+    if not track:
+        return None, d, None
+    return _trusted(tuple(map(tuple, u)), nr), d, _trusted(tuple(zip(*vt)), nc)
 
 
 def diagonal_of(d: IntMatrix) -> List[int]:
     return [d.entry(i, i) for i in range(min(d.rows, d.cols))]
 
 
+def _invariants(m: IntMatrix) -> List[int]:
+    """The Smith diagonal of m: the stored triple's, else a reduction without U and V."""
+    snf = getattr(m, "_snf", None)
+    return diagonal_of((snf or _smith(m, False))[1])
+
+
 def matrix_rank(m: IntMatrix) -> int:
-    _, d, _ = smith_normal_form(m)
-    return sum(1 for x in diagonal_of(d) if x != 0)
+    return sum(1 for x in _invariants(m) if x != 0)
 
 
 class AbelianGroupStructure:
@@ -340,8 +389,7 @@ class AbelianGroupStructure:
 
 def cokernel_structure(m: IntMatrix) -> AbelianGroupStructure:
     """Isomorphism class of Z^rows / (column span of m)."""
-    _, d, _ = smith_normal_form(m)
-    diag = [x for x in diagonal_of(d) if x != 0]
+    diag = [x for x in _invariants(m) if x != 0]
     return AbelianGroupStructure(m.rows - len(diag), tuple(x for x in diag if x > 1))
 
 
@@ -349,7 +397,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a saturated basis of the integral kernel {v : m v = 0}."""
     _, d, v = smith_normal_form(m)
     r = sum(1 for x in diagonal_of(d) if x != 0)
-    return IntMatrix([row[r:] for row in v.iter_rows()], cols=m.cols - r)
+    return _trusted(tuple([row[r:] for row in v.iter_rows()]), m.cols - r)
 
 
 def solve_integral(m: IntMatrix, b: Sequence[int]) -> Optional[Vector]:

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
+from operator import eq
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .lattice import IntMatrix, Vector, kernel_basis, solve_integral
+from .lattice import IntMatrix, Vector, _trusted, kernel_basis, solve_integral
 from .root_datum import (
     BasedRootDatum,
     center_structure,
@@ -53,7 +54,12 @@ class RootDatumMap:
         self.iota_vee = iota_vee
 
     def is_adjoint_pair(self) -> bool:
-        return self.iota_vee == self.iota.transpose()
+        """iota_vee == transpose(iota), compared row by row without building the transpose."""
+        iota, vee = self.iota, self.iota_vee
+        if vee.rows != iota.cols or vee.cols != iota.rows:
+            return False
+        # with no rows, iota has no columns to zip, and every row of vee is empty
+        return all(map(eq, vee.iter_rows(), zip(*iota.iter_rows())))
 
     def to_dict(self) -> dict:
         return {"iota": self.iota.to_rows(), "iota_vee": self.iota_vee.to_rows()}
@@ -118,11 +124,10 @@ def _solve_each(m: IntMatrix, rhs: Sequence[Sequence[int]]) -> Optional[List[Vec
 
 def _completion_directions(ka: IntMatrix, kz: IntMatrix) -> IntMatrix:
     """The directions K_Z[:, a] K_A[:, b]^T of the completion family, read row-major."""
-    n = ka.rows
-    return IntMatrix.from_columns(
-        [[z * x for z in zc for x in xc] for zc in kz.columns() for xc in ka.columns()],
-        rows=n * n,
-    )
+    directions = [
+        tuple([z * x for z in zc for x in xc]) for zc in kz.columns() for xc in ka.columns()
+    ]
+    return _trusted(tuple(directions), ka.rows * ka.rows).transpose()
 
 
 def _base_completion(
@@ -146,7 +151,7 @@ def _base_completion(
         return None
     # 2. Z S = W_pi, row j of W_pi being alpha_pi^-1(j)^vee, leaves
     #    (Z C) K_A^T = W_pi - Z P, one row j at a time
-    zp = coroots * IntMatrix(p, cols=n)
+    zp = coroots * _trusted(tuple(p), n)
     rest: List[List[int]] = [[]] * len(pi)
     for i, j in enumerate(pi):
         rest[j] = [w - x for w, x in zip(d1.simple_coroots[i], zp.row(j))]
@@ -157,12 +162,12 @@ def _base_completion(
     c = _solve_each(coroots, [[row[b] for row in m] for b in range(g)])
     if c is None:
         return None
-    shift = IntMatrix.from_columns(c, rows=n) * ka.transpose()
+    shift = (ka * _trusted(tuple(c), n)).transpose()  # C K_A^T
     return [x + y for pr, sr in zip(p, shift.iter_rows()) for x, y in zip(pr, sr)]
 
 
 def _matrix_from_vec(vec: Sequence[int], n: int) -> IntMatrix:
-    return IntMatrix([list(vec[i * n : (i + 1) * n]) for i in range(n)])
+    return _trusted(tuple([tuple(vec[i * n : (i + 1) * n]) for i in range(n)]), n)
 
 
 def _completions(

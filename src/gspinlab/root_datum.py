@@ -488,11 +488,7 @@ def verify_exact_sequence(maps: Sequence[IntMatrix]) -> bool:
     for f, g in zip(maps, maps[1:]):
         if g.cols != f.rows:
             raise ValueError("dimension mismatch in sequence")
-    first, last = maps[0], maps[-1]
-    if kernel_basis(first).cols != 0:
-        return False
-    cok = cokernel_structure(last)
-    if cok.free_rank != 0 or cok.torsion:
+    if kernel_basis(maps[0]).cols != 0:
         return False
     for f, g in zip(maps, maps[1:]):
         prod = g * f
@@ -504,4 +500,7 @@ def verify_exact_sequence(maps: Sequence[IntMatrix]) -> bool:
                 return False
         if matrix_rank(f) + matrix_rank(g) != f.rows:
             return False
-    return True
+    # after the loop, so that the last map's reduction is the stored one
+    # kernel_basis made (the first map's, for a single map)
+    cok = cokernel_structure(maps[-1])
+    return cok.free_rank == 0 and not cok.torsion

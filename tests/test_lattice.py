@@ -6,18 +6,21 @@ from math import gcd
 
 import pytest
 
-from gspinlab import lattice, presets
+from gspinlab import lattice, morphisms, presets, root_datum
 from gspinlab.lattice import (
     AbelianGroupStructure,
     IntMatrix,
     cokernel_structure,
     kernel_basis,
+    matrix_rank,
     smith_normal_form,
     solve_integral,
 )
 from gspinlab.morphisms import cartan_compatible_bijections, search_isomorphisms
 from gspinlab.root_datum import (
+    center_structure,
     central_torus_quotient_datum,
+    dual_sc_center,
     similitude_kernel_datum,
     verify_exact_sequence,
 )
@@ -309,6 +312,41 @@ def test_complement_restriction_reduces_two_matrices(monkeypatch, build, d, v):
     assert [(m.rows, m.cols) for m in reduced] == [(1, d.rank), (d.rank, d.rank - 1)]
 
 
+def test_invariants_match_the_stored_diagonal_suite_500():
+    for m in _suite_500():
+        ds = [x for x in diag(smith_normal_form(m)[1]) if x]
+        want = AbelianGroupStructure(m.rows - len(ds), [x for x in ds if x > 1])
+        fresh = IntMatrix(m.to_rows())
+        assert cokernel_structure(fresh) == want
+        assert matrix_rank(IntMatrix(m.to_rows())) == len(ds)
+        # the invariant-only reduction stores nothing
+        assert getattr(fresh, "_snf", None) is None
+        # and a stored triple is read, not reduced again
+        assert cokernel_structure(m) == want and matrix_rank(m) == len(ds)
+
+
+def test_invariants_need_no_smith_triple(monkeypatch):
+    names = presets.datum_names()
+    assert len(names) == 9
+
+    def centers(d):
+        return center_structure(d), dual_sc_center(d) if d.simple_roots else None
+
+    want = [centers(presets.datum(n)) for n in names]
+
+    def refuse(m):
+        raise AssertionError("the Smith triple was built")
+
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    monkeypatch.setattr(root_datum, "smith_normal_form", refuse)
+    for name, (center, sc) in zip(names, want):
+        d = presets.datum(name)
+        assert centers(d) == (center, sc)
+        roots = d.simple_roots
+        assert cokernel_structure(IntMatrix.from_columns(roots, rows=d.rank)) == center
+        assert matrix_rank(IntMatrix.from_columns(roots, rows=d.rank)) == len(roots)
+
+
 def test_snf_second_call_returns_same_triple():
     m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
     first = smith_normal_form(m)
@@ -322,14 +360,39 @@ def _exact_int_rows(m):
     )
 
 
+def _as_constructed(m, shape):
+    """m has the given shape, exact int rows of that shape, and is the validated matrix."""
+    rows = list(m.iter_rows())
+    assert (m.rows, m.cols) == shape == (len(rows), m.cols)
+    assert type(m._data) is tuple and all(len(row) == m.cols for row in rows)
+    assert _exact_int_rows(m)
+    built = IntMatrix(m.to_rows(), cols=m.cols)
+    assert m == built and built == m and hash(m) == hash(built)
+    return True
+
+
 def test_library_results_have_exact_int_rows():
     rng = random.Random(4242)
     for _ in range(60):
         r, c = rng.randint(0, 5), rng.randint(0, 5)
         m = IntMatrix([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], cols=c)
         other = IntMatrix([[rng.randint(-9, 9) for _ in range(2)] for _ in range(c)], cols=2)
-        results = [*smith_normal_form(m), kernel_basis(m), m * other, m.transpose(), -m]
-        assert all(_exact_int_rows(x) for x in results)
+        u, d, v = smith_normal_form(m)
+        k = kernel_basis(m)
+        expected = [
+            (u, (r, r)), (d, (r, c)), (v, (c, c)), (k, (c, c - matrix_rank(m))),
+            (m * other, (r, 2)), (m.transpose(), (c, r)), (-m, (r, c)),
+            (IntMatrix.identity(c), (c, c)), (other.transpose() * m.transpose(), (2, r)),
+        ]
+        # the search's own candidates and completion directions
+        vec = [rng.randint(-9, 9) for _ in range(c * c)]
+        expected.append((morphisms._matrix_from_vec(vec, c), (c, c)))
+        expected.append((morphisms._completion_directions(k, k), (c * c, k.cols**2)))
+        assert all(_as_constructed(x, shape) for x, shape in expected)
+    for d1, d2 in SHIPPED_PAIRS:
+        for f in search_isomorphisms(d1, d2):
+            assert _as_constructed(f.iota, (d2.rank, d1.rank))
+            assert _as_constructed(f.iota_vee, (d1.rank, d2.rank))
     # entries that are not exact ints still go through int()
     converted = IntMatrix([[True, Fraction(2), "3"], (4, 5, 6)])
     assert converted.to_rows() == [[1, 2, 3], [4, 5, 6]]

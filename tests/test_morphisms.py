@@ -139,6 +139,43 @@ def test_search_rank_mismatch_is_empty():
     assert search_isomorphisms(sl_datum(2), gl_datum(2)) == []
 
 
+def test_point_datum_has_one_isomorphism_the_empty_map():
+    point = BasedRootDatum(0, [], [])
+    for kwargs in ({}, {"det_sign": 1}, {"assignment": ()}):
+        maps = search_isomorphisms(point, point, **kwargs)
+        assert [f.to_dict() for f in maps] == [{"iota": [], "iota_vee": []}], kwargs
+        assert (maps[0].iota.rows, maps[0].iota.cols) == (0, 0)
+        assert check_isomorphism(maps[0], point, point)
+    assert search_isomorphisms(point, point, det_sign=-1) == []
+
+
+def test_adjointness_matches_the_transpose():
+    rng = random.Random(515)
+    for _ in range(300):
+        r, c = rng.randint(0, 4), rng.randint(0, 4)
+        iota = IntMatrix([[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)], cols=c)
+        vee = iota.transpose()
+        if vee.rows and vee.cols and rng.random() < 0.5:
+            rows = vee.to_rows()
+            rows[rng.randrange(vee.rows)][rng.randrange(vee.cols)] += rng.choice((-1, 1))
+            vee = IntMatrix(rows, cols=vee.cols)
+        elif rng.random() < 0.3:
+            vr, vc = rng.randint(0, 4), rng.randint(0, 4)
+            vee = IntMatrix([[rng.randint(-2, 2) for _ in range(vc)] for _ in range(vr)], cols=vc)
+        f = RootDatumMap(iota, vee)
+        assert f.is_adjoint_pair() == (vee == iota.transpose()), (iota, vee)
+    s = IntMatrix([[1, 2], [3, 4]])
+    assert not RootDatumMap(s, s).is_adjoint_pair()  # not adjoint
+    assert not RootDatumMap(s, IntMatrix([[1, 3, 0], [2, 4, 0]])).is_adjoint_pair()  # shape
+    # m x 0 and 0 x m maps: only the empty transpose of the right shape pairs
+    for m in range(4):
+        tall, wide = IntMatrix([[]] * m, cols=0), IntMatrix([], cols=m)
+        assert RootDatumMap(tall, wide).is_adjoint_pair()
+        assert RootDatumMap(wide, tall).is_adjoint_pair()
+        assert RootDatumMap(tall, IntMatrix([], cols=m + 1)).is_adjoint_pair() is False
+        assert RootDatumMap(wide, IntMatrix([[]] * (m + 1), cols=0)).is_adjoint_pair() is False
+
+
 def test_search_results_all_verify():
     for d1, d2 in [(PSI4, G4), (PSI6, G6), (PSI4, PSI4)]:
         for f in search_isomorphisms(d1, d2):

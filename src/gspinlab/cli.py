@@ -5,6 +5,8 @@ Exit codes: 0 ok, 1 verification-false, 2 input error, 3 cap exceeded or
 an isomorphism family too large to list, 4 an internal consistency check
 failed.
 All file I/O is UTF-8 JSON; the schemas are documented in docs/schemas.md.
+Every file-or-preset argument goes through ``_load``, which reads one table
+row per input kind; each verb's handler is set on its subparser.
 """
 from __future__ import annotations
 
@@ -15,12 +17,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import presets
-from .centralizers import (
-    NormalizationError,
-    NotEllipticError,
-    ParameterImage,
-    s_groups,
-)
+from .centralizers import NormalizationError, NotEllipticError, ParameterImage, s_groups
 from .finite_groups import (
     CapExceededError,
     FieldInsufficientError,
@@ -79,20 +76,64 @@ def _require_ints(data: dict, keys: Sequence[str], context: str) -> None:
             walk(key, data[key])
 
 
-def _load_datum(arg: str) -> BasedRootDatum:
-    if os.path.isfile(arg):
-        data = _read_json_file(arg)
-        _require_ints(data, ("rank", "simple_roots", "simple_coroots"), f"bad datum file {arg}")
+def _scenario(data: dict):
+    flag = data.get("twist_equivalent", False)
+    if type(flag) is not bool:
+        raise ValueError(f"twist_equivalent holds {json.dumps(flag)}, not a boolean")
+    return scenario_from_dict(data)
+
+
+# kind -> (keys whose numbers must be JSON integers, reader of the file's JSON
+# object, preset lookup, message for an unknown preset name). Each lookup
+# resolves ``presets.<function>`` when it runs, so a wrapper set on the module
+# attribute (perfbench's tracer) sees every preset load.
+_KINDS = {
+    "datum": (
+        ("rank", "simple_roots", "simple_coroots"), BasedRootDatum.from_dict,
+        lambda n: presets.datum(n),
+        lambda n: f"unknown datum preset {n!r}; available: {', '.join(presets.datum_names())}",
+    ),
+    "map": (
+        ("iota", "iota_vee"), RootDatumMap.from_dict, lambda n: presets.datum_map(n)[0],
+        lambda n: f"unknown map preset {n!r}",
+    ),
+    "sequence": (
+        ("maps",), lambda data: [IntMatrix(m) for m in data["maps"]], lambda n: presets.sequence(n),
+        lambda n: f"unknown sequence preset {n!r}",
+    ),
+    "group": (
+        (), lambda data: [GaussianMatrix.from_strings(g) for g in data["generators"]],
+        lambda n: presets.witness_generators(n), lambda n: f"unknown witness preset {n!r}",
+    ),
+    "parameter": (
+        (), ParameterImage.from_dict, lambda n: presets.witness_parameter(n),
+        lambda n: f"unknown parameter preset {n!r}",
+    ),
+    "scenario": (
+        ("p", "f", "i_sl4"), _scenario, lambda n: scenario_from_dict(presets.scenario_dict(n)),
+        lambda n: f"unknown scenario {n!r}; shipped: {', '.join(presets.scenario_names())}",
+    ),
+}
+
+
+def _load(kind: str, arg: str, from_file: Optional[bool] = None):
+    """The ``kind`` input that ``arg`` names: the JSON file at that path if one
+    exists (or if ``from_file`` says so), else the preset of that name."""
+    ints, read, lookup, unknown = _KINDS[kind]
+    if not (os.path.isfile(arg) if from_file is None else from_file):
         try:
-            return BasedRootDatum.from_dict(data)
-        except (LookupError, TypeError, ValueError) as exc:
-            raise InputError(f"bad datum file {arg}: {exc}")
+            return lookup(arg)
+        except KeyError:
+            raise InputError(unknown(arg))
+    context = f"bad {kind} file {arg}"
+    data = _read_json_file(arg)
+    _require_ints(data, ints, context)
     try:
-        return presets.datum(arg)
-    except KeyError:
-        raise InputError(
-            f"unknown datum preset {arg!r}; available: {', '.join(presets.datum_names())}"
-        )
+        return read(data)
+    except KeyError as exc:
+        raise InputError(f"{context}: missing key {exc}")
+    except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{context}: {exc}")
 
 
 def _structure_text(s) -> str:
@@ -115,7 +156,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_datum(args) -> int:
-    d = _load_datum(args.name)
+    d = _load("datum", args.name)
     action = args.action
     if action == "describe":
         payload = d.to_dict()
@@ -154,32 +195,28 @@ def _cmd_datum(args) -> int:
     return EXIT_OK
 
 
-def _load_map(arg: str) -> RootDatumMap:
-    if os.path.isfile(arg):
-        d = _read_json_file(arg)
-        _require_ints(d, ("iota", "iota_vee"), f"bad map file {arg}")
-        try:
-            return RootDatumMap.from_dict(d)
-        except (LookupError, TypeError, ValueError) as exc:
-            raise InputError(f"bad map file {arg}: {exc}")
-    try:
-        f, _, _ = presets.datum_map(arg)
-        return f
-    except KeyError:
-        raise InputError(f"unknown map preset {arg!r}")
-
-
 def _cmd_iso(args) -> int:
-    d1 = _load_datum(args.d1)
-    d2 = _load_datum(args.d2)
-    if args.mode == "check":
+    # allow both `iso search D1 D2` and the bare `iso D1 D2`
+    if args.first in ("check", "search"):
+        if args.maybe_d2 is None:
+            raise InputError("iso needs two data")
+        mode, name1, name2 = args.first, args.d1_or_d2, args.maybe_d2
+    else:
+        if args.maybe_d2 is not None:
+            raise InputError(f"iso takes two data; unexpected argument {args.maybe_d2!r}")
+        mode, name1, name2 = "search", args.first, args.d1_or_d2
+    if mode == "check":
+        given = [o for o, v in (("--det", args.det), ("--fix-delta", args.fix_delta)) if v]
+        if given:
+            raise InputError(f"iso check takes no {', '.join(given)}; use iso search")
+    elif args.map:
+        raise InputError(f"iso search takes no --map (got {args.map!r}); use iso check")
+    d1 = _load("datum", name1)
+    d2 = _load("datum", name2)
+    if mode == "check":
         if not args.map:
             raise InputError("iso check needs --map FILE-or-preset")
-        f = _load_map(args.map)
-        try:
-            ok = check_isomorphism(f, d1, d2)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        ok = check_isomorphism(_load("map", args.map), d1, d2)
         _emit(args, {"isomorphism": ok}, "isomorphism: " + ("yes" if ok else "no"))
         return EXIT_OK if ok else EXIT_FALSE
     assignment = None
@@ -199,43 +236,17 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    if os.path.isfile(args.seq):
-        data = _read_json_file(args.seq)
-        _require_ints(data, ("maps",), f"bad sequence file {args.seq}")
-        try:
-            maps = [IntMatrix(m) for m in data["maps"]]
-        except (LookupError, TypeError, ValueError) as exc:
-            raise InputError(f"bad sequence file {args.seq}: {exc}")
-    else:
-        try:
-            maps = presets.sequence(args.seq)
-        except KeyError:
-            raise InputError(f"unknown sequence preset {args.seq!r}")
-    try:
-        ok = verify_exact_sequence(maps)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    ok = verify_exact_sequence(_load("sequence", args.seq))
     _emit(args, {"exact": ok}, "OK" if ok else "NOT EXACT")
     return EXIT_OK if ok else EXIT_FALSE
 
 
-def _load_group_generators(args) -> List[GaussianMatrix]:
-    if args.preset:
-        try:
-            return presets.witness_generators(args.preset)
-        except (KeyError, ValueError) as exc:
-            raise InputError(str(exc))
-    if not args.file:
-        raise InputError("group commands need --preset NAME or --file FILE")
-    data = _read_json_file(args.file)
-    try:
-        return [GaussianMatrix.from_strings(gm) for gm in data["generators"]]
-    except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad group file {args.file}: {exc}")
-
-
 def _cmd_group(args) -> int:
-    gens = _load_group_generators(args)
+    if args.preset and args.file:
+        raise InputError("group takes --preset NAME or --file FILE, not both")
+    if not (args.preset or args.file):
+        raise InputError("group commands need --preset NAME or --file FILE")
+    gens = _load("group", args.file or args.preset, from_file=bool(args.file))
     group = generate_closure(gens, cap=args.cap)
     if args.action == "gen":
         _emit(
@@ -273,21 +284,8 @@ def _cmd_group(args) -> int:
     return EXIT_OK
 
 
-def _load_parameter(arg: str) -> ParameterImage:
-    if os.path.isfile(arg):
-        data = _read_json_file(arg)
-        try:
-            return ParameterImage.from_dict(data)
-        except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad parameter file {arg}: {exc}")
-    try:
-        return presets.witness_parameter(arg)
-    except (KeyError, ValueError):
-        raise InputError(f"unknown parameter preset {arg!r}")
-
-
 def _cmd_params(args) -> int:
-    phi = _load_parameter(args.param)
+    phi = _load("parameter", args.param)
     report = s_groups(phi, cap=args.cap)
     payload = report.to_dict()
     text = (
@@ -303,29 +301,13 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_packets(args) -> int:
-    if os.path.isfile(args.scenario):
-        data = _read_json_file(args.scenario)
-        context = f"bad scenario file {args.scenario}"
-        _require_ints(data, ("p", "f", "i_sl4"), context)
-        flag = data.get("twist_equivalent", False)
-        if type(flag) is not bool:
-            raise InputError(f"{context}: twist_equivalent holds {json.dumps(flag)}, not a boolean")
-    else:
-        try:
-            data = presets.scenario_dict(args.scenario)
-        except KeyError:
-            raise InputError(
-                f"unknown scenario {args.scenario!r}; shipped: "
-                + ", ".join(presets.scenario_names())
-            )
-    try:
-        scenario = scenario_from_dict(data)
-    except (LookupError, TypeError, ValueError) as exc:
-        raise InputError(f"bad scenario: {exc}")
+    scenario = _load("scenario", args.scenario)
     witness = None
     if scenario.witness:
         try:
             witness = presets.witness_parameter(scenario.witness)
+        except KeyError as exc:
+            raise InputError(f"bad witness reference: {exc.args[0]}")
         except (LookupError, TypeError, ValueError) as exc:
             raise InputError(f"bad witness reference: {exc}")
     report = scenario_report(scenario, witness)
@@ -399,17 +381,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, run, **kw):
+        p = sub.add_parser(name, parents=[common], **kw)
+        p.set_defaults(run=run)
+        return p
 
-    p = add("datum", help="inspect a based root datum")
+    p = add("datum", _cmd_datum, help="inspect a based root datum")
     p.add_argument("name", help="preset name or JSON file")
     p.add_argument(
         "action",
         choices=["describe", "center", "dual", "sc-center", "roots"],
     )
 
-    p = add("iso", help="check or search root-datum isomorphisms")
+    p = add("iso", _cmd_iso, help="check or search root-datum isomorphisms")
     p.add_argument("first", help="'check', 'search', or the source datum")
     p.add_argument("d1_or_d2", help="datum")
     p.add_argument("maybe_d2", nargs="?", help="target datum when a mode is given")
@@ -417,64 +401,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix-delta", action="store_true", help="fix the simple-root assignment in listed order")
     p.add_argument("--det", choices=["+1", "-1", "1"], help="determinant constraint")
 
-    p = add("exact", help="verify a character-lattice exact sequence")
+    p = add("exact", _cmd_exact, help="verify a character-lattice exact sequence")
     p.add_argument("seq", help="sequence preset or JSON file")
 
-    p = add("group", help="finite matrix group computations")
+    p = add("group", _cmd_group, help="finite matrix group computations")
     p.add_argument("action", choices=["gen", "table", "id"])
     p.add_argument("--preset", help="named generator preset")
     p.add_argument("--file", help="JSON file with a generators array")
 
-    p = add("params", help="component groups of a parameter image")
+    p = add("params", _cmd_params, help="component groups of a parameter image")
     p.add_argument("param", help="witness preset or JSON file")
 
-    p = add("packets", help="packet sizes for a scenario")
+    p = add("packets", _cmd_packets, help="packet sizes for a scenario")
     p.add_argument("scenario", help="scenario preset or JSON file")
 
-    add("verify-paper", help="run the bundled regression catalogue")
+    add("verify-paper", _cmd_verify_paper, help="run the bundled regression catalogue")
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "datum":
-            return _cmd_datum(args)
-        if args.command == "iso":
-            # allow both `iso search D1 D2` and the bare `iso D1 D2`
-            if args.first in ("check", "search"):
-                if args.maybe_d2 is None:
-                    raise InputError("iso needs two data")
-                args.mode = args.first
-                args.d1, args.d2 = args.d1_or_d2, args.maybe_d2
-            else:
-                if args.maybe_d2 is not None:
-                    raise InputError(f"iso takes two data; unexpected argument {args.maybe_d2!r}")
-                args.mode = "search"
-                args.d1, args.d2 = args.first, args.d1_or_d2
-            if args.mode == "search" and args.map:
-                raise InputError(f"iso search takes no --map (got {args.map!r}); use iso check")
-            if args.mode == "check":
-                given = [o for o, v in (("--det", args.det), ("--fix-delta", args.fix_delta)) if v]
-                if given:
-                    raise InputError(f"iso check takes no {', '.join(given)}; use iso search")
-            return _cmd_iso(args)
-        if args.command == "exact":
-            return _cmd_exact(args)
-        if args.command == "group":
-            return _cmd_group(args)
-        if args.command == "params":
-            return _cmd_params(args)
-        if args.command == "packets":
-            return _cmd_packets(args)
-        if args.command == "verify-paper":
-            return _cmd_verify_paper(args)
-        raise InputError(f"unknown command {args.command!r}")
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NotEllipticError, NormalizationError, FieldInsufficientError, ValueError) as exc:
+        return args.run(args)
+    except (
+        InputError, NotEllipticError, NormalizationError, FieldInsufficientError, ValueError
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NotFiniteError, CapExceededError) as exc:

@@ -165,9 +165,6 @@ class IntMatrix:
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and self.det() in (1, -1)
-
 
 _new = object.__new__
 _set_rows = IntMatrix.rows.__set__

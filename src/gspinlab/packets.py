@@ -368,6 +368,17 @@ def consistency_check(report: PacketReport, bound: Optional[int] = None) -> bool
     return True
 
 
+# the two order-16 extensions the rank-four rules leave open
+_GSPIN4_BRANCHES = ("abelian order 16 (invariant factors 4,4)", "Q8 x Z/2")
+
+
+def _check_witness_ambient(witness: Optional[ParameterImage], family: str, ambient: str) -> None:
+    if witness is not None and witness.ambient != ambient:
+        raise ValueError(
+            f"a {family} scenario needs a {ambient} witness, not a {witness.ambient} one"
+        )
+
+
 def gspin4_scenario_report(
     s: GSpin4Scenario, witness: Optional[ParameterImage] = None
 ) -> PacketReport:
@@ -375,43 +386,29 @@ def gspin4_scenario_report(
     info = sgroup_structure_gspin4(s, ig)
     notes: List[str] = []
     outcomes: List[PacketOutcome] = []
+    _check_witness_ambient(witness, "GSpin4", "GSO4")
     if info.q8_possible:
-        witness_label = None
         if witness is not None:
             rep = s_groups(witness)
-            witness_label = rep.s_phi_sc_label
+            label = rep.s_phi_sc_label
+            if label not in _GSPIN4_BRANCHES:
+                raise ValueError(
+                    f"witness S_phi_sc is {label}; the rules allow only "
+                    + " or ".join(_GSPIN4_BRANCHES)
+                )
             notes.append(
-                f"matrix-level witness identifies the extension as {witness_label} "
+                f"matrix-level witness identifies the extension as {label} "
                 f"(order {rep.s_phi_sc.order}, quotient {rep.s_phi_label})"
             )
-        if witness_label == "Q8 x Z/2":
-            outcomes.append(
-                packet_sizes("Q8 x Z/2", "GSpin4", info.igroup_order, confirmed=True)
-            )
-        elif witness_label is not None:
-            outcomes.append(
-                packet_sizes(
-                    "abelian order 16 (invariant factors 4,4)",
-                    "GSpin4",
-                    info.igroup_order,
-                    confirmed=True,
-                )
-            )
+            outcomes.append(packet_sizes(label, "GSpin4", info.igroup_order, confirmed=True))
         else:
             notes.append(
                 "non-abelian branch is possible but unconfirmed; supply a matrix "
                 "witness to decide"
             )
-            outcomes.append(
-                packet_sizes(
-                    "abelian order 16 (invariant factors 4,4)",
-                    "GSpin4",
-                    info.igroup_order,
-                    confirmed=False,
-                )
-            )
-            outcomes.append(
-                packet_sizes("Q8 x Z/2", "GSpin4", info.igroup_order, confirmed=False)
+            outcomes.extend(
+                packet_sizes(label, "GSpin4", info.igroup_order, confirmed=False)
+                for label in _GSPIN4_BRANCHES
             )
     else:
         outcomes.append(packet_sizes(info.label, "GSpin4", info.igroup_order))
@@ -454,6 +451,7 @@ def gspin6_scenario_report(
             "are not tabulated"
         )
     outcomes: List[PacketOutcome] = []
+    _check_witness_ambient(witness, "GSpin6", "GSO6")
     if witness is not None:
         rep = s_groups(witness)
         notes.append(

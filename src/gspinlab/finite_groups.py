@@ -12,13 +12,20 @@ classes, class sums, central characters, quotients by central subgroups)
 reads that table, and the matrices stay as element labels. The center and
 quotients call the constructor with a table induced from the parent's.
 
-Character tables are computed by an exact Dixon-style method: the class-sum
+Character tables are computed by an exact Dixon-style method (Dixon, Numer.
+Math. 10, 1967; Schneider, J. Symbolic Comput. 9, 1990): the class-sum
 matrices are simultaneously diagonalized over a prime field F_p with
-p = 1 mod exponent, and the character values are lifted back to Z[i] via
-root-of-unity multiplicities. Each space is split by trying eigenvalues in
-turn; once one dimension is left, its eigenvalue is read off the trace and
-one solve, which must give a line, finishes the space. Every table, up to
-the 512 cap, is then checked on integers by ``_validate_table``: the
+p = 1 mod exponent. Every space of the split is kept as a basis in reduced
+echelon form, so a class-sum matrix restricts to it by reading its images at
+the pivot columns, and a line's eigenvalues are its images at its pivot,
+where it is 1. Each space is split by trying eigenvalues in turn; once one
+dimension is left, its eigenvalue is read off the trace and one solve, which
+must give a line, finishes the space. A value chi(g) = a + b i is lifted from
+the conjugate pair chi_p(g), chi_p(g^-1): a and b are the centred residues
+of their half sum and of their half difference over a square root of -1
+mod p (or over 1 when p = 3 mod 4, since then the exponent divides 2 and
+every value is an integer), exact as |a|, |b| <= chi(1) < p/2. Every table,
+up to the 512 cap, is then checked on integers by ``_validate_table``: the
 classes are certified from the Cayley table, both orthogonality relations
 must hold, and each row must pass the regular-representation cross-check
 (the projection built from the row must be idempotent), a second path
@@ -36,7 +43,7 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .gaussian import FOURTH_ROOTS, QI, GaussianMatrix, gauss_jordan, nullspace, sorted_matrices
+from .gaussian import QI, GaussianMatrix, gauss_jordan, nullspace, sorted_matrices
 from .lattice import AbelianGroupStructure
 
 
@@ -397,24 +404,6 @@ def _choose_prime(exponent: int, order: int) -> int:
         p += 1
 
 
-def _primitive_eth_root(p: int, e: int) -> int:
-    # factor p-1, find a generator, take its (p-1)/e power
-    m = p - 1
-    facs = set()
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            facs.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        facs.add(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in facs):
-            return pow(g, (p - 1) // e, p)
-    raise RuntimeError("no generator found")
-
-
 def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
     n = group.order
     if n > 512:
@@ -434,14 +423,6 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
     reps = [c.positions[0] for c in classes]
     sizes = [c.size for c in classes]
     inv_class = [class_of[inv[r]] for r in reps]
-    power = []
-    for r in reps:
-        row = []
-        y = group.identity_index
-        for _ in range(e):
-            row.append(class_of[y])
-            y = mt[y][r]
-        power.append(row)
 
     m_mats = []
     for i in range(k):
@@ -453,7 +434,6 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
         m_mats.append(mat)
 
     p = _choose_prime(e, n)
-    zroot = _primitive_eth_root(p, e)
 
     def inverse(x: int) -> int:
         return pow(x, p - 2, p)
@@ -461,27 +441,21 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
     def reduce(row: List[int]) -> List[int]:
         return [x % p for x in row]
 
-    # split F_p^k into common eigenlines of the class-sum matrices
-    spaces: List[List[List[int]]] = [
-        [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    ]
-    for i in range(k):
-        if all(len(b) == 1 for b in spaces):
+    # split F_p^k into common eigenlines of the class-sum matrices; each space
+    # is a reduced echelon basis with its pivot columns, so the coordinates of
+    # a vector of the space are its entries at the pivots
+    spaces = [([[1 if i == j else 0 for j in range(k)] for i in range(k)], list(range(k)))]
+    for mat in m_mats:
+        if all(len(basis) == 1 for basis, _ in spaces):
             break
-        mat = m_mats[i]
-        fresh: List[List[List[int]]] = []
-        for basis in spaces:
-            if len(basis) == 1:
-                fresh.append(basis)
-                continue
+        fresh = []
+        for basis, pivots in spaces:
             mdim = len(basis)
-            images = [[sum(map(mul, row, vec)) % p for row in mat] for vec in basis]
-            # coordinates of every image in the basis: reduce [basis^T | images^T]
-            aug = [[vec[t] for vec in basis] + [img[t] for img in images] for t in range(k)]
-            red, pivots = gauss_jordan(aug, mdim, inverse, reduce)
-            rmat = [[0] * mdim for _ in range(mdim)]
-            for row, c in zip(red, pivots):
-                rmat[c] = row[mdim:]
+            if mdim == 1:
+                fresh.append((basis, pivots))
+                continue
+            # the restriction of mat: column b holds the coordinates of mat * basis[b]
+            rmat = [[sum(map(mul, mat[c], vec)) % p for vec in basis] for c in pivots]
             # rmat is diagonalizable: the eigenspaces fill the basis, and once
             # one dimension is left its eigenvalue is the trace minus the others
             rest = sum(rmat[a][a] for a in range(mdim))
@@ -501,51 +475,40 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
                     raise AssertionError("the last eigenvalue of a class-sum matrix has no eigenline")
                 if null:
                     rest -= lam * len(null)
-                    sub = [[sum(map(mul, coef, col)) % p for col in cols] for coef in null]
-                    fresh.append(sub)
+                    sub = [[sum(map(mul, coef, col)) for col in cols] for coef in null]
+                    fresh.append(gauss_jordan(sub, k, inverse, reduce))
                     found += len(null)
         spaces = fresh
 
-    omegas_list = []
-    for basis in spaces:
+    # chi(g^-1) is the conjugate of chi(g) = a + b i, and |a|, |b| <= chi(1) < p/2:
+    # a and b are read from chi_p(g) +- chi_p(g^-1), with iota^2 = -1 mod p when
+    # p = 1 mod 4; otherwise e divides 2, the values are integers and iota = 1
+    iota = next((r for r in range(p) if r * r % p == p - 1), 1)
+    half, half_iota = inverse(2), inverse(2 * iota)
+
+    def centred(x: int) -> int:
+        x %= p
+        return x - p if 2 * x > p else x
+
+    rows = []
+    for basis, pivots in spaces:
         if len(basis) != 1:
             raise AssertionError("class-sum matrices failed to split to lines")
-        v = basis[0]
-        t0 = next(t for t in range(k) if v[t] % p)
-        om = []
-        for i in range(k):
-            img = sum(map(mul, m_mats[i][t0], v)) % p
-            om.append((img * pow(v[t0], p - 2, p)) % p)
-        omegas_list.append(om)
-
-    einv = pow(e, p - 2, p)
-    rows = []
-    for om in omegas_list:
-        s = 0
-        for i in range(k):
-            s = (s + om[i] * om[inv_class[i]] * pow(sizes[i], p - 2, p)) % p
-        d2 = (n * pow(s, p - 2, p)) % p
-        deg = None
-        for dd in range(1, isqrt(n) + 1):
-            if (dd * dd) % p == d2:
-                deg = dd
-                break
+        # the line's pivot entry is 1, so its eigenvalues are read there
+        v, t0 = basis[0], pivots[0]
+        om = [sum(map(mul, m[t0], v)) % p for m in m_mats]
+        s = sum(om[i] * om[inv_class[i]] * inverse(sizes[i]) for i in range(k))
+        d2 = n * inverse(s % p) % p
+        deg = next((d for d in range(1, isqrt(n) + 1) if d * d % p == d2), None)
         if deg is None:
             raise AssertionError("no degree matches the mod-p data")
-        chi_p = [(deg * om[i] * pow(sizes[i], p - 2, p)) % p for i in range(k)]
+        chi_p = [deg * om[i] * inverse(sizes[i]) for i in range(k)]
         values = []
-        for i in range(k):
-            re = im = 0
-            for j in range(e):
-                mj = 0
-                for t in range(e):
-                    mj = (mj + chi_p[power[i][t]] * pow(zroot, (-j * t) % (p - 1), p)) % p
-                mj = (mj * einv) % p
-                if mj > deg:
-                    raise AssertionError("multiplicity lift out of range")
-                root = FOURTH_ROOTS[(4 // e * j) % 4]  # the j-th power of i^(4/e)
-                re, im = re + mj * root.a, im + mj * root.b
-            values.append(QI(re, im))
+        for x, j in zip(chi_p, inv_class):
+            a, b = centred((x + chi_p[j]) * half), centred((x - chi_p[j]) * half_iota)
+            if abs(a) > deg or abs(b) > deg:
+                raise AssertionError("character value lift out of range")
+            values.append(QI(a, b))
         rows.append(CharacterRow(deg, tuple(values)))
 
     rows.sort(key=lambda r: r.sort_key())

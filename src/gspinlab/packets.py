@@ -255,7 +255,7 @@ class PacketOutcome:
 def packet_sizes(
     structure,
     family: str,
-    igroup_order: Optional[int] = None,
+    igroup_order: int,
     confirmed: Optional[bool] = None,
 ) -> PacketOutcome:
     """Packet sizes per inner form for a component-group structure.
@@ -263,7 +263,7 @@ def packet_sizes(
     ``structure`` is a catalogue label (realized canonically) or an explicit
     FiniteMatrixGroup containing the designated central subgroup. Sizes are
     counts of irreducible characters with the corresponding central
-    character; multiplicities come from m^2 * size = |I|.
+    character; multiplicities come from m^2 * size = |I| = ``igroup_order``.
     """
     if family == "GSpin4":
         forms = GSPIN4_FORMS
@@ -289,8 +289,6 @@ def packet_sizes(
         rows = irreps_with_central_character(group, z_elements, zetas[form], table)
         sizes[form] = len(rows)
         degrees[form] = tuple(r.degree for r in rows)
-    if igroup_order is None:
-        igroup_order = group.order // len(z_elements)
     multiplicities: Dict[str, Optional[int]] = {}
     for form in forms:
         sz = sizes[form]

@@ -85,16 +85,22 @@ def realization_data(case: str) -> dict:
     return data[case]
 
 
-def scenario_names() -> List[str]:
+@lru_cache(maxsize=None)
+def _scenario_files() -> Tuple[str, ...]:
+    """The shipped scenario file names, listed once per process."""
     ref = resources.files("gspinlab.data").joinpath("scenarios")
-    return sorted(p.name for p in ref.iterdir() if p.name.endswith(".json"))
+    return tuple(sorted(p.name for p in ref.iterdir() if p.name.endswith(".json")))
+
+
+def scenario_names() -> List[str]:
+    return list(_scenario_files())
 
 
 def scenario_dict(name: str) -> dict:
-    """Scenario record by preset name (with or without .json suffix)."""
+    """Scenario record by shipped name (with or without .json suffix); any other
+    name, a path into or out of the scenarios folder included, is a KeyError."""
     fname = name if name.endswith(".json") else f"{name}.json"
-    ref = resources.files("gspinlab.data").joinpath("scenarios").joinpath(fname)
-    try:
-        return json.loads(ref.read_text("utf-8"))
-    except FileNotFoundError:
+    if fname not in _scenario_files():
         raise KeyError(f"unknown scenario preset {name!r}")
+    ref = resources.files("gspinlab.data").joinpath("scenarios").joinpath(fname)
+    return json.loads(ref.read_text("utf-8"))

@@ -395,8 +395,10 @@ def test_standard_image_matches_entrywise_oracle():
 
 
 def test_parameter_json_roundtrip():
-    for name in ("coupled_klein_four", "cyclic_quartic_gso6"):
-        phi = presets.witness_parameter(name)
+    c = GaussianMatrix.from_strings([["1", "0"], ["0", "i"]])
+    unequal = ParameterImage("GSO4", ((A, c), (B, B)))  # h1 != h2 in the first pair
+    names = ("coupled_klein_four", "cyclic_quartic_gso6")
+    for phi in [*map(presets.witness_parameter, names), unequal]:
         again = ParameterImage.from_dict(phi.to_dict())
         assert again == phi and hash(again) == hash(phi)
 

@@ -175,6 +175,30 @@ def test_params_ignores_relations_key(tmp_path, capsys):
     assert "S_phi_sc: Q8 x Z/2 (order 16)" in out
 
 
+def test_params_file_reads_both_matrices_of_a_gso4_pair(tmp_path, capsys):
+    # (A, diag(1, i)) is not (A, A): read as (h1, h1) it would be coupled_klein_four
+    doc = {
+        "kind": "parameter",
+        "ambient": "GSO4",
+        "generators": [
+            [[["i", "0"], ["0", "-i"]], [["1", "0"], ["0", "i"]]],
+            [[["0", "1"], ["-1", "0"]], [["0", "1"], ["-1", "0"]]],
+        ],
+    }
+    f = tmp_path / "param.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "params", str(f)) == (
+        0,
+        "ambient GSO4\n"
+        "S_phi_sc: Z/2 x Z/4 (order 8)\n"
+        "S_phi:    Z/2 (order 2)\n"
+        "Z_hat:    Z/2 x Z/2 (order 4)\n"
+        "extension exact: True\n"
+        "twists with solutions: 2\n",
+        "",
+    )
+
+
 def test_packets_scenario_output(capsys):
     code, out, _ = run(capsys, "packets", "dihedral3-twist")
     assert code == 0
@@ -426,6 +450,17 @@ def test_refusals_name_their_cause(tmp_path, capsys):
         (["params", "klein_four_sl2"], "witness 'klein_four_sl2' is not a parameter image"),
     ):
         assert run(capsys, *argv) == (2, "", f"input error: {message}\n"), argv
+
+
+def test_scenario_names_stay_in_the_scenarios_folder(capsys):
+    # "../root_data" used to read gspinlab/data/root_data.json as a scenario
+    assert presets.scenario_dict("gspin6-klein.json") == presets.scenario_dict("gspin6-klein")
+    shipped = ", ".join(presets.scenario_names())
+    for name in ("../root_data", "../scenarios/gspin6-klein"):
+        with pytest.raises(KeyError):
+            presets.scenario_dict(name)
+        message = f"input error: unknown scenario {name!r}; shipped: {shipped}\n"
+        assert run(capsys, "packets", name) == (2, "", message)
 
 
 def test_witness_that_contradicts_the_scenario_is_refused(tmp_path, capsys):

@@ -130,10 +130,17 @@ def test_elementary_abelian_table():
     assert group_id(g) == "(Z/2)^3"
     table = g.character_table()
     assert table.degrees() == (1,) * 8
+    # e = 2 and p = 7 = 3 mod 4: no square root of -1, so the lift runs with
+    # iota = 1; the eight rows must be the eight distinct sign characters
+    rows = {row.values for row in table.rows}
+    mt, of = g.cayley_table, table.class_of
+    assert len(rows) == 8 and all(v in (QI(1), QI(-1)) for row in rows for v in row)
+    assert all(r[of[mt[x][y]]] == r[of[x]] * r[of[y]] for r in rows for x in range(8) for y in range(8))
 
 
 def test_tables_catalogue_orthogonality():
     groups = [
+        generate_closure([I2]),  # the trivial group: e = 1
         generate_closure([A, B]),
         generate_closure(presets.witness_generators("d4_gl2")),
         generate_closure([D(A, A), D(B, B), D(I2, NEG)]),
@@ -266,6 +273,10 @@ def test_quotient_group_by_signs():
     q = g.quotient(signs)
     assert q.order == 4
     assert group_id(q) == "(Z/2)^2"
+    coupled = [D(I2, I2), D(A, A), D(NEG, NEG), D(A, A).scale(QI(-1))]  # a subgroup, not central
+    for bad in (coupled, signs[:3]):  # three signs: central, not closed
+        with pytest.raises(ValueError, match="quotient needs a central subgroup"):
+            g.quotient(bad)
 
 
 def witnesses_of_kind(kind):
@@ -308,13 +319,22 @@ def test_q8_x_q8_table_and_eigen_split_solves(monkeypatch):
     table = g.character_table()
     assert g.order == 64 and len(table.classes) == 25
     assert table.degrees() == (1,) * 16 + (2,) * 8 + (4,)
-    text = "\n".join(" ".join(format_qi(v) for v in row.values) for row in table.rows)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "8b44a977871d0c57d5997e36f46fc9539a2a921cf2ffcada9a3e9d1209c228d1"
+    assert row_digest(table) == "8b44a977871d0c57d5997e36f46fc9539a2a921cf2ffcada9a3e9d1209c228d1"
     # trying every lam in F_29 for every unsplit space took 1,305 solves,
     # stopping once the eigenspaces fill the basis took 930, and reading the
     # last eigenvalue of a space off the trace takes 616
     assert len(solves) <= 616
+
+
+def row_digest(table):
+    text = "\n".join(" ".join(format_qi(v) for v in row.values) for row in table.rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_q8_x_q8_x_z2_table_pin():
+    table = product_table(128)
+    assert len(table.classes) == 50
+    assert row_digest(table) == "6f84688666e0c4bfaf1c30325855249266f8c88ff48d0f38a1468e820f152dea"
 
 
 def test_eigen_split_refuses_a_last_eigenvalue_without_a_line(monkeypatch):

@@ -34,8 +34,9 @@ def test_gl_datum():
     d = gl_datum(2)
     assert d.rank == 2
     assert d.simple_roots == ((1, -1),)
-    with pytest.raises(ValueError):
-        gl_datum(0)
+    for make in (gl_datum, sl_datum, pgl_datum):
+        with pytest.raises(ValueError, match=f"{make.__name__} requires n >= 1"):
+            make(0)
 
 
 def test_sl_pgl_datum():

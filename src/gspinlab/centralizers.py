@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .gaussian import (
     FOURTH_ROOTS,
@@ -277,7 +277,7 @@ class ParameterImage:
 class CentralizerReport:
     __slots__ = (
         "ambient", "s_phi_sc", "s_phi_sc_label", "s_phi_label", "s_phi_order",
-        "z_hat", "z_elements", "extension_ok", "twists",
+        "z_hat", "z_elements", "extension_ok", "twists", "s_phi",
     )
 
     def __init__(
@@ -291,6 +291,7 @@ class CentralizerReport:
         z_elements: Tuple[GaussianMatrix, ...],
         extension_ok: bool,
         twists: Tuple[Tuple[QI, ...], ...],  # the live twists
+        s_phi: Optional[FiniteMatrixGroup] = None,  # S_phi_sc / Z, as s_groups builds it
     ):
         self.ambient = ambient
         self.s_phi_sc = s_phi_sc
@@ -301,6 +302,7 @@ class CentralizerReport:
         self.z_elements = z_elements
         self.extension_ok = extension_ok
         self.twists = twists
+        self.s_phi = s_phi
 
     def to_dict(self) -> dict:
         return {
@@ -340,6 +342,7 @@ def s_groups(phi: ParameterImage, cap: int = 512) -> CentralizerReport:
         z_elements=z_elements,
         extension_ok=extension_ok,
         twists=tuple(used),
+        s_phi=squot,
     )
 
 

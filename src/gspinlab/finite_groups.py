@@ -191,10 +191,8 @@ def generate_closure(generators: Sequence[GaussianMatrix], cap: int = 512) -> Fi
     elements = sorted_matrices(tree)
     n = len(elements)
     pos = {x: i for i, x in enumerate(elements)}
-    action = [[0] * n for _ in gens]
-    for x, row in zip(tree, products):
-        for j, y in enumerate(row):
-            action[j][pos[x]] = pos[y]
+    image = dict(zip(tree, products))
+    action = list(zip(*([pos[y] for y in image[x]] for x in elements)))
     cols: Dict[int, Sequence[int]] = {}
     for y, (x, j) in tree.items():
         cols[pos[y]] = range(n) if x is None else [action[j][a] for a in cols[pos[x]]]

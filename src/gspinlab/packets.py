@@ -5,23 +5,28 @@ two-dimensional parameters (reducible cases, primitive, dihedral with one
 or with three quadratic self-twists). A scenario determines the stabilizer
 group I of twisting characters, the structure of the component-group
 extension, and the packet size for each inner form via counts of
-irreducible characters with a fixed central character on mu_2 x mu_2
-(rank four) or mu_4 (rank six).
+irreducible characters with a fixed central character.
 
-Everything here is rule-level; the matrix-level cross-check lives in
-``centralizers`` and is wired in through an optional witness. The
-non-abelian order-16 branch is only reported as possible until a witness
-confirms it.
+Each family is one row of ``_FAMILIES``: its parameters' ambient, the
+factors of the simply connected cover, whose center (mu_2 x mu_2 or mu_4) is
+the designated central subgroup, and each inner form's Kottwitz character
+on it (Hiraga-Saito, Mem. AMS 1013, 2012). ``scenario_report`` is the one
+report path; it runs an optional witness, a parameter image, through
+``centralizers`` once. The witness's S_phi must be isomorphic to I, and
+where the rules fix the extension so must its S_phi_sc have that structure;
+the non-abelian order-16 branch is only reported as possible until a
+witness confirms it.
 """
 from __future__ import annotations
 
 from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
-from .centralizers import ParameterImage, cover_center, s_groups
+from .centralizers import CentralizerReport, ParameterImage, cover_center, s_groups
 from .finite_groups import (
     CentralCharacter,
     FiniteMatrixGroup,
+    abelian_invariants,
     generate_closure,
     irreps_with_central_character,
     is_prime,
@@ -29,10 +34,14 @@ from .finite_groups import (
 from .gaussian import QI, GaussianMatrix
 from .lattice import AbelianGroupStructure
 
-GSPIN4_FORMS = ("split", "2-1", "1-1")
-GSPIN6_FORMS = ("split", "2-0", "1-0")
-# matrix sizes of the factors of the simply connected cover: SL2 x SL2, SL4
-_COVER_SIZES = {"GSpin4": (2, 2), "GSpin6": (4,)}
+_ONE, _NEG = QI(1), QI(-1)
+# family -> (ambient of its parameters, matrix sizes of the factors of the
+# simply connected cover, each inner form's Kottwitz character as its values
+# on the cover-center generators, split form first)
+_FAMILIES: Dict[str, Tuple[str, Tuple[int, ...], Dict[str, Tuple[QI, ...]]]] = {
+    "GSpin4": ("GSO4", (2, 2), {"split": (_ONE, _ONE), "2-1": (_ONE, _NEG), "1-1": (_NEG, _NEG)}),
+    "GSpin6": ("GSO6", (4,), {"split": (_ONE,), "2-0": (_NEG,), "1-0": (QI(0, 1),)}),
+}
 
 # factor kind -> (rank of I^{SL_2}, irreducible?, number of named quadratic labels)
 FACTOR_KINDS: Dict[str, Tuple[int, bool, int]] = {
@@ -139,6 +148,10 @@ def igroup_gspin6(s: GSpin6Scenario) -> AbelianGroupStructure:
     return s.i_sl4.two_torsion()
 
 
+# the order-16 extensions of rank four, both open for twist-equivalent dihedral_three factors
+_GSPIN4_BRANCHES = ("abelian order 16 (invariant factors 4,4)", "Q8 x Z/2")
+
+
 class SGroupInfo:
     __slots__ = ("label", "q8_possible", "igroup_order")
 
@@ -162,10 +175,7 @@ def sgroup_structure_gspin4(s: GSpin4Scenario, igroup: AbelianGroupStructure) ->
         if s.reducible:
             raise ValueError("reducible factors cannot reach a stabilizer of order 4")
         q8 = s.twist_equivalent and s.factor1.kind == "dihedral_three"
-        label = "abelian order 16 (invariant factors 4,4)"
-        if q8:
-            label += " or Q8 x Z/2"
-        return SGroupInfo(label, q8, 4)
+        return SGroupInfo(" or ".join(_GSPIN4_BRANCHES) if q8 else _GSPIN4_BRANCHES[0], q8, 4)
     raise ValueError("stabilizer groups of order 8 or more do not occur in rank four")
 
 
@@ -180,7 +190,7 @@ _A2 = _mat2([["i", "0"], ["0", "-i"]])
 _B2 = _mat2([["0", "1"], ["-1", "0"]])
 _X2 = _mat2([["1", "0"], ["0", "-1"]])
 
-_CENTER_GENS = cover_center(_COVER_SIZES["GSpin4"])[1]  # diag(-1, 1) and diag(1, -1)
+_CENTER_GENS = cover_center(_FAMILIES["GSpin4"][1])[1]  # diag(-1, 1) and diag(1, -1)
 _diag = GaussianMatrix.block_diagonal
 
 _CANONICAL_GSPIN4 = {
@@ -202,27 +212,17 @@ def canonical_group_for_label(label: str, family: str) -> FiniteMatrixGroup:
 
 
 def designated_center(family: str):
-    """(elements, generators) of the designated central subgroup."""
-    if family not in _COVER_SIZES:
+    """(elements, generators) of the designated central subgroup; refuses an unknown family."""
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    return cover_center(_COVER_SIZES[family])
+    return cover_center(_FAMILIES[family][1])
 
 
 def kottwitz_characters(family: str) -> Dict[str, CentralCharacter]:
+    """Each inner form's character of the designated center, split form first."""
     _, gens = designated_center(family)
-    if family == "GSpin4":
-        z1, z2 = gens
-        return {
-            "split": CentralCharacter(((z1, QI(1)), (z2, QI(1)))),
-            "2-1": CentralCharacter(((z1, QI(1)), (z2, QI(-1)))),
-            "1-1": CentralCharacter(((z1, QI(-1)), (z2, QI(-1)))),
-        }
-    (z,) = gens
-    return {
-        "split": CentralCharacter(((z, QI(1)),)),
-        "2-0": CentralCharacter(((z, QI(-1)),)),
-        "1-0": CentralCharacter(((z, QI(0, 1)),)),
-    }
+    forms = _FAMILIES[family][2]
+    return {form: CentralCharacter(tuple(zip(gens, v))) for form, v in forms.items()}
 
 
 class PacketOutcome:
@@ -265,39 +265,25 @@ def packet_sizes(
     counts of irreducible characters with the corresponding central
     character; multiplicities come from m^2 * size = |I| = ``igroup_order``.
     """
-    if family == "GSpin4":
-        forms = GSPIN4_FORMS
-    elif family == "GSpin6":
-        forms = GSPIN6_FORMS
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    if isinstance(structure, str):
-        group = canonical_group_for_label(structure, family)
-        label = structure
-    else:
-        group = structure
-        label = f"explicit group of order {group.order}"
-    z_elements, _ = designated_center(family)
-    for z in z_elements:
-        if z not in group:
-            raise ValueError("structure lacks the designated central subgroup")
-    table = group.character_table()
     zetas = kottwitz_characters(family)
+    if isinstance(structure, str):
+        group, label = canonical_group_for_label(structure, family), structure
+    else:
+        group, label = structure, f"explicit group of order {structure.order}"
+    z_elements, _ = designated_center(family)
+    if not all(z in group for z in z_elements):
+        raise ValueError("structure lacks the designated central subgroup")
+    table = group.character_table()
     sizes: Dict[str, Optional[int]] = {}
     degrees: Dict[str, Tuple[int, ...]] = {}
-    for form in forms:
-        rows = irreps_with_central_character(group, z_elements, zetas[form], table)
+    for form, zeta in zetas.items():
+        rows = irreps_with_central_character(group, z_elements, zeta, table)
         sizes[form] = len(rows)
         degrees[form] = tuple(r.degree for r in rows)
     multiplicities: Dict[str, Optional[int]] = {}
-    for form in forms:
-        sz = sizes[form]
-        if sz and igroup_order % sz == 0:
-            m2 = igroup_order // sz
-            r = isqrt(m2)
-            multiplicities[form] = r if r * r == m2 else None
-        else:
-            multiplicities[form] = None
+    for form, sz in sizes.items():
+        m = isqrt(igroup_order // sz) if sz and igroup_order % sz == 0 else 0
+        multiplicities[form] = m if m * m * sz == igroup_order else None
     return PacketOutcome(label, confirmed, sizes, multiplicities, degrees)
 
 
@@ -366,77 +352,67 @@ def consistency_check(report: PacketReport, bound: Optional[int] = None) -> bool
     return True
 
 
-# the two order-16 extensions the rank-four rules leave open
-_GSPIN4_BRANCHES = ("abelian order 16 (invariant factors 4,4)", "Q8 x Z/2")
+def _shape(group: FiniteMatrixGroup) -> Tuple[int, Optional[AbelianGroupStructure]]:
+    """(order, invariant factors), with None in place of the factors when non-abelian."""
+    return group.order, abelian_invariants(group) if group.is_abelian() else None
 
 
-def _check_witness_ambient(witness: Optional[ParameterImage], family: str, ambient: str) -> None:
-    if witness is not None and witness.ambient != ambient:
-        raise ValueError(
-            f"a {family} scenario needs a {ambient} witness, not a {witness.ambient} one"
-        )
-
-
-def gspin4_scenario_report(
-    s: GSpin4Scenario, witness: Optional[ParameterImage] = None
-) -> PacketReport:
+def _gspin4_outcomes(s: GSpin4Scenario, rep: Optional[CentralizerReport], card: int):
+    """(I, |I|, outcomes, notes) by the rank-four rules, from the witness's report and the bound."""
     ig = igroup_gspin4(s)
     info = sgroup_structure_gspin4(s, ig)
     notes: List[str] = []
     outcomes: List[PacketOutcome] = []
-    _check_witness_ambient(witness, "GSpin4", "GSO4")
-    if info.q8_possible:
-        if witness is not None:
-            rep = s_groups(witness)
-            label = rep.s_phi_sc_label
-            if label not in _GSPIN4_BRANCHES:
-                raise ValueError(
-                    f"witness S_phi_sc is {label}; the rules allow only "
-                    + " or ".join(_GSPIN4_BRANCHES)
-                )
-            notes.append(
-                f"matrix-level witness identifies the extension as {label} "
-                f"(order {rep.s_phi_sc.order}, quotient {rep.s_phi_label})"
+    if info.q8_possible and rep is not None:
+        label = rep.s_phi_sc_label
+        if label not in _GSPIN4_BRANCHES:
+            raise ValueError(
+                f"witness S_phi_sc is {label}; the rules allow only "
+                + " or ".join(_GSPIN4_BRANCHES)
             )
-            outcomes.append(packet_sizes(label, "GSpin4", info.igroup_order, confirmed=True))
-        else:
-            notes.append(
-                "non-abelian branch is possible but unconfirmed; supply a matrix "
-                "witness to decide"
-            )
-            outcomes.extend(
-                packet_sizes(label, "GSpin4", info.igroup_order, confirmed=False)
-                for label in _GSPIN4_BRANCHES
-            )
+        notes.append(
+            f"matrix-level witness identifies the extension as {label} "
+            f"(order {rep.s_phi_sc.order}, quotient {rep.s_phi_label})"
+        )
+        outcomes.append(packet_sizes(label, "GSpin4", info.igroup_order, confirmed=True))
+    elif info.q8_possible:
+        notes.append(
+            "non-abelian branch is possible but unconfirmed; supply a matrix "
+            "witness to decide"
+        )
+        outcomes.extend(
+            packet_sizes(label, "GSpin4", info.igroup_order, confirmed=False)
+            for label in _GSPIN4_BRANCHES
+        )
     else:
+        if rep is not None:
+            # the rules fix the extension: its order and, for an abelian one,
+            # its invariant factors
+            got = _shape(rep.s_phi_sc)
+            want = _shape(canonical_group_for_label(info.label, "GSpin4"))
+            if want[0] == 8:
+                # -I is the only involution of SL2, so no witness in SL2 x SL2 is (Z/2)^3:
+                # the order-8 labels fix only the order and that the group is abelian
+                got, want = (got[0], got[1] is None), (want[0], want[1] is None)
+            if got != want:
+                raise ValueError(
+                    f"witness {s.witness!r} has S_phi_sc {rep.s_phi_sc_label} (order "
+                    f"{got[0]}), not the rules' {info.label} (order {want[0]})"
+                )
         outcomes.append(packet_sizes(info.label, "GSpin4", info.igroup_order))
-    card, divisors = square_class_bound(s.p, s.f)
     if s.p == 2 and s.f > 1:
         notes.append(
             f"bound 2^(f+2) = {card} for p = 2 grows with f; sizes above 8 are not "
             "ruled out by the rank-four rules alone"
         )
-    report = PacketReport(
-        family="GSpin4",
-        igroup=ig,
-        igroup_order=info.igroup_order,
-        outcomes=outcomes,
-        bound_card=card,
-        bound_divisors=divisors,
-        consistent=True,
-        notes=notes,
-    )
-    report.consistent = consistency_check(report)
-    return report
+    return ig, info.igroup_order, outcomes, notes
 
 
-def gspin6_scenario_report(
-    s: GSpin6Scenario, witness: Optional[ParameterImage] = None
-) -> PacketReport:
+def _gspin6_outcomes(s: GSpin6Scenario, rep: Optional[CentralizerReport], card: int):
+    """(I, |I|, outcomes, notes) by the rank-six rules, from the witness's report and the bound."""
     ig = igroup_gspin6(s)
-    rank = len(ig.torsion)
+    rank, order = len(ig.torsion), ig.torsion_order()
     notes: List[str] = []
-    card, divisors = square_class_bound(s.p, s.f)
     limit = 2 if s.p != 2 else s.f + 2
     if rank > limit:
         notes.append(
@@ -448,49 +424,22 @@ def gspin6_scenario_report(
             f"bound 2^(f+2) = {card} for p = 2 grows with f; size lists beyond 8 "
             "are not tabulated"
         )
-    outcomes: List[PacketOutcome] = []
-    _check_witness_ambient(witness, "GSpin6", "GSO6")
-    if witness is not None:
-        rep = s_groups(witness)
+    if rep is not None:
         notes.append(
             f"matrix-level witness: S_phi_sc is {rep.s_phi_sc_label} of order "
             f"{rep.s_phi_sc.order}"
         )
-        outcomes.append(
-            packet_sizes(rep.s_phi_sc, "GSpin6", ig.torsion_order(), confirmed=True)
-        )
-    else:
-        sizes: Dict[str, Optional[int]] = {
-            "split": ig.torsion_order(),
-            "2-0": None,
-            "1-0": None,
-        }
-        mult: Dict[str, Optional[int]] = {"split": 1, "2-0": None, "1-0": None}
-        outcomes.append(
-            PacketOutcome(
-                structure=f"abelian extension over {ig}",
-                confirmed=None,
-                sizes=sizes,
-                multiplicities=mult,
-                degrees={"split": (1,) * ig.torsion_order()},
-            )
-        )
-        notes.append(
-            "inner-form packet sizes for rank six require an explicit component "
-            "group; the two quaternionic-type forms share one line"
-        )
-    report = PacketReport(
-        family="GSpin6",
-        igroup=ig,
-        igroup_order=ig.torsion_order(),
-        outcomes=outcomes,
-        bound_card=card,
-        bound_divisors=divisors,
-        consistent=True,
-        notes=notes,
+        return ig, order, [packet_sizes(rep.s_phi_sc, "GSpin6", order, confirmed=True)], notes
+    unknown = dict.fromkeys(_FAMILIES["GSpin6"][2])  # every form open but the split one
+    outcome = PacketOutcome(
+        f"abelian extension over {ig}", None,
+        {**unknown, "split": order}, {**unknown, "split": 1}, {"split": (1,) * order},
     )
-    report.consistent = consistency_check(report)
-    return report
+    notes.append(
+        "inner-form packet sizes for rank six require an explicit component "
+        "group; the two quaternionic-type forms share one line"
+    )
+    return ig, order, [outcome], notes
 
 
 def scenario_from_dict(d: dict):
@@ -516,8 +465,29 @@ def scenario_from_dict(d: dict):
 
 
 def scenario_report(scenario, witness: Optional[ParameterImage] = None) -> PacketReport:
+    """The packet report of a scenario, checked against its witness when one is given."""
     if isinstance(scenario, GSpin4Scenario):
-        return gspin4_scenario_report(scenario, witness)
-    if isinstance(scenario, GSpin6Scenario):
-        return gspin6_scenario_report(scenario, witness)
-    raise ValueError("unknown scenario type")
+        family, rules = "GSpin4", _gspin4_outcomes
+    elif isinstance(scenario, GSpin6Scenario):
+        family, rules = "GSpin6", _gspin6_outcomes
+    else:
+        raise ValueError("unknown scenario type")
+    card, divisors = square_class_bound(scenario.p, scenario.f)
+    rep = None
+    if witness is not None:
+        ambient = _FAMILIES[family][0]
+        if witness.ambient != ambient:
+            raise ValueError(
+                f"a {family} scenario needs a {ambient} witness, not a {witness.ambient} one"
+            )
+        rep = s_groups(witness)
+    ig, igroup_order, outcomes, notes = rules(scenario, rep, card)
+    # S_phi is identified with I, the group of characters fixing the parameter
+    if rep is not None and _shape(rep.s_phi) != (igroup_order, ig):
+        raise ValueError(
+            f"witness {scenario.witness!r} has S_phi {rep.s_phi_label} (order "
+            f"{rep.s_phi_order}), not the I group {ig} (order {igroup_order})"
+        )
+    report = PacketReport(family, ig, igroup_order, outcomes, card, divisors, True, notes)
+    report.consistent = consistency_check(report)
+    return report

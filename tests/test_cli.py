@@ -479,6 +479,37 @@ def test_witness_that_contradicts_the_scenario_is_refused(tmp_path, capsys):
         assert err.startswith("input error: ") and reason in err, err
 
 
+def test_witness_that_contradicts_fixed_rules_is_refused(tmp_path, capsys):
+    # each used to print its report, [confirmed] or consistent: True included
+    gspin6 = {"family": "GSpin6", "p": 3, "f": 1, "witness": "cyclic_quartic_gso6"}
+    s_phi6 = "witness 'cyclic_quartic_gso6' has S_phi (Z/2)^2 (order 4), not the I group"
+    for data, message in (
+        (
+            {**presets.scenario_dict("reducible-pair"), "witness": "binary_tetrahedral_pair"},
+            "witness 'binary_tetrahedral_pair' has S_phi_sc (Z/2)^2 (order 4), "
+            "not the rules' abelian order 8 (order 8)",
+        ),
+        ({**gspin6, "i_sl4": [4]}, f"{s_phi6} Z/2 (order 2)"),
+        ({**gspin6, "i_sl4": []}, f"{s_phi6} 1 (order 1)"),
+        ({**gspin6, "i_sl4": [2, 2, 2]}, f"{s_phi6} Z/2 x Z/2 x Z/2 (order 8)"),
+    ):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        for extra in ((), ("--json",)):
+            assert run(capsys, "packets", str(path), *extra) == (2, "", f"input error: {message}\n")
+    # the (Z/2)^3 label fixes only order and commutativity, which the
+    # Z/2 x Z/4 of two identical dihedral-one factors meets: the rules' answer stands
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps({**presets.scenario_dict("dihedral1-twist"), "witness": "dihedral_one_pair"}),
+        encoding="utf-8",
+    )
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "packets", str(path), *extra)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "packets", "dihedral1-twist", *extra)[1]
+
+
 def test_verbs_reach_presets_through_the_module_attribute(monkeypatch, capsys):
     # perfbench's tracer counts preset loads by wrapping these attributes; a
     # lookup that held the function object itself would bypass the wrapper

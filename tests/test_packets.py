@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from gspinlab import presets
+from gspinlab.centralizers import s_groups
 from gspinlab.finite_groups import CapExceededError, generate_closure
 from gspinlab.gaussian import QI, GaussianMatrix
 from gspinlab.lattice import AbelianGroupStructure
@@ -14,9 +15,10 @@ from gspinlab.packets import (
     PacketReport,
     canonical_group_for_label,
     consistency_check,
-    gspin6_scenario_report,
+    designated_center,
     igroup_gspin4,
     igroup_gspin6,
+    kottwitz_characters,
     packet_sizes,
     scenario_from_dict,
     scenario_report,
@@ -93,6 +95,12 @@ def test_factor_and_scenario_defaults_and_refusals():
     assert (s.f, s.witness) == (1, None)
     s6 = GSpin6Scenario(AbelianGroupStructure(0, (2,)), 5, witness="w")
     assert (s6.p, s6.f, s6.witness) == (5, 1, "w")
+    # a scenario file may leave out f (and i_sl4, and the witness)
+    for name in ("dihedral1-twist", "gspin6-z4"):
+        data = {k: v for k, v in presets.scenario_dict(name).items() if k not in ("f", "i_sl4")}
+        s = scenario_from_dict(data)
+        assert (s.f, s.witness) == (1, None)
+        assert scenario_report(s).bound_card == 4
     reports = [
         PacketReport("GSpin4", AbelianGroupStructure(0), 1, [], 4, [1, 2, 4], True) for _ in range(2)
     ]
@@ -277,7 +285,7 @@ def test_dihedral3_scenario_without_witness_reports_both_branches():
 
 def test_rank6_flagged_when_rank_exceeds_limit():
     s = GSpin6Scenario(AbelianGroupStructure(0, (2, 2, 2)), 3)
-    report = gspin6_scenario_report(s)
+    report = scenario_report(s)
     assert any("flagged" in n for n in report.notes)
     assert not report.consistent  # split size 8 does not divide the bound 4
 
@@ -292,8 +300,6 @@ def test_rank6_witness_outcome():
 
 
 def test_canonical_realizations_contain_center():
-    from gspinlab.packets import designated_center
-
     z_elements, _ = designated_center("GSpin4")
     for label in ("(Z/2)^2", "(Z/2)^3", "Q8 x Z/2", "abelian order 16 (invariant factors 4,4)"):
         group = canonical_group_for_label(label, "GSpin4")
@@ -306,3 +312,113 @@ def test_p2_bound_note():
     report = scenario_report(s)
     assert any("2^(f+2)" in n for n in report.notes)
     assert report.bound_card == 16
+    # both families note the growing bound for p = 2, f > 1, and only then
+    for p, f, noted in ((2, 2, True), (3, 2, False), (2, 1, False)):
+        for s in (
+            scen4("dihedral_one", ["a"], "dihedral_one", ["a"], True, p=p, f=f),
+            GSpin6Scenario(AbelianGroupStructure(0, (2,)), p, f),
+        ):
+            notes = scenario_report(s).notes
+            assert any(n.startswith(f"bound 2^(f+2) = {2 ** (f + 2)} ") for n in notes) == noted
+
+
+def test_unknown_family_is_refused_alike_everywhere():
+    for call in (
+        lambda: designated_center("GSpin8"),
+        lambda: kottwitz_characters("GSpin8"),
+        lambda: packet_sizes("(Z/2)^2", "GSpin8", 1),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "unknown family 'GSpin8'"
+
+
+def test_kottwitz_characters_per_family():
+    one, neg, i = QI(1), QI(-1), QI(0, 1)
+    for family, want in (
+        ("GSpin4", {"split": (one, one), "2-1": (one, neg), "1-1": (neg, neg)}),
+        ("GSpin6", {"split": (one,), "2-0": (neg,), "1-0": (i,)}),
+    ):
+        _, gens = designated_center(family)
+        got = kottwitz_characters(family)
+        assert list(got) == list(want)  # split form first
+        for form, values in want.items():
+            assert got[form].assignments == tuple(zip(gens, values))
+
+
+# every shipped scenario with every shipped parameter witness of its family:
+# None where the witness agrees with the scenario, else the refusal's text. An
+# order-8 label fixes only order and commutativity (no 2-subgroup of SL2 x SL2
+# is (Z/2)^3), so the abelian Z/2 x Z/4 of dihedral_one_pair meets all three.
+_S = "witness 'cyclic_quartic_gso6' has S_phi (Z/2)^2 (order 4), not the I group {}"
+_SC = "witness {!r} has S_phi_sc {}, not the rules' {}"
+_BRANCHES = "the rules allow only abelian order 16 (invariant factors 4,4) or Q8 x Z/2"
+_BTP, _CKF, _DOP = (
+    ("binary_tetrahedral_pair", "(Z/2)^2 (order 4)"),
+    ("coupled_klein_four", "Q8 x Z/2 (order 16)"),
+    ("dihedral_one_pair", "Z/2 x Z/4 (order 8)"),
+)
+_Z2_2, _Z2_3, _AB8 = "(Z/2)^2 (order 4)", "(Z/2)^3 (order 8)", "abelian order 8 (order 8)"
+WITNESS_GRID = {
+    ("dihedral1-disjoint", _BTP[0]): None,
+    ("dihedral1-disjoint", _CKF[0]): _SC.format(*_CKF, _Z2_2),
+    ("dihedral1-disjoint", _DOP[0]): _SC.format(*_DOP, _Z2_2),
+    ("dihedral1-twist", _BTP[0]): _SC.format(*_BTP, _Z2_3),
+    ("dihedral1-twist", _CKF[0]): _SC.format(*_CKF, _Z2_3),
+    ("dihedral1-twist", _DOP[0]): None,
+    ("dihedral3-meets-dihedral1", _BTP[0]): _SC.format(*_BTP, _Z2_3),
+    ("dihedral3-meets-dihedral1", _CKF[0]): _SC.format(*_CKF, _Z2_3),
+    ("dihedral3-meets-dihedral1", _DOP[0]): None,
+    ("dihedral3-twist", _BTP[0]): f"witness S_phi_sc is (Z/2)^2; {_BRANCHES}",
+    ("dihedral3-twist", _CKF[0]): None,
+    ("dihedral3-twist", _DOP[0]): f"witness S_phi_sc is Z/2 x Z/4; {_BRANCHES}",
+    ("primitive-twist", _BTP[0]): None,
+    ("primitive-twist", _CKF[0]): _SC.format(*_CKF, _Z2_2),
+    ("primitive-twist", _DOP[0]): _SC.format(*_DOP, _Z2_2),
+    ("reducible-pair", _BTP[0]): _SC.format(*_BTP, _AB8),
+    ("reducible-pair", _CKF[0]): _SC.format(*_CKF, _AB8),
+    ("reducible-pair", _DOP[0]): None,
+    ("gspin6-klein", "cyclic_quartic_gso6"): None,
+    ("gspin6-rank3-p2", "cyclic_quartic_gso6"): _S.format("Z/2 x Z/2 x Z/2 (order 8)"),
+    ("gspin6-trivial", "cyclic_quartic_gso6"): _S.format("1 (order 1)"),
+    ("gspin6-z2xz4", "cyclic_quartic_gso6"): None,
+    ("gspin6-z4", "cyclic_quartic_gso6"): _S.format("Z/2 (order 2)"),
+}
+
+
+def test_every_shipped_witness_against_every_shipped_scenario():
+    parameters = {
+        name: presets.witness_parameter(name)
+        for name in presets.witness_names()
+        if presets.witness(name)["kind"] == "parameter"
+    }
+    ambient = {"GSpin4": "GSO4", "GSpin6": "GSO6"}
+    seen = set()
+    for fname in presets.scenario_names():
+        name = fname[: -len(".json")]
+        data = presets.scenario_dict(name)
+        bare = scenario_report(scenario_from_dict({**data, "witness": None}))
+        for wname, phi in parameters.items():
+            if phi.ambient != ambient[data["family"]]:
+                continue
+            seen.add((name, wname))
+            scenario = scenario_from_dict({**data, "witness": wname})
+            refusal = WITNESS_GRID[(name, wname)]
+            if refusal is not None:
+                with pytest.raises(ValueError) as err:
+                    scenario_report(scenario, phi)
+                assert str(err.value) == refusal, (name, wname)
+                continue
+            report = scenario_report(scenario, phi)
+            rep = s_groups(phi)
+            # an accepted witness agrees with the scenario on both groups
+            assert rep.s_phi_order == report.igroup_order == bare.igroup_order
+            assert rep.s_phi_sc.order == 4 * report.igroup_order
+            assert report.consistent, (name, wname)
+            out, *rest = report.outcomes
+            if out.confirmed:  # the witness's S_phi_sc is the group that is counted
+                assert not rest
+                assert out.structure in (rep.s_phi_sc_label, f"explicit group of order {rep.s_phi_sc.order}")
+            else:  # the rules fix it, and the answer is the one without the witness
+                assert report.to_dict() == bare.to_dict(), (name, wname)
+    assert seen == set(WITNESS_GRID)

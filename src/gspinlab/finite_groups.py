@@ -14,22 +14,24 @@ quotients call the constructor with a table induced from the parent's.
 
 Character tables are computed by an exact Dixon-style method (Dixon, Numer.
 Math. 10, 1967; Schneider, J. Symbolic Comput. 9, 1990): the class-sum
-matrices are simultaneously diagonalized over a prime field F_p with
-p = 1 mod exponent. Every space of the split is kept as a basis in reduced
-echelon form, so a class-sum matrix restricts to it by reading its images at
-the pivot columns, and a line's eigenvalues are its images at its pivot,
-where it is 1. Each space is split by trying eigenvalues in turn; once one
-dimension is left, its eigenvalue is read off the trace and one solve, which
-must give a line, finishes the space. A value chi(g) = a + b i is lifted from
-the conjugate pair chi_p(g), chi_p(g^-1): a and b are the centred residues
-of their half sum and of their half difference over a square root of -1
-mod p (or over 1 when p = 3 mod 4, since then the exponent divides 2 and
-every value is an integer), exact as |a|, |b| <= chi(1) < p/2. Every table,
-up to the 512 cap, is then checked on integers by ``_validate_table``: the
-classes are certified from the Cayley table, both orthogonality relations
-must hold, and each row must pass the regular-representation cross-check
-(the projection built from the row must be idempotent), a second path
-independent of the eigen-split.
+matrices are simultaneously diagonalized over a prime field F_p with p = 1
+mod exponent. The class-sum matrices are kept as sparse rows (row t of M_K
+has at most |K| nonzero entries). Every space of the split is kept as a
+basis in reduced echelon form, so a class-sum matrix restricts to it by
+reading its images at the pivot columns, and a line's eigenvalues are its
+images at its pivot, where it is 1. Each space is split at the roots of the
+restricted matrix's characteristic polynomial mod p (Hessenberg form and its
+recurrence, evaluated at every residue): one solve per eigenvalue, each of
+which must give a line, and together the eigenspaces must fill the space. A
+value chi(g) = a + b i is lifted from the conjugate pair chi_p(g),
+chi_p(g^-1): a and b are the centred residues of their half sum and of their
+half difference over a square root of -1 mod p (or over 1 when p = 3 mod 4,
+since then the exponent divides 2 and every value is an integer), exact as
+|a|, |b| <= chi(1) < p/2. Every table, up to the 512 cap, is then checked on
+integers by ``_validate_table``: the classes are certified from the Cayley
+table, both orthogonality relations must hold, and each row must pass the
+regular-representation cross-check (the projection built from the row must
+be idempotent), a second path independent of the eigen-split.
 
 The mod-p eigen-split runs on the same Gauss-Jordan routine as the Q(i)
 solves (``gaussian.gauss_jordan``), and every closure in the package is the
@@ -38,6 +40,7 @@ and 6x6 matrices, see ``centralizers``), and central-character values.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from math import isqrt, lcm
 from operator import mul
@@ -402,6 +405,57 @@ def _choose_prime(exponent: int, order: int) -> int:
         p += 1
 
 
+def _charpoly(a: Sequence[Sequence[int]], p: int) -> List[int]:
+    """det(x I - a) mod p for a square matrix ``a``, coefficients from x^0 up.
+
+    ``a`` is brought to upper Hessenberg form h by elementary similarities,
+    then det(x I - h) follows from the recurrence along its subdiagonal
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+    """
+    m = len(a)
+    h = [[x % p for x in row] for row in a]
+    for c in range(m - 2):
+        r = next((r for r in range(c + 1, m) if h[r][c]), None)
+        if r is None:
+            continue
+        if r != c + 1:  # swap rows and then columns r and c + 1
+            h[r], h[c + 1] = h[c + 1], h[r]
+            for row in h:
+                row[r], row[c + 1] = row[c + 1], row[r]
+        t = pow(h[c + 1][c], p - 2, p)
+        pivot = h[c + 1]
+        for r in range(c + 2, m):
+            u = h[r][c] * t % p
+            if u:  # row r -= u * row c + 1, then column c + 1 += u * column r
+                h[r] = [(x - u * y) % p for x, y in zip(h[r], pivot)]
+                for row in h:
+                    row[c + 1] = (row[c + 1] + u * row[r]) % p
+    # polys[j] = det(x I - h[:j, :j]); the last row of each step expands
+    # through the chain of subdiagonal entries above it
+    polys: List[List[int]] = [[1]]
+    for j in range(m):
+        new = [0] + polys[j]
+        for d, q in enumerate(polys[j]):
+            new[d] -= h[j][j] * q
+        chain = 1
+        for i in range(1, j + 1):
+            chain = chain * h[j - i + 1][j - i] % p
+            coef = h[j - i][j] * chain % p
+            if coef:
+                for d, q in enumerate(polys[j - i]):
+                    new[d] -= coef * q
+        polys.append([q % p for q in new])
+    return polys[m]
+
+
+def _horner(poly: Sequence[int], x: int, p: int) -> int:
+    """The value mod p of the polynomial with coefficients ``poly`` (x^0 up) at x."""
+    value = 0
+    for c in reversed(poly):
+        value = (value * x + c) % p
+    return value
+
+
 def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
     n = group.order
     if n > 512:
@@ -422,15 +476,12 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
     sizes = [c.size for c in classes]
     inv_class = [class_of[inv[r]] for r in reps]
 
-    m_mats = []
-    for i in range(k):
-        mat = [[0] * k for _ in range(k)]
-        for t in range(k):
-            zt = reps[t]
-            for x in classes[i].positions:
-                mat[t][class_of[mt[inv[x]][zt]]] += 1
-        m_mats.append(mat)
-
+    # row t of the class-sum matrix M_i counts the x in K_i by the class of
+    # x^-1 z_t: at most |K_i| nonzero entries, kept as (column, count) pairs
+    m_rows = [
+        [tuple(Counter(class_of[mt[inv[x]][zt]] for x in c.positions).items()) for zt in reps]
+        for c in classes
+    ]
     p = _choose_prime(e, n)
 
     def inverse(x: int) -> int:
@@ -439,11 +490,14 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
     def reduce(row: List[int]) -> List[int]:
         return [x % p for x in row]
 
+    def image(row, vec) -> int:
+        return sum(count * vec[c] for c, count in row) % p
+
     # split F_p^k into common eigenlines of the class-sum matrices; each space
     # is a reduced echelon basis with its pivot columns, so the coordinates of
     # a vector of the space are its entries at the pivots
     spaces = [([[1 if i == j else 0 for j in range(k)] for i in range(k)], list(range(k)))]
-    for mat in m_mats:
+    for m_i in m_rows:
         if all(len(basis) == 1 for basis, _ in spaces):
             break
         fresh = []
@@ -452,30 +506,30 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
             if mdim == 1:
                 fresh.append((basis, pivots))
                 continue
-            # the restriction of mat: column b holds the coordinates of mat * basis[b]
-            rmat = [[sum(map(mul, mat[c], vec)) % p for vec in basis] for c in pivots]
-            # rmat is diagonalizable: the eigenspaces fill the basis, and once
-            # one dimension is left its eigenvalue is the trace minus the others
-            rest = sum(rmat[a][a] for a in range(mdim))
+            # the restriction of M_i: column b holds the coordinates of M_i * basis[b];
+            # it is diagonalizable, so its eigenvalues are the roots of its
+            # characteristic polynomial and their eigenspaces fill the basis
+            rmat = [[image(m_i[c], vec) for vec in basis] for c in pivots]
+            cp = _charpoly(rmat, p)
             cols = list(zip(*basis))
             found = 0
-            for guess in range(p):
-                if found == mdim:
-                    break
-                last = found == mdim - 1
-                lam = rest % p if last else guess
+            for lam in range(p):
+                if _horner(cp, lam, p):
+                    continue
                 shifted = [
                     [(rmat[a][b] - (lam if a == b else 0)) % p for b in range(mdim)]
                     for a in range(mdim)
                 ]
                 null = nullspace(shifted, mdim, inverse, 1, reduce)
-                if last and len(null) != 1:
-                    raise AssertionError("the last eigenvalue of a class-sum matrix has no eigenline")
-                if null:
-                    rest -= lam * len(null)
-                    sub = [[sum(map(mul, coef, col)) for col in cols] for coef in null]
-                    fresh.append(gauss_jordan(sub, k, inverse, reduce))
-                    found += len(null)
+                if not null:
+                    raise AssertionError(
+                        "a root of a class-sum matrix's characteristic polynomial has no eigenline"
+                    )
+                sub = [[sum(map(mul, coef, col)) for col in cols] for coef in null]
+                fresh.append(gauss_jordan(sub, k, inverse, reduce))
+                found += len(null)
+            if found != mdim:
+                raise AssertionError("the eigenspaces of a class-sum matrix do not fill its space")
         spaces = fresh
 
     # chi(g^-1) is the conjugate of chi(g) = a + b i, and |a|, |b| <= chi(1) < p/2:
@@ -494,7 +548,7 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
             raise AssertionError("class-sum matrices failed to split to lines")
         # the line's pivot entry is 1, so its eigenvalues are read there
         v, t0 = basis[0], pivots[0]
-        om = [sum(map(mul, m[t0], v)) % p for m in m_mats]
+        om = [image(m_i[t0], v) for m_i in m_rows]
         s = sum(om[i] * om[inv_class[i]] * inverse(sizes[i]) for i in range(k))
         d2 = n * inverse(s % p) % p
         deg = next((d for d in range(1, isqrt(n) + 1) if d * d % p == d2), None)

@@ -19,6 +19,7 @@ witness confirms it.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
@@ -202,7 +203,10 @@ _CANONICAL_GSPIN4 = {
 }
 
 
+@lru_cache(maxsize=None)
 def canonical_group_for_label(label: str, family: str) -> FiniteMatrixGroup:
+    """The canonical group of a structure label, built once per process, so its
+    character table is computed once too; refusals are not cached."""
     if family != "GSpin4":
         raise ValueError("canonical realizations are provided for rank four only")
     key = label.strip()

@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import itertools
+import random
+import re
 
 import pytest
 
@@ -254,6 +256,12 @@ def test_group_id_rejects_lookalike():
     g = generate_closure([D(m, I2) for m in d4gens] + [D(I2, NEG)])
     assert g.order == 16
     assert group_id(g).startswith("unrecognized")
+    # Z/4 : Z/4 has its center and its 3 involutions, but its elements of
+    # order 4 square to two different involutions
+    swap = GaussianMatrix.from_strings([["0", "1"], ["1", "0"]])
+    g = generate_closure([D(A, I2), D(swap, I2.scale(QI(0, 1)))])
+    assert g.order == 16 and not g.is_abelian()
+    assert group_id(g) == "unrecognized (order=16, abelian=no, exponent=4)"
 
 
 def test_abelian_invariants_oracle():
@@ -307,12 +315,13 @@ def test_cayley_table_of_parameter_witness(name):
 
 
 def test_q8_x_q8_table_and_eigen_split_solves(monkeypatch):
-    solves = []
+    empty = []  # per solve, whether it came back empty
     nullspace = finite_groups.nullspace
 
     def counting(*args):
-        solves.append(1)
-        return nullspace(*args)
+        null = nullspace(*args)
+        empty.append(not null)
+        return null
 
     monkeypatch.setattr(finite_groups, "nullspace", counting)
     g = generate_closure([D(A, I2), D(I2, A), D(B, I2), D(I2, B)])
@@ -320,10 +329,9 @@ def test_q8_x_q8_table_and_eigen_split_solves(monkeypatch):
     assert g.order == 64 and len(table.classes) == 25
     assert table.degrees() == (1,) * 16 + (2,) * 8 + (4,)
     assert row_digest(table) == "8b44a977871d0c57d5997e36f46fc9539a2a921cf2ffcada9a3e9d1209c228d1"
-    # trying every lam in F_29 for every unsplit space took 1,305 solves,
-    # stopping once the eigenspaces fill the basis took 930, and reading the
-    # last eigenvalue of a space off the trace takes 616
-    assert len(solves) <= 616
+    # one solve per eigenvalue of each restricted class-sum matrix, and
+    # never one at a residue that is not a root
+    assert len(empty) == 69 and not any(empty)
 
 
 def row_digest(table):
@@ -337,22 +345,86 @@ def test_q8_x_q8_x_z2_table_pin():
     assert row_digest(table) == "6f84688666e0c4bfaf1c30325855249266f8c88ff48d0f38a1468e820f152dea"
 
 
-def test_eigen_split_refuses_a_last_eigenvalue_without_a_line(monkeypatch):
-    # Z/2 = {I, -I}: the identity's class sum keeps F_p^2 whole (solves at
-    # lam = 0, 1), then -I's class sum splits it: lam = 0, lam = 1, and the
-    # last line at the trace's eigenvalue -1, the fifth solve
+def test_q8_cubed_table_pin():
+    # the order-512 cap; the digest was recorded from a split that tried
+    # every residue in turn, so it does not rest on the root finding
+    g = generate_closure(
+        [D(A, I2, I2), D(I2, A, I2), D(I2, I2, A), D(B, I2, I2), D(I2, B, I2), D(I2, I2, B)]
+    )
+    table = g.character_table()
+    assert g.order == 512 and len(table.classes) == 125
+    assert row_digest(table) == "01a80358c0b19bf2fed999024856d54828d048452fa922698278a81562f7c5ce"
+
+
+@pytest.mark.parametrize(
+    "doctor, message, solves",
+    [
+        # Z/2 = {I, -I}: the identity's class sum has the one root 1 and keeps
+        # F_p^2 whole; -I's class sum has the roots 1 and -1, and its solve
+        # at 1, the second, is made to come back empty
+        pytest.param(
+            lambda call, null: [] if call == 2 else null,
+            "a root of a class-sum matrix's characteristic polynomial has no eigenline",
+            2,
+            id="root-without-line",
+        ),
+        # the first solve, at the identity's root 1, is made to lose a line
+        pytest.param(
+            lambda call, null: null[:1] if call == 1 else null,
+            "the eigenspaces of a class-sum matrix do not fill its space",
+            1,
+            id="spaces-short",
+        ),
+    ],
+)
+def test_eigen_split_refuses_a_root_without_its_eigenspace(monkeypatch, doctor, message, solves):
     nullspace = finite_groups.nullspace
     calls = []
 
-    def losing_fifth(*args):
+    def doctored(*args):
         calls.append(1)
-        return [] if len(calls) == 5 else nullspace(*args)
+        return doctor(len(calls), nullspace(*args))
 
     g = generate_closure([GaussianMatrix.scalar(2, QI(-1))])
-    monkeypatch.setattr(finite_groups, "nullspace", losing_fifth)
-    with pytest.raises(AssertionError, match="the last eigenvalue of a class-sum matrix has no eigenline"):
+    monkeypatch.setattr(finite_groups, "nullspace", doctored)
+    with pytest.raises(AssertionError, match=re.escape(message)):
         g.character_table()
-    assert len(calls) == 5
+    assert len(calls) == solves
+
+
+def determinant_mod(rows, p):
+    """det of a square matrix mod p by plain elimination, as the oracle for _charpoly."""
+    a = [[x % p for x in row] for row in rows]
+    det = 1
+    for c in range(len(a)):
+        r = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        t = pow(a[c][c], p - 2, p)
+        for r in range(c + 1, len(a)):
+            u = a[r][c] * t % p
+            a[r] = [(x - u * y) % p for x, y in zip(a[r], a[c])]
+    return det % p
+
+
+def test_charpoly_matches_determinants_at_every_residue():
+    rng = random.Random(20261019)
+    for p in (5, 13, 29, 53):
+        for m in range(1, 9):
+            # sparse draws reach the Hessenberg row swaps and skipped columns
+            for zeros in (0.0, 0.5, 0.8) * 4:
+                a = [[0 if rng.random() < zeros else rng.randrange(p) for _ in range(m)] for _ in range(m)]
+                cp = finite_groups._charpoly(a, p)
+                assert len(cp) == m + 1 and cp[-1] == 1
+                for lam in range(p):
+                    shifted = [[(lam if i == j else 0) - a[i][j] for j in range(m)] for i in range(m)]
+                    value = sum(c * pow(lam, d, p) for d, c in enumerate(cp)) % p
+                    assert value == determinant_mod(shifted, p)
+                    assert finite_groups._horner(cp, lam, p) == value
 
 
 def matrix_square_check(table):

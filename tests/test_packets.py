@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gspinlab import presets
+from gspinlab import finite_groups, presets
 from gspinlab.centralizers import s_groups
 from gspinlab.finite_groups import CapExceededError, generate_closure
 from gspinlab.gaussian import QI, GaussianMatrix
@@ -305,6 +305,30 @@ def test_canonical_realizations_contain_center():
         group = canonical_group_for_label(label, "GSpin4")
         for z in z_elements:
             assert z in group
+
+
+def test_canonical_group_and_its_table_are_built_once_per_label(monkeypatch):
+    canonical_group_for_label.cache_clear()
+    tabulated = []
+    character_table = finite_groups._character_table
+
+    def counting(group):
+        tabulated.append(group)
+        return character_table(group)
+
+    monkeypatch.setattr(finite_groups, "_character_table", counting)
+    first = packet_sizes("Q8 x Z/2", "GSpin4", 4)
+    second = packet_sizes("Q8 x Z/2", "GSpin4", 4)
+    assert first.to_dict() == second.to_dict()
+    assert len(tabulated) == 1
+    assert canonical_group_for_label("Q8 x Z/2", "GSpin4") is tabulated[0]
+    # refusals are raised again on every call, not remembered as answers
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no canonical realization for structure 'Q8'"):
+            packet_sizes("Q8", "GSpin4", 4)
+        with pytest.raises(ValueError, match="rank four only"):
+            packet_sizes("Q8 x Z/2", "GSpin6", 4)
+    assert len(tabulated) == 1
 
 
 def test_p2_bound_note():

@@ -328,9 +328,6 @@ class GaussianMatrix:
             self.d * z.d,
         )
 
-    def __neg__(self) -> "GaussianMatrix":
-        return self.scale(QI(-1))
-
     def det(self) -> QI:
         """det(N / d) = det(N) / d^n, eliminating on the numerators N."""
         n = self.n

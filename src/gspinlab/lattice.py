@@ -80,10 +80,6 @@ class IntMatrix:
             nrows = rows
         return cls([[col[i] for col in columns] for i in range(nrows)], cols=len(columns))
 
-    @classmethod
-    def column(cls, vec: Sequence[int]) -> "IntMatrix":
-        return cls([[x] for x in vec], cols=1)
-
     def entry(self, i: int, j: int) -> int:
         return self._data[i][j]
 
@@ -161,7 +157,6 @@ class IntMatrix:
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
                     a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 

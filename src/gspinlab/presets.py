@@ -7,8 +7,8 @@ through the generic machinery.
 from __future__ import annotations
 
 import json
+import os
 from functools import lru_cache
-from importlib import resources
 from typing import List, Tuple
 
 from .centralizers import ParameterImage
@@ -17,12 +17,15 @@ from .lattice import IntMatrix
 from .morphisms import RootDatumMap
 from .root_datum import BasedRootDatum
 
+_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
 
 @lru_cache(maxsize=None)
 def _read(name: str) -> dict:
-    """The data file ``name``, parsed once per process and shared: callers only read it."""
-    ref = resources.files("gspinlab.data").joinpath(name)
-    return json.loads(ref.read_text("utf-8"))
+    """The data file ``name`` (a path under ``data/``), parsed once per process
+    and shared: callers only read it."""
+    with open(os.path.join(_DATA, name), encoding="utf-8") as fh:
+        return json.loads(fh.read())
 
 
 def datum_names() -> List[str]:
@@ -41,8 +44,7 @@ def datum_map(name: str) -> Tuple[RootDatumMap, BasedRootDatum, BasedRootDatum]:
     if name not in data:
         raise KeyError(f"unknown map preset {name!r}")
     entry = data[name]
-    f = RootDatumMap(IntMatrix(entry["iota"]), IntMatrix(entry["iota_vee"]))
-    return f, datum(entry["domain"]), datum(entry["codomain"])
+    return RootDatumMap.from_dict(entry), datum(entry["domain"]), datum(entry["codomain"])
 
 
 def sequence(name: str) -> List[IntMatrix]:
@@ -88,8 +90,8 @@ def realization_data(case: str) -> dict:
 @lru_cache(maxsize=None)
 def _scenario_files() -> Tuple[str, ...]:
     """The shipped scenario file names, listed once per process."""
-    ref = resources.files("gspinlab.data").joinpath("scenarios")
-    return tuple(sorted(p.name for p in ref.iterdir() if p.name.endswith(".json")))
+    names = os.listdir(os.path.join(_DATA, "scenarios"))
+    return tuple(sorted(n for n in names if n.endswith(".json")))
 
 
 def scenario_names() -> List[str]:
@@ -97,10 +99,10 @@ def scenario_names() -> List[str]:
 
 
 def scenario_dict(name: str) -> dict:
-    """Scenario record by shipped name (with or without .json suffix); any other
-    name, a path into or out of the scenarios folder included, is a KeyError."""
+    """Scenario record (shared, read-only) by shipped name, with or without the
+    .json suffix; any other name, a path into or out of the scenarios folder
+    included, is a KeyError."""
     fname = name if name.endswith(".json") else f"{name}.json"
     if fname not in _scenario_files():
         raise KeyError(f"unknown scenario preset {name!r}")
-    ref = resources.files("gspinlab.data").joinpath("scenarios").joinpath(fname)
-    return json.loads(ref.read_text("utf-8"))
+    return _read(f"scenarios/{fname}")

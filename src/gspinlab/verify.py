@@ -15,13 +15,11 @@ from .finite_groups import group_id
 from .lattice import AbelianGroupStructure, IntMatrix, kernel_basis, solve_integral
 from .morphisms import check_isomorphism, search_isomorphisms, verify_dual_identification
 from .packets import (
-    FactorSpec,
-    GSpin4Scenario,
-    GSpin6Scenario,
     consistency_check,
     igroup_gspin4,
     igroup_gspin6,
     packet_sizes,
+    scenario_from_dict,
     scenario_report,
     sgroup_structure_gspin4,
     square_class_bound,
@@ -215,58 +213,34 @@ def _item_packet_z2cubed():
     return _expect(ok, f"sizes {out.sizes}")
 
 
+def _scenario(name: str):
+    """A shipped scenario, decoded as ``packets`` decodes it."""
+    return scenario_from_dict(presets.scenario_dict(name))
+
+
 def _item_igroup_dihedral3():
-    s = GSpin4Scenario(
-        FactorSpec("dihedral_three", ("a", "b", "c")),
-        FactorSpec("dihedral_three", ("a", "b", "c")),
-        True,
-        3,
-    )
-    got = igroup_gspin4(s)
+    got = igroup_gspin4(_scenario("dihedral3-twist"))
     return _expect(got.torsion == (2, 2), f"I = {got}")
 
 
 def _item_igroup_primitive():
-    s = GSpin4Scenario(
-        FactorSpec("primitive_or_sl2_nontrivial"),
-        FactorSpec("primitive_or_sl2_nontrivial"),
-        True,
-        2,
-    )
-    got = igroup_gspin4(s)
+    got = igroup_gspin4(_scenario("primitive-twist"))
     return _expect(got.torsion == (), f"I = {got}")
 
 
 def _item_sgroup_labels():
-    details = []
-    s1 = GSpin4Scenario(
-        FactorSpec("primitive_or_sl2_nontrivial"),
-        FactorSpec("primitive_or_sl2_nontrivial"),
-        True,
-        2,
-    )
-    info1 = sgroup_structure_gspin4(s1, igroup_gspin4(s1))
-    details.append(info1.label)
-    s2 = GSpin4Scenario(
-        FactorSpec("dihedral_one", ("a",)), FactorSpec("dihedral_one", ("a",)), True, 3
-    )
-    info2 = sgroup_structure_gspin4(s2, igroup_gspin4(s2))
-    details.append(info2.label)
-    s3 = GSpin4Scenario(
-        FactorSpec("dihedral_three", ("a", "b", "c")),
-        FactorSpec("dihedral_three", ("a", "b", "c")),
-        True,
-        3,
-    )
-    info3 = sgroup_structure_gspin4(s3, igroup_gspin4(s3))
-    details.append(info3.label)
+    infos = []
+    for name in ("primitive-twist", "dihedral1-twist", "dihedral3-twist"):
+        s = _scenario(name)
+        infos.append(sgroup_structure_gspin4(s, igroup_gspin4(s)))
+    info1, info2, info3 = infos
     ok = (
         info1.label == "(Z/2)^2"
         and info2.label == "(Z/2)^3"
         and info3.q8_possible
         and info3.label.endswith("or Q8 x Z/2")
     )
-    return _expect(ok, "; ".join(details))
+    return _expect(ok, "; ".join(info.label for info in infos))
 
 
 def _item_bounds():
@@ -277,27 +251,18 @@ def _item_bounds():
 
 
 def _item_consistency():
-    sc = GSpin4Scenario(
-        FactorSpec("dihedral_three", ("a", "b", "c")),
-        FactorSpec("dihedral_three", ("a", "b", "c")),
-        True,
-        3,
-        witness="coupled_klein_four",
-    )
-    rep = scenario_report(sc, presets.witness_parameter("coupled_klein_four"))
+    sc = _scenario("dihedral3-twist")
+    rep = scenario_report(sc, presets.witness_parameter(sc.witness))
     ok1 = rep.consistent and consistency_check(rep, 4)
-    sc2 = GSpin4Scenario(
-        FactorSpec("dihedral_one", ("a",)), FactorSpec("dihedral_one", ("a",)), True, 3
-    )
-    rep2 = scenario_report(sc2)
+    rep2 = scenario_report(_scenario("dihedral1-twist"))
     ok2 = rep2.consistent and consistency_check(rep2, 4)
     return _expect(ok1 and ok2, "both reference scenarios consistent against bound 4")
 
 
 def _item_gspin6_two_torsion():
-    got = igroup_gspin6(GSpin6Scenario(AbelianGroupStructure(0, (4,)), 3))
+    got = igroup_gspin6(_scenario("gspin6-z4"))
     ok = got.torsion == (2,)
-    got2 = igroup_gspin6(GSpin6Scenario(AbelianGroupStructure(0, (2, 2)), 3))
+    got2 = igroup_gspin6(_scenario("gspin6-klein"))
     ok2 = got2.torsion == (2, 2)
     return _expect(ok and ok2, f"Z/4 -> {got}; (Z/2)^2 -> {got2}")
 

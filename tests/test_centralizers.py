@@ -65,6 +65,21 @@ def test_twisted_cosets_are_disjoint():
         seen.append(sp[0])
 
 
+@pytest.mark.parametrize(
+    "images, nu, message",
+    [
+        ([], [], "no generator images"),
+        ([A, GaussianMatrix.identity(4)], [ONE, ONE], "generator images of mixed size"),
+        (KLEIN, [ONE], "one twist value per generator required"),
+        ([A, GaussianMatrix.from_strings([["1", "1"], ["1", "1"]])], [ONE, ONE],
+         "generator images must be invertible"),
+    ],
+)
+def test_twisted_centralizer_space_refuses_bad_input(images, nu, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        twisted_centralizer_space(images, nu)
+
+
 def test_sl_normalize():
     h = GaussianMatrix.from_strings([["1", "0"], ["0", "-1"]])
     s = sl_normalize(h)

@@ -39,6 +39,14 @@ def test_datum_json_roundtrip(capsys):
     assert data["simple_roots"] == [[0, 1, -1], [0, 1, 1]]
 
 
+def test_datum_file_describe_prints_its_label(tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({**presets.datum("GSpin4").to_dict(), "label": "mine"}), "utf-8")
+    code, out, _ = run(capsys, "datum", str(path), "describe")
+    assert code == 0
+    assert out.startswith("mine: rank 3, 2 simple roots\n"), out
+
+
 def test_unknown_preset_is_input_error(capsys):
     code, _, err = run(capsys, "datum", "NoSuchThing", "center")
     assert code == 2
@@ -248,8 +256,47 @@ def test_run_catalogue_parses_each_data_file_once(monkeypatch):
     presets._read.cache_clear()
     monkeypatch.setattr(json, "loads", counting)
     assert all(item.ok for item in run_catalogue())
-    # root data, maps, sequences, witnesses and realizations, each parsed once
-    assert len(parsed) == len(set(parsed)) == 5
+    # root data, maps, sequences, witnesses and realizations, and the five
+    # replayed scenarios, each parsed once
+    assert len(parsed) == len(set(parsed)) == 10
+
+
+def test_verify_paper_replays_the_shipped_scenarios(monkeypatch):
+    import gspinlab.verify as verify_mod
+
+    assert presets.scenario_dict("dihedral3-twist") is presets.scenario_dict("dihedral3-twist.json")
+    shipped = presets.scenario_dict
+    doctored = {
+        **shipped("dihedral3-twist"),
+        "twist_equivalent": False,
+        "factor2": {"kind": "dihedral_three", "labels": ["xa", "xb", "xc"]},
+    }
+    monkeypatch.setattr(
+        presets, "scenario_dict", lambda n: doctored if n == "dihedral3-twist" else shipped(n)
+    )
+    item = next(r for r in verify_mod.run_catalogue() if r.name == "rules/stabilizer-dihedral3")
+    assert (item.ok, item.detail) == (False, "I = 1")
+
+
+@pytest.mark.parametrize(
+    "target, item",
+    [("check_isomorphism", "iso/distinguished-matrix-rank4"),
+     ("consistency_check", "rules/consistency-checks")],
+)
+def test_verify_item_fails_when_one_check_fails(monkeypatch, target, item):
+    # every other conjunct of the item still holds; only the first call is refused
+    import gspinlab.verify as verify_mod
+
+    original = getattr(verify_mod, target)
+    calls = []
+
+    def first_call_fails(*args):
+        calls.append(args)
+        return False if len(calls) == 1 else original(*args)
+
+    monkeypatch.setattr(verify_mod, target, first_call_fails)
+    results = {r.name: r for r in verify_mod.run_catalogue()}
+    assert not results[item].ok, results[item].detail
 
 
 def test_verify_paper_fault_injection(capsys, monkeypatch):

@@ -1,10 +1,11 @@
 """Invariants of the package source: internal consistency checks must not
 depend on ``assert`` statements, which ``python -O`` strips, no module
 keeps an import it never uses or imports inside a function, no module
-dispatches on ``isinstance(..., tuple)`` or imports ``fractions`` or
-``decimal``, a cold start loads neither ``dataclasses`` nor ``inspect``, and
-cold ``verify-paper`` and ``packets`` runs load neither ``fractions`` nor
-``decimal``."""
+dispatches on ``isinstance(..., tuple)`` or imports ``fractions``,
+``decimal`` or ``importlib``, a cold start loads neither ``dataclasses`` nor
+``inspect``, cold ``verify-paper`` and ``packets`` runs load neither
+``fractions`` nor ``decimal``, and ``from gspinlab import *`` binds only
+public names."""
 import ast
 import json
 import os
@@ -93,6 +94,35 @@ def test_no_module_imports_fractions_or_decimal():
     # decimal at every cold start
     found = _imports_of({"fractions", "decimal"})
     assert found == [], "fractions or decimal imported at: " + ", ".join(found)
+
+
+def test_star_import_binds_only_public_names():
+    namespace = {}
+    exec("from gspinlab import *", namespace)
+    assert {"search_isomorphisms", "s_groups", "packet_sizes"} <= set(namespace)
+    assert [name for name in gspinlab.__all__ if name.startswith("_")] == []
+
+
+def test_no_module_imports_importlib():
+    # presets open their data files by path; importlib.resources would load
+    # pathlib, tempfile, shutil and their imports at every cold start
+    found = _imports_of({"importlib"})
+    assert found == [], "importlib imported at: " + ", ".join(found)
+
+
+def test_cold_presets_load_no_importlib_resources():
+    # -S: a site .pth may import importlib.resources before gspinlab loads
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    code = (
+        "import sys, gspinlab.cli; from gspinlab import presets; "
+        "presets.datum('GSpin4'); presets.scenario_dict('gspin6-klein'); "
+        "print('importlib.resources' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

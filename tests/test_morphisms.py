@@ -257,7 +257,8 @@ def _lagrange_det_poly(s0, kvec, n):
 
 def test_search_rejects_malformed_assignment():
     for bad in ((0, 1), (0, 1, 7), (0, 1, 2, 0), (-1, 0, 1)):
-        with pytest.raises(ValueError, match=re.escape(f"assignment {bad!r}")):
+        message = f"assignment {bad!r} does not map 3 simple roots to indices 0..2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             search_isomorphisms(PSI6, G6, assignment=bad)
 
 

@@ -9,12 +9,15 @@ orthogonal complements of a similitude character.
 Pivoting is deterministic (smallest absolute value, ties broken by lowest
 row then lowest column index) so that golden tests are reproducible. The
 pivot search stops at the first entry of absolute value 1, which that rule
-always picks, and a unit pivot skips the divisibility scan. Every update
-rewrites a whole row; V is kept as the list of its columns, so that a
-column operation on V is a row update too. U and V are not unique, and
-kernel bases and solutions are read from them, so the sequence of row and
-column operations is part of the contract (``tests/test_lattice.py`` pins
-its output).
+always picks, and a unit pivot skips the divisibility scan. The reduction
+runs on one augmented matrix: each row of m is extended by its row of the
+identity, which becomes U, and the rows of an identity stacked below
+become V. A row operation rewrites a whole row, so it carries U along; a
+column operation runs down the column, so it carries V along. Pivot
+search and divisibility scan read m's block only. U and V are not unique,
+and kernel bases and solutions are read from them, so the sequence of row
+and column operations is part of the contract (``tests/test_lattice.py``
+pins its output).
 
 Each ``IntMatrix`` stores its reduction when first asked for it: one
 stored reduction per matrix shared by kernel, solve, cokernel and rank.
@@ -24,9 +27,9 @@ with U and V left out, storing nothing.
 
 The constructor keeps a row whose entries are all exact ``int`` as given
 and passes any other entry through ``int()``. The library's own results
-(the Smith triple, identities, products, transposes, negations and kernel
-bases) are tuples of exact ints already, so they are built by
-``_trusted``, which sets the slots without checking them.
+(the Smith triple, identities, products, transposes and kernel bases) are
+tuples of exact ints already, so they are built by ``_trusted``, which
+sets the slots without checking them.
 """
 from __future__ import annotations
 
@@ -118,9 +121,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch in matrix-vector product")
         return tuple(sum(map(mul, row, vec)) for row in self._data)
 
-    def __neg__(self) -> "IntMatrix":
-        return _trusted(tuple([tuple([-x for x in row]) for row in self._data]), self.cols)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
@@ -209,21 +209,10 @@ def _smith(
     """The reduction behind ``smith_normal_form``; U and V are None unless track."""
     nr, nc = m.rows, m.cols
     a = m.to_rows()
-    u = _unit_rows(nr) if track else None
-    vt = _unit_rows(nc) if track else None  # the columns of V
+    if track:
+        # [m | I] over [I]: row operations carry U, column operations carry V
+        a = [row + unit for row, unit in zip(a, _unit_rows(nr))] + _unit_rows(nc)
     # Rows above t are zero from column t on, so column operations skip them.
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if track:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a[t:]:
-            r[i], r[j] = r[j], r[i]
-        if track:
-            vt[i], vt[j] = vt[j], vt[i]
-
     t = 0
     lim = min(nr, nc)
     while t < lim:
@@ -243,10 +232,10 @@ def _smith(
                 break
         if bi < 0:
             break
-        if bi != t:
-            swap_rows(t, bi)
+        a[t], a[bi] = a[bi], a[t]
         if bj != t:
-            swap_cols(t, bj)
+            for r in a[t:]:
+                r[t], r[bj] = r[bj], r[t]
         while True:
             dirty = False
             for i in range(t + 1, nr):
@@ -255,10 +244,8 @@ def _smith(
                     q = x // a[t][t]
                     if q:
                         a[i] = [y - q * z for y, z in zip(a[i], a[t])]
-                        if track:
-                            u[i] = [y - q * z for y, z in zip(u[i], u[t])]
                     if a[i][t]:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             for j in range(t + 1, nc):
                 x = a[t][j]
@@ -267,10 +254,9 @@ def _smith(
                     if q:
                         for r in a[t:]:
                             r[j] -= q * r[t]
-                        if track:
-                            vt[j] = [y - q * z for y, z in zip(vt[j], vt[t])]
                     if a[t][j]:
-                        swap_cols(t, j)
+                        for r in a[t:]:
+                            r[t], r[j] = r[j], r[t]
                         dirty = True
             # a clean round leaves row t and column t zero off the pivot
             if not dirty:
@@ -279,22 +265,22 @@ def _smith(
         p = a[t][t]
         if p != 1 and p != -1:
             offender = next(
-                (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), -1
+                (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 : nc])), -1
             )
             if offender >= 0:
                 a[t] = [y + z for y, z in zip(a[t], a[offender])]
-                if track:
-                    u[t] = [y + z for y, z in zip(u[t], u[offender])]
                 continue
         if p < 0:
             a[t] = [-x for x in a[t]]
-            if track:
-                u[t] = [-x for x in u[t]]
         t += 1
-    d = _trusted(tuple(map(tuple, a)), nc)
     if not track:
-        return None, d, None
-    return _trusted(tuple(map(tuple, u)), nr), d, _trusted(tuple(zip(*vt)), nc)
+        return None, _trusted(tuple(map(tuple, a)), nc), None
+    top = a[:nr]
+    return (
+        _trusted(tuple([tuple(row[nc:]) for row in top]), nr),
+        _trusted(tuple([tuple(row[:nc]) for row in top]), nc),
+        _trusted(tuple(map(tuple, a[nr:])), nc),
+    )
 
 
 def diagonal_of(d: IntMatrix) -> List[int]:
@@ -345,16 +331,6 @@ class AbelianGroupStructure:
 
     def __hash__(self) -> int:
         return hash((self.free_rank, self.torsion))
-
-    @property
-    def order(self) -> Optional[int]:
-        """Group order, or None for infinite groups."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
 
     def torsion_order(self) -> int:
         n = 1

@@ -19,6 +19,7 @@ witness confirms it.
 """
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from math import isqrt
 from typing import Dict, List, Optional, Tuple
@@ -297,6 +298,13 @@ def square_class_bound(p: int, f: int) -> Tuple[int, List[int]]:
         raise ValueError("p must be prime")
     if f < 1:
         raise ValueError("f must be >= 1")
+    # 2^(f+2) has more than `limit` digits exactly when 2^(f+2) >= 10^limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if p == 2 and limit and f + 2 >= (10**limit).bit_length():
+        raise ValueError(
+            f"f = {f} is too large: the square-class bound 2^{f + 2} has more than "
+            f"{limit} digits, the interpreter's limit for printing an integer"
+        )
     card = 2 ** (f + 2) if p == 2 else 4
     divisors = [2**k for k in range(card.bit_length())]
     return card, divisors
@@ -341,9 +349,9 @@ class PacketReport:
         }
 
 
-def consistency_check(report: PacketReport, bound: Optional[int] = None) -> bool:
-    """Every defined size divides the bound and m^2 * size = |I| throughout."""
-    card = report.bound_card if bound is None else bound
+def consistency_check(report: PacketReport) -> bool:
+    """Every defined size divides the report's bound and m^2 * size = |I| throughout."""
+    card = report.bound_card
     for outcome in report.outcomes:
         for form, sz in outcome.sizes.items():
             if sz is None:

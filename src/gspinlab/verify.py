@@ -15,7 +15,6 @@ from .finite_groups import group_id
 from .lattice import AbelianGroupStructure, IntMatrix, kernel_basis, solve_integral
 from .morphisms import check_isomorphism, search_isomorphisms, verify_dual_identification
 from .packets import (
-    consistency_check,
     igroup_gspin4,
     igroup_gspin6,
     packet_sizes,
@@ -253,9 +252,9 @@ def _item_bounds():
 def _item_consistency():
     sc = _scenario("dihedral3-twist")
     rep = scenario_report(sc, presets.witness_parameter(sc.witness))
-    ok1 = rep.consistent and consistency_check(rep, 4)
+    ok1 = rep.consistent and rep.bound_card == 4
     rep2 = scenario_report(_scenario("dihedral1-twist"))
-    ok2 = rep2.consistent and consistency_check(rep2, 4)
+    ok2 = rep2.consistent and rep2.bound_card == 4
     return _expect(ok1 and ok2, "both reference scenarios consistent against bound 4")
 
 

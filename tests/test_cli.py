@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -231,6 +232,60 @@ def test_packets_scenario_file(tmp_path, capsys):
     assert data["outcomes"][0]["sizes"]["split"] == 2
 
 
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no integer-string limit before 3.10.7"
+)
+
+
+@pytest.fixture
+def digit_limit():
+    """Sets the interpreter's integer-string limit for one test."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def _p2_scenario(tmp_path, f):
+    path = tmp_path / f"p2-f{f}.json"
+    path.write_text(json.dumps({"family": "GSpin6", "i_sl4": [2], "p": 2, "f": f}), "utf-8")
+    return str(path)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("as_json", [False, True])
+def test_packets_square_class_bound_at_the_digit_limit(tmp_path, capsys, digit_limit, as_json):
+    # 2^2126 has 640 digits and 2^2127 has 641: f = 2124 is the last that prints
+    digit_limit(640)
+    flags = ["--json"] if as_json else []
+    code, out, err = run(capsys, "packets", _p2_scenario(tmp_path, 2124), *flags)
+    assert (code, err) == (0, "")
+    if as_json:
+        assert json.loads(out)["square_class_bound"] == 2**2126
+    else:
+        assert f"square-class bound: {2**2126} (divisors [1, 2, 4," in out
+    code, out, err = run(capsys, "packets", _p2_scenario(tmp_path, 2125), *flags)
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: f = 2125 is too large: the square-class bound 2^2127 has more "
+        "than 640 digits, the interpreter's limit for printing an integer\n"
+    )
+
+
+@needs_digit_limit
+def test_square_class_bound_refusal_follows_the_digit_limit(digit_limit):
+    from gspinlab.packets import square_class_bound
+
+    digit_limit(4300)
+    with pytest.raises(ValueError, match=r"^f = 14283 is too large: .* 2\^14285 has more than 4300 digits"):
+        square_class_bound(2, 14283)
+    assert square_class_bound(2, 14282)[0] == 2**14284
+    # the bound for odd p does not grow with f
+    assert square_class_bound(3, 14283) == (4, [1, 2, 4])
+    digit_limit(0)
+    card, divisors = square_class_bound(2, 14283)
+    assert card == 2**14285 and divisors[-1] == card and len(divisors) == 14286
+
+
 def test_packets_unknown_scenario(capsys):
     code, _, err = run(capsys, "packets", "no-such-scenario")
     assert code == 2
@@ -278,11 +333,7 @@ def test_verify_paper_replays_the_shipped_scenarios(monkeypatch):
     assert (item.ok, item.detail) == (False, "I = 1")
 
 
-@pytest.mark.parametrize(
-    "target, item",
-    [("check_isomorphism", "iso/distinguished-matrix-rank4"),
-     ("consistency_check", "rules/consistency-checks")],
-)
+@pytest.mark.parametrize("target, item", [("check_isomorphism", "iso/distinguished-matrix-rank4")])
 def test_verify_item_fails_when_one_check_fails(monkeypatch, target, item):
     # every other conjunct of the item still holds; only the first call is refused
     import gspinlab.verify as verify_mod
@@ -297,6 +348,27 @@ def test_verify_item_fails_when_one_check_fails(monkeypatch, target, item):
     monkeypatch.setattr(verify_mod, target, first_call_fails)
     results = {r.name: r for r in verify_mod.run_catalogue()}
     assert not results[item].ok, results[item].detail
+
+
+@pytest.mark.parametrize("field, value", [("consistent", False), ("bound_card", 8)])
+def test_consistency_item_fails_on_the_first_report(monkeypatch, field, value):
+    # the first reference report is inconsistent, or carries a bound other than 4
+    import gspinlab.verify as verify_mod
+
+    original = verify_mod.scenario_report
+    reports = []
+
+    def doctor_first(*args):
+        reports.append(original(*args))
+        if len(reports) == 1:
+            setattr(reports[0], field, value)
+        return reports[-1]
+
+    monkeypatch.setattr(verify_mod, "scenario_report", doctor_first)
+    results = {r.name: r for r in verify_mod.run_catalogue()}
+    item = results["rules/consistency-checks"]
+    assert (item.ok, item.detail) == (False, "both reference scenarios consistent against bound 4")
+    assert len(reports) == 2
 
 
 def test_verify_paper_fault_injection(capsys, monkeypatch):

@@ -206,7 +206,6 @@ def test_abelian_structure_validation():
     normalized = AbelianGroupStructure(0, [2, 4.0])
     assert normalized.torsion == (2, 4) and all(type(d) is int for d in normalized.torsion)
     s = AbelianGroupStructure(1, (2, 4))
-    assert s.order is None
     assert s.torsion_order() == 8
     assert s.two_torsion() == AbelianGroupStructure(0, (2, 2))
     assert str(s) == "Z x Z/2 x Z/4"
@@ -268,6 +267,38 @@ def test_snf_output_pinned(monkeypatch):
         roots = IntMatrix(d1.simple_roots)
         reduced += [roots, IntMatrix(d2.simple_coroots), kernel_basis(roots)]
     assert _search_systems(monkeypatch) == reduced
+
+
+# sha256 of (U, D, V) and the untracked D of every distinct matrix that
+# verify-paper's catalogue and the shipped isomorphism searches reduce,
+# in the order first reduced: the centers, kernels, quotient relations and
+# exact sequences behind the commands' answers.
+SHIPPED_SNF_PIN = "84a422c239b9a4099ce4837e9ec1fdc7fa0c45088b4350afedb82bb007a1affd"
+
+
+def test_shipped_reductions_pinned(monkeypatch):
+    from gspinlab.verify import run_catalogue
+
+    seen = {}
+    reduce = lattice._smith
+
+    def record(m, track=True):
+        seen.setdefault((m.cols, m._data))
+        return reduce(m, track)
+
+    monkeypatch.setattr(lattice, "_smith", record)
+    assert all(item.ok for item in run_catalogue())
+    for d1, d2 in SHIPPED_PAIRS:
+        for variant in ISO_VARIANTS:
+            search_isomorphisms(d1, d2, **variant_kwargs(variant, d1))
+    payload = []
+    for cols, rows in seen:
+        triple = reduce(IntMatrix(rows, cols=cols))
+        untracked = reduce(IntMatrix(rows, cols=cols), False)
+        assert untracked[0] is None and untracked[2] is None
+        payload.append([x.to_rows() for x in triple] + [untracked[1].to_rows()])
+    digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    assert (len(payload), digest) == (35, SHIPPED_SNF_PIN)
 
 
 def _reductions(monkeypatch, run):
@@ -381,7 +412,7 @@ def test_library_results_have_exact_int_rows():
         k = kernel_basis(m)
         expected = [
             (u, (r, r)), (d, (r, c)), (v, (c, c)), (k, (c, c - matrix_rank(m))),
-            (m * other, (r, 2)), (m.transpose(), (c, r)), (-m, (r, c)),
+            (m * other, (r, 2)), (m.transpose(), (c, r)),
             (IntMatrix.identity(c), (c, c)), (other.transpose() * m.transpose(), (2, r)),
         ]
         # the search's own candidates and completion directions

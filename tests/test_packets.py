@@ -236,7 +236,7 @@ def test_consistency_check_fabricated_size():
         bound_divisors=[1, 2, 4],
         consistent=True,
     )
-    assert not consistency_check(report, 4)
+    assert not consistency_check(report)
 
 
 def test_all_shipped_scenarios_consistent():

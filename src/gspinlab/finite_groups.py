@@ -34,9 +34,14 @@ regular-representation cross-check (the projection built from the row must
 be idempotent), a second path independent of the eigen-split.
 
 The mod-p eigen-split runs on the same Gauss-Jordan routine as the Q(i)
-solves (``gaussian.gauss_jordan``), and every closure in the package is the
-word tree built by ``closure_tree``: groups and parameter images (plain 4x4
-and 6x6 matrices, see ``centralizers``), and central-character values.
+solves (``gaussian.gauss_jordan``). Every closure and orbit of group
+elements is the word tree built by ``closure_tree``: groups, parameter
+images (plain 4x4 and 6x6 matrices, see ``centralizers``), central-character
+values, conjugacy classes and the cyclic subgroups of ``abelian_invariants``.
+A class is its elements' order and positions. The reflection closure of a
+root datum stays separate (``root_datum``): it starts from every simple root,
+carries the Cartan pairings, and refuses with ``ValueError`` where
+``closure_tree`` raises ``NotFiniteError``.
 """
 from __future__ import annotations
 
@@ -118,9 +123,6 @@ class FiniteMatrixGroup:
                 y, n = mt[y][a], n + 1
             orders.append(n)
         return tuple(orders)
-
-    def element_order(self, x: GaussianMatrix) -> int:
-        return self.element_orders[self.index(x)]
 
     def _central(self, z: int) -> bool:
         mt = self.cayley_table
@@ -239,50 +241,37 @@ def closure_tree(
 
 
 class ConjClass:
-    __slots__ = ("rep", "members", "order", "positions")
+    """A conjugacy class: its elements' order and their positions, sorted."""
 
-    def __init__(
-        self,
-        rep: GaussianMatrix,
-        members: Tuple[GaussianMatrix, ...],
-        order: int,
-        positions: Tuple[int, ...],  # of the members, in the group's element order
-    ):
-        self.rep = rep
-        self.members = members
+    __slots__ = ("order", "positions")
+
+    def __init__(self, order: int, positions: Tuple[int, ...]):
         self.order = order
         self.positions = positions
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.positions)
 
 
 def _conjugacy_classes(group: FiniteMatrixGroup) -> Tuple[ConjClass, ...]:
+    """Each class is the orbit of its first element under conjugation by the
+    generators, y -> g^-1 y g, as the keys of one ``closure_tree``."""
     mt, inv, orders = group.cayley_table, group.inverse_index, group.element_orders
-    gens = group.generator_index
+
+    def conj(y: int, g: int) -> int:
+        return mt[inv[g]][mt[y][g]]
+
     seen = [False] * group.order
     orbits = []
     for x in range(group.order):
-        if seen[x]:
-            continue
-        orbit = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g in gens:
-                z = mt[inv[g]][mt[y][g]]
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        for y in orbit:
-            seen[y] = True
-        orbits.append(sorted(orbit))
+        if not seen[x]:
+            orbit = sorted(closure_tree(x, group.generator_index, conj)[0])
+            for y in orbit:
+                seen[y] = True
+            orbits.append(orbit)
     orbits.sort(key=lambda m: (orders[m[0]], len(m), m[0]))
-    elems = group.elements
-    return tuple(
-        ConjClass(elems[m[0]], tuple(elems[p] for p in m), orders[m[0]], tuple(m)) for m in orbits
-    )
+    return tuple(ConjClass(orders[m[0]], tuple(m)) for m in orbits)
 
 
 def abelian_invariants(group: FiniteMatrixGroup) -> AbelianGroupStructure:
@@ -294,9 +283,7 @@ def abelian_invariants(group: FiniteMatrixGroup) -> AbelianGroupStructure:
         orders, mt = group.element_orders, group.cayley_table
         best = max(orders)
         g = orders.index(best)
-        powers = [group.identity_index]
-        while len(powers) < best:
-            powers.append(mt[powers[-1]][g])
+        powers = closure_tree(group.identity_index, (g,), lambda x, y: mt[x][y])[0]
         peeled.append(best)
         group = group.quotient(group.elements[p] for p in powers)
     for a, b in zip(peeled, peeled[1:]):
@@ -369,9 +356,6 @@ class CharacterTable:
         self.classes = classes
         self.rows = rows
         self.class_of = class_of
-
-    def degrees(self) -> Tuple[int, ...]:
-        return tuple(r.degree for r in self.rows)
 
 
 # Miller-Rabin on these bases is exact below psi_13 (Sorenson-Webster, Math. Comp. 2017)

@@ -66,9 +66,6 @@ class QI:
             raise ZeroDivisionError("inverse of zero in Q(i)")
         return _qi(d * a, -d * b, n)
 
-    def conj(self) -> "QI":
-        return _qi(self.a, -self.b, self.d)
-
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
 
@@ -361,9 +358,6 @@ class GaussianMatrix:
         if len(pivots) < n:
             raise ZeroDivisionError("singular matrix")
         return GaussianMatrix([row[n:] for row in a])
-
-    def is_identity(self) -> bool:
-        return self == GaussianMatrix.identity(self.n)
 
     def __eq__(self, other) -> bool:
         return (

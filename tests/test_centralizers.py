@@ -29,7 +29,7 @@ MINUS = QI(-1)
 
 def test_twisted_spaces_for_klein_generators():
     sp = twisted_centralizer_space(KLEIN, [ONE, ONE])
-    assert len(sp) == 1 and sp[0].is_identity()
+    assert len(sp) == 1 and sp[0] == I2
     sp = twisted_centralizer_space(KLEIN, [ONE, MINUS])
     assert len(sp) == 1
     assert sp[0] == GaussianMatrix.from_strings([["1", "0"], ["0", "-1"]])

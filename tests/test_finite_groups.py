@@ -1,8 +1,11 @@
 import functools
 import hashlib
+import importlib.util
 import itertools
 import random
 import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -32,16 +35,17 @@ D = GaussianMatrix.block_diagonal
 
 def brute_force_classes(group):
     # independent orbit oracle: conjugate by every element, with matrix
-    # products and matrix inverses rather than the Cayley table
-    elems = list(group.elements)
-    remaining = set(elems)
-    classes = []
+    # products and matrix inverses rather than the Cayley table; the
+    # classes are sets of positions
+    elems = group.elements
+    remaining = set(range(group.order))
+    classes = set()
     while remaining:
-        x = next(iter(remaining))
-        orbit = {g.inverse() * x * g for g in elems}
-        classes.append(frozenset(orbit))
+        x = elems[min(remaining)]
+        orbit = frozenset(group.index(g.inverse() * x * g) for g in elems)
+        classes.add(orbit)
         remaining -= orbit
-    return set(classes)
+    return classes
 
 
 def test_closure_q8():
@@ -77,7 +81,7 @@ def test_q8_classes_and_center():
     g = generate_closure([A, B])
     classes = g.conjugacy_classes()
     assert len(classes) == 5
-    assert {frozenset(c.members) for c in classes} == brute_force_classes(g)
+    assert {frozenset(c.positions) for c in classes} == brute_force_classes(g)
     z = g.center()
     assert z.order == 2 and NEG in z
 
@@ -92,7 +96,44 @@ def test_coupled_pair_group_classes():
     assert g.order == 16
     assert group_id(g) == "Q8 x Z/2"
     assert len(g.conjugacy_classes()) == 10
-    assert {frozenset(c.members) for c in g.conjugacy_classes()} == brute_force_classes(g)
+    assert {frozenset(c.positions) for c in g.conjugacy_classes()} == brute_force_classes(g)
+
+
+def drawn_groups(count):
+    """The first ``count`` distinct groups of ``tools/table_digests.py``'s
+    seeded draws: block-diagonal monomial generators, order at most 128."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "table_digests.py"
+    spec = importlib.util.spec_from_file_location("table_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def matrix(blocks):
+        return D(*(GaussianMatrix.from_strings(tool.block_strings(b)) for b in blocks))
+
+    rng = random.Random(tool.SEED)
+    groups = {}
+    while len(groups) < count:
+        _, gens = tool.draw(rng)
+        try:
+            g = generate_closure([matrix(x) for x in gens], cap=128)
+        except NotFiniteError:
+            continue
+        groups.setdefault(frozenset(g.elements), g)
+    return list(groups.values())
+
+
+def test_classes_match_conjugation_by_every_element():
+    groups = drawn_groups(40)
+    assert max(g.order for g in groups) == 128 and sum(not g.is_abelian() for g in groups) >= 20
+    for g in groups:
+        mt, n = g.cayley_table, g.order
+        inv = [g.index(x.inverse()) for x in g.elements]
+        orbits = {tuple(sorted({mt[inv[h]][mt[x][h]] for h in range(n)})) for x in range(n)}
+        orders = g.element_orders
+        want = sorted(orbits, key=lambda m: (orders[m[0]], len(m), m[0]))
+        got = g.conjugacy_classes()
+        assert [c.positions for c in got] == want
+        assert all(c.order == orders[x] for c in got for x in c.positions)
 
 
 KNOWN_Q8_TABLE = {
@@ -108,7 +149,7 @@ KNOWN_Q8_TABLE = {
 def test_q8_character_table_matches_textbook():
     g = generate_closure([A, B])
     table = g.character_table()
-    assert table.degrees() == (1, 1, 1, 1, 2)
+    assert tuple(r.degree for r in table.rows) == (1, 1, 1, 1, 2)
     got = set()
     for row in table.rows:
         vals = []
@@ -122,7 +163,7 @@ def test_q8_character_table_matches_textbook():
 def test_z4_character_values():
     g = generate_closure([GaussianMatrix.scalar(2, QI(0, 1))])
     table = g.character_table()
-    assert table.degrees() == (1, 1, 1, 1)
+    assert tuple(r.degree for r in table.rows) == (1, 1, 1, 1)
     values = {v for row in table.rows for v in row.values}
     assert values == {QI(1), QI(-1), QI(0, 1), QI(0, -1)}
 
@@ -131,7 +172,7 @@ def test_elementary_abelian_table():
     g = generate_closure([D(NEG, I2), D(I2, NEG), D(X, X)])
     assert group_id(g) == "(Z/2)^3"
     table = g.character_table()
-    assert table.degrees() == (1,) * 8
+    assert tuple(r.degree for r in table.rows) == (1,) * 8
     # e = 2 and p = 7 = 3 mod 4: no square root of -1, so the lift runs with
     # iota = 1; the eight rows must be the eight distinct sign characters
     rows = {row.values for row in table.rows}
@@ -269,10 +310,7 @@ def test_abelian_invariants_oracle():
     g = generate_closure([D(A, I2), D(I2, NEG)])  # Z/4 x Z/2
     inv = abelian_invariants(g)
     assert inv.torsion == (2, 4)
-    counts = {}
-    for x in g.elements:
-        counts[g.element_order(x)] = counts.get(g.element_order(x), 0) + 1
-    assert counts == {1: 1, 2: 3, 4: 4}
+    assert Counter(g.element_orders) == {1: 1, 2: 3, 4: 4}
 
 
 def test_quotient_group_by_signs():
@@ -327,7 +365,7 @@ def test_q8_x_q8_table_and_eigen_split_solves(monkeypatch):
     g = generate_closure([D(A, I2), D(I2, A), D(B, I2), D(I2, B)])
     table = g.character_table()
     assert g.order == 64 and len(table.classes) == 25
-    assert table.degrees() == (1,) * 16 + (2,) * 8 + (4,)
+    assert tuple(r.degree for r in table.rows) == (1,) * 16 + (2,) * 8 + (4,)
     assert row_digest(table) == "8b44a977871d0c57d5997e36f46fc9539a2a921cf2ffcada9a3e9d1209c228d1"
     # one solve per eigenvalue of each restricted class-sum matrix, and
     # never one at a residue that is not a root
@@ -510,8 +548,7 @@ def swapped_classes(table, size, members_too):
     if members_too:
         for c, out, into in ((i, x, y), (j, y, x)):
             positions = tuple(sorted(set(classes[c].positions) - {out} | {into}))
-            old = classes[c]
-            classes[c] = finite_groups.ConjClass(old.rep, old.members, old.order, positions)
+            classes[c] = finite_groups.ConjClass(classes[c].order, positions)
     return finite_groups.CharacterTable(table.group, tuple(classes), table.rows, tuple(class_of))
 
 
@@ -534,9 +571,7 @@ def test_merged_classes_rejected():
     table = product_table(16)
     i, j = [c for c, cls in enumerate(table.classes) if cls.size == 2][:2]
     positions = tuple(sorted(table.classes[i].positions + table.classes[j].positions))
-    members = tuple(table.group.elements[p] for p in positions)
-    old = table.classes[i]
-    merged = finite_groups.ConjClass(old.rep, members, old.order, positions)
+    merged = finite_groups.ConjClass(table.classes[i].order, positions)
     classes = table.classes[:i] + (merged,) + table.classes[i + 1 : j] + table.classes[j + 1 :]
     class_of = tuple(i if c == j else c - (c > j) for c in table.class_of)
     doctored = finite_groups.CharacterTable(table.group, classes, table.rows, class_of)

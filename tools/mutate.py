@@ -6,7 +6,7 @@ Each mutant changes one AST site of one module: a comparison swap
 ``not not x``), or an int literal off by one (0 becomes 1; 1 and 2 become
 one smaller). The sites of each module are drawn with a seeded generator,
 and the mutants run one at a time against a temporary copy of the
-repository's ``src/``, ``tests/`` and ``perfbench/``; ``src/`` itself is
+repository's ``src/``, ``tests/`` and ``tools/``; ``src/`` itself is
 never written. Every run is the whole ``tests/`` suite. A mutant is killed
 when the tests fail or time out, and it survives when they pass. A survivor
 is either an equivalent mutant or a behaviour no test checks.
@@ -107,7 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
-        for part in ("src", "tests", "perfbench"):  # tests read perfbench's goldens
+        for part in ("src", "tests", "tools"):  # tests run the tools' recorders
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", copy)
         status, first = run_tests(copy, args.timeout)

@@ -15,32 +15,44 @@ quotients call the constructor with a table induced from the parent's.
 Character tables are computed by an exact Dixon-style method (Dixon, Numer.
 Math. 10, 1967; Schneider, J. Symbolic Comput. 9, 1990): the class-sum
 matrices are simultaneously diagonalized over a prime field F_p with p = 1
-mod exponent. The class-sum matrices are kept as sparse rows (row t of M_K
-has at most |K| nonzero entries). Every space of the split is kept as a
-basis in reduced echelon form, so a class-sum matrix restricts to it by
-reading its images at the pivot columns, and a line's eigenvalues are its
-images at its pivot, where it is 1. Each space is split at the roots of the
-restricted matrix's characteristic polynomial mod p (Hessenberg form and its
-recurrence, evaluated at every residue): one solve per eigenvalue, each of
-which must give a line, and together the eigenspaces must fill the space. A
-value chi(g) = a + b i is lifted from the conjugate pair chi_p(g),
-chi_p(g^-1): a and b are the centred residues of their half sum and of their
-half difference over a square root of -1 mod p (or over 1 when p = 3 mod 4,
-since then the exponent divides 2 and every value is an integer), exact as
-|a|, |b| <= chi(1) < p/2. Every table, up to the 512 cap, is then checked on
-integers by ``_validate_table``: the classes are certified from the Cayley
-table, both orthogonality relations must hold, and each row must pass the
-regular-representation cross-check (the projection built from the row must
-be idempotent), a second path independent of the eigen-split.
+mod exponent, and the centre Z goes first. A central z permutes the classes
+(K -> zK), so F_p^k splits into one block per character lambda of Z, read
+off the Z-orbits of the classes with no solve: one vector sum lambda(z)^-1
+e_zK per orbit whose stabilizer lambda kills. An abelian table is read off
+whole, with no class-sum matrix. A block of dimension >= 2 is split by the
+class sums of one class per noncentral orbit, kept as sparse rows (row t of
+M_K has at most |K| nonzero entries) and built only where a split reads
+them. Every space of the split is a basis in reduced echelon form, so a
+class-sum matrix restricts to it by reading its images at the pivot columns.
+Each space is split at the roots of the restricted matrix's characteristic
+polynomial mod p (Hessenberg form and its recurrence, evaluated at every
+residue): one solve per eigenvalue, each of which must give a line, and
+together the eigenspaces must fill the space. The common eigenline of chi is
+chi(g^-1) / chi(1) at the class of g, so a value chi(g) = a + b i is lifted
+from the conjugate pair chi_p(g), chi_p(g^-1): a and b are the centred
+residues of their half sum and of their half difference over a square root
+of -1 mod p (or over 1 when p = 3 mod 4, since then the exponent divides 2
+and every value is an integer), exact as |a|, |b| <= chi(1) < p/2. Every
+table, up to the 512 cap, is then checked on integers by ``_validate_table``,
+which is independent of the class-sum matrices: the classes are certified
+from the Cayley table; each row must be a character of Z times itself under
+the central generators (chi(zK) = lambda(z) chi(K)); and on each central
+block both orthogonality relations must hold, over the Z-orbits, and each
+row must pass the regular-representation cross-check (the projection built
+from the row must be idempotent), summed over the cosets of Z. The
+docstring of ``_validate_table`` proves that these block checks are the full
+relations.
 
 The mod-p eigen-split runs on the same Gauss-Jordan routine as the Q(i)
 solves (``gaussian.gauss_jordan``). Every closure and orbit of group
 elements is the word tree built by ``closure_tree``: groups, parameter
 images (plain 4x4 and 6x6 matrices, see ``centralizers``), central-character
 values, conjugacy classes and the cyclic subgroups of ``abelian_invariants``.
-A class is its elements' order and positions. The reflection closure of a
-root datum stays separate (``root_datum``): it starts from every simple root,
-carries the Cartan pairings, and refuses with ``ValueError`` where
+The centre is the exception: ``_central_generators`` builds it from the
+powers of one new generator at a time, so that each element has exactly one
+word. A class is its elements' order and positions. The reflection closure
+of a root datum stays separate (``root_datum``): it starts from every simple
+root, carries the Cartan pairings, and refuses with ``ValueError`` where
 ``closure_tree`` raises ``NotFiniteError``.
 """
 from __future__ import annotations
@@ -440,6 +452,55 @@ def _horner(poly: Sequence[int], x: int, p: int) -> int:
     return value
 
 
+def _central_generators(
+    group: FiniteMatrixGroup, classes: Sequence[ConjClass]
+) -> Tuple[List[int], List[Tuple[int, Tuple[int, ...]]], Dict[int, Tuple[int, ...]]]:
+    """Generators g_1, g_2, ... of the subgroup Z' that the classes of size 1 generate.
+
+    Each g_j is the first of them outside H = <g_1, ..., g_(j-1)>, and m_j is
+    its least power in H, so every element of Z' is g_1^a_1 ... g_r^a_r for
+    exactly one exponent word with 0 <= a_j < m_j. Returns the generators, the
+    relations (m_j, word of g_j^m_j over the generators before it) and the
+    word of every element of Z', keyed by position.
+    """
+    mt, e = group.cayley_table, group.identity_index
+    words: Dict[int, Tuple[int, ...]] = {e: ()}
+    gens: List[int] = []
+    relations: List[Tuple[int, Tuple[int, ...]]] = []
+    for z in (c.positions[0] for c in classes if c.size == 1):
+        if z in words:
+            continue
+        powers, y = [e], z
+        while y not in words:
+            powers.append(y)
+            y = mt[y][z]
+        relations.append((len(powers), words[y]))
+        words = {mt[h][w]: a + (j,) for h, a in words.items() for j, w in enumerate(powers)}
+        gens.append(z)
+    return gens, relations, words
+
+
+def _central_orbits(
+    group: FiniteMatrixGroup, class_of: Sequence[int], reps: Sequence[int], zs: Iterable[int]
+) -> List[Tuple[int, Dict[int, int], List[int]]]:
+    """The orbits K -> zK of the classes under the central subgroup ``zs``.
+
+    Each orbit is its least class K_0, the map from its classes K to an
+    element z with zK_0 = K, and the stabilizer of K_0, in the order of K_0.
+    """
+    mt, zs = group.cayley_table, list(zs)
+    orbits: List[Tuple[int, Dict[int, int], List[int]]] = []
+    seen = set()
+    for c, r in enumerate(reps):
+        if c not in seen:
+            members: Dict[int, int] = {}
+            for z in zs:
+                members.setdefault(class_of[mt[z][r]], z)
+            seen.update(members)
+            orbits.append((c, members, [z for z in zs if class_of[mt[z][r]] == c]))
+    return orbits
+
+
 def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
     n = group.order
     if n > 512:
@@ -459,13 +520,6 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
     reps = [c.positions[0] for c in classes]
     sizes = [c.size for c in classes]
     inv_class = [class_of[inv[r]] for r in reps]
-
-    # row t of the class-sum matrix M_i counts the x in K_i by the class of
-    # x^-1 z_t: at most |K_i| nonzero entries, kept as (column, count) pairs
-    m_rows = [
-        [tuple(Counter(class_of[mt[inv[x]][zt]] for x in c.positions).items()) for zt in reps]
-        for c in classes
-    ]
     p = _choose_prime(e, n)
 
     def inverse(x: int) -> int:
@@ -474,52 +528,108 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
     def reduce(row: List[int]) -> List[int]:
         return [x % p for x in row]
 
-    def image(row, vec) -> int:
-        return sum(count * vec[c] for c, count in row) % p
+    # i^t mod p; when p = 3 mod 4 the exponent divides 2 and only t = 0, 2 occur
+    iota = next((r for r in range(p) if r * r % p == p - 1), 1)
+    turns = (1, iota, p - 1, p - iota)
 
-    # split F_p^k into common eigenlines of the class-sum matrices; each space
-    # is a reduced echelon basis with its pivot columns, so the coordinates of
-    # a vector of the space are its entries at the pivots
-    spaces = [([[1 if i == j else 0 for j in range(k)] for i in range(k)], list(range(k)))]
-    for m_i in m_rows:
-        if all(len(basis) == 1 for basis, _ in spaces):
-            break
-        fresh = []
-        for basis, pivots in spaces:
-            mdim = len(basis)
-            if mdim == 1:
-                fresh.append((basis, pivots))
-                continue
-            # the restriction of M_i: column b holds the coordinates of M_i * basis[b];
-            # it is diagonalizable, so its eigenvalues are the roots of its
-            # characteristic polynomial and their eigenspaces fill the basis
-            rmat = [[image(m_i[c], vec) for vec in basis] for c in pivots]
-            cp = _charpoly(rmat, p)
-            cols = list(zip(*basis))
-            found = 0
-            for lam in range(p):
-                if _horner(cp, lam, p):
+    # row t of the class-sum matrix M_i counts the x in K_i by the class of
+    # x^-1 z_t: at most |K_i| nonzero entries, kept as (column, count) pairs,
+    # and built only for the rows that a split reads
+    m_rows: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
+
+    def class_sum_row(i: int, t: int) -> Tuple[Tuple[int, int], ...]:
+        if (i, t) not in m_rows:
+            counts = Counter(class_of[mt[inv[x]][reps[t]]] for x in classes[i].positions)
+            m_rows[i, t] = tuple(counts.items())
+        return m_rows[i, t]
+
+    # the eigenvector of chi is v_t = chi(g_t^-1) / chi(1). A central z maps
+    # the classes K -> zK and v_zK = lambda(z)^-1 v_K, with lambda the
+    # character of Z under chi, so F_p^k splits into one block per lambda,
+    # spanned by b_O = sum lambda(z)^-1 e_zK0 over each orbit O = Z K0 whose
+    # stabilizer lambda kills. b_O is 1 at its least class and the orbits are
+    # disjoint, so a block in these coordinates is a reduced echelon basis.
+    _, relations, words = _central_generators(group, classes)
+    orbits = _central_orbits(group, class_of, reps, words)
+    orbit_of = [0] * k
+    for o, (_, members, _) in enumerate(orbits):
+        for c in members:
+            orbit_of[c] = o
+    # the central class sums act on a block as scalars and M_zK as lambda(z) M_K:
+    # only the least class of each noncentral orbit splits
+    splitters = [c for c, _, _ in orbits if sizes[c] > 1]
+    chars: List[Tuple[int, ...]] = [()]  # lambda(g_j) = i^t_j, with m_j t_j = lambda(g_j^m_j)
+    for m, word in relations:
+        chars = [t + (s,) for t in chars for s in range(4) if (m * s - sum(map(mul, word, t))) % 4 == 0]
+
+    lines = []
+    for t in chars:
+        lam = {z: sum(map(mul, word, t)) % 4 for z, word in words.items()}  # lambda(z) = i^lam[z]
+        block = [o for o, (_, _, stab) in enumerate(orbits) if not any(lam[z] for z in stab)]
+        at = {o: b for b, o in enumerate(block)}
+        coef = {c: turns[-lam[z] % 4] for o in block for c, z in orbits[o][1].items()}
+        d = len(block)
+        # split the block into common eigenlines of the class-sum matrices; each
+        # space is a reduced echelon basis with its pivot columns, so the
+        # coordinates of a vector of the space are its entries at the pivots
+        spaces = [([[1 if a == b else 0 for b in range(d)] for a in range(d)], list(range(d)))]
+        for i in splitters:
+            if all(len(basis) == 1 for basis, _ in spaces):
+                break
+            # M_i on the block: row a holds M_i b_O at the least class of block[a]
+            m_i = []
+            for o in block:
+                row: Dict[int, int] = {}
+                for c, count in class_sum_row(i, orbits[o][0]):
+                    if c in coef:
+                        b = at[orbit_of[c]]
+                        row[b] = row.get(b, 0) + count * coef[c]
+                m_i.append(row.items())
+            fresh = []
+            for basis, pivots in spaces:
+                mdim = len(basis)
+                if mdim == 1:
+                    fresh.append((basis, pivots))
                     continue
-                shifted = [
-                    [(rmat[a][b] - (lam if a == b else 0)) % p for b in range(mdim)]
-                    for a in range(mdim)
-                ]
-                null = nullspace(shifted, mdim, inverse, 1, reduce)
-                if not null:
-                    raise AssertionError(
-                        "a root of a class-sum matrix's characteristic polynomial has no eigenline"
-                    )
-                sub = [[sum(map(mul, coef, col)) for col in cols] for coef in null]
-                fresh.append(gauss_jordan(sub, k, inverse, reduce))
-                found += len(null)
-            if found != mdim:
-                raise AssertionError("the eigenspaces of a class-sum matrix do not fill its space")
-        spaces = fresh
+                # the restriction of M_i: column b holds the coordinates of M_i * basis[b];
+                # it is diagonalizable, so its eigenvalues are the roots of its
+                # characteristic polynomial and their eigenspaces fill the basis
+                rmat = [[sum(x * vec[b] for b, x in m_i[c]) % p for vec in basis] for c in pivots]
+                cp = _charpoly(rmat, p)
+                found = 0
+                for root in range(p):
+                    if _horner(cp, root, p):
+                        continue
+                    shifted = [
+                        [(rmat[a][b] - (root if a == b else 0)) % p for b in range(mdim)]
+                        for a in range(mdim)
+                    ]
+                    null = nullspace(shifted, mdim, inverse, 1, reduce)
+                    if not null:
+                        raise AssertionError(
+                            "a root of a class-sum matrix's characteristic polynomial has no eigenline"
+                        )
+                    sub = []
+                    for x in null:  # the combination x of the basis, over its nonzero terms
+                        vec = [0] * d
+                        for scalar, w in zip(x, basis):
+                            if scalar:
+                                vec = [u + scalar * y for u, y in zip(vec, w)]
+                        sub.append(vec)
+                    fresh.append(gauss_jordan(sub, d, inverse, reduce))
+                    found += len(null)
+                if found != mdim:
+                    raise AssertionError("the eigenspaces of a class-sum matrix do not fill its space")
+            spaces = fresh
+        for basis, _ in spaces:
+            if len(basis) != 1:
+                raise AssertionError("class-sum matrices failed to split to lines")
+            line = basis[0]
+            lines.append([line[at[orbit_of[c]]] * coef[c] % p if c in coef else 0 for c in range(k)])
 
     # chi(g^-1) is the conjugate of chi(g) = a + b i, and |a|, |b| <= chi(1) < p/2:
     # a and b are read from chi_p(g) +- chi_p(g^-1), with iota^2 = -1 mod p when
     # p = 1 mod 4; otherwise e divides 2, the values are integers and iota = 1
-    iota = next((r for r in range(p) if r * r % p == p - 1), 1)
     half, half_iota = inverse(2), inverse(2 * iota)
 
     def centred(x: int) -> int:
@@ -527,21 +637,16 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
         return x - p if 2 * x > p else x
 
     rows = []
-    for basis, pivots in spaces:
-        if len(basis) != 1:
-            raise AssertionError("class-sum matrices failed to split to lines")
-        # the line's pivot entry is 1, so its eigenvalues are read there
-        v, t0 = basis[0], pivots[0]
-        om = [image(m_i[t0], v) for m_i in m_rows]
-        s = sum(om[i] * om[inv_class[i]] * inverse(sizes[i]) for i in range(k))
+    for v in lines:
+        # the line is 1 at the identity's class, so chi_p(g_t) = chi(1) v at g_t^-1
+        s = sum(size * x * v[j] for size, x, j in zip(sizes, v, inv_class))
         d2 = n * inverse(s % p) % p
         deg = next((d for d in range(1, isqrt(n) + 1) if d * d % p == d2), None)
         if deg is None:
             raise AssertionError("no degree matches the mod-p data")
-        chi_p = [deg * om[i] * inverse(sizes[i]) for i in range(k)]
         values = []
-        for x, j in zip(chi_p, inv_class):
-            a, b = centred((x + chi_p[j]) * half), centred((x - chi_p[j]) * half_iota)
+        for x, y in zip(v, inv_class):  # chi_p(g) = deg v[class of g^-1], chi_p(g^-1) = deg x
+            a, b = centred(deg * (v[y] + x) * half), centred(deg * (v[y] - x) * half_iota)
             if abs(a) > deg or abs(b) > deg:
                 raise AssertionError("character value lift out of range")
             values.append(QI(a, b))
@@ -554,11 +659,15 @@ def _character_table(group: FiniteMatrixGroup) -> CharacterTable:
 
 
 def _zi_dot(ure, uim, vre, vim) -> Tuple[int, int]:
-    """(re, im) of the sum of u_t * v_t over Z[i], u and v given by their int parts."""
-    return (
-        sum(map(mul, ure, vre)) - sum(map(mul, uim, vim)),
-        sum(map(mul, ure, vim)) + sum(map(mul, uim, vre)),
-    )
+    """(re, im) of the sum of u_t * v_t over Z[i], u and v given by their int parts;
+    an imaginary part that is all zero is multiplied by nothing."""
+    re, im = sum(map(mul, ure, vre)), 0
+    if any(uim):
+        re -= sum(map(mul, uim, vim))
+        im += sum(map(mul, uim, vre))
+    if any(vim):
+        im += sum(map(mul, ure, vim))
+    return re, im
 
 
 def _validate_table(table: CharacterTable) -> None:
@@ -566,10 +675,44 @@ def _validate_table(table: CharacterTable) -> None:
 
     The classes are certified first: ``class_of`` is closed under conjugation
     by the generators, and |K| * |C_G(rep)| = |G| for each class K. Then come
-    the counts, degrees and both orthogonality relations, and the regular
-    representation check T^2 = (|G|/chi(1)) T with T[u][v] = chi(g_v g_u^-1).
-    T is a group matrix, so that is the convolution sum_x chi(x) chi(y x^-1)
-    = (|G|/chi(1)) chi(y), a class function of y: one y per class is checked.
+    the counts and degrees. The rest runs on central blocks. Z' is the
+    subgroup generated by central elements g_1, ..., g_r (taken from the
+    classes of size 1); it permutes the classes by K -> zK, and each orbit O
+    is read at its least class K_O, with stabilizer S_O. Each step below,
+    together with the steps before it, is equivalent to the full relation.
+
+    1. Certificate: for each row chi and generator g_j, chi(g_j) = u_j chi(1)
+       for a unit u_j of Z[i], and chi(g_j K) = u_j chi(K) for every class K.
+       Then chi(zK) = lambda(z) chi(K) for all z in Z', where lambda is a
+       character of Z' because chi is nonzero (step 3). Rows fall into blocks
+       by (u_1, ..., u_r), one block per character.
+    2. The blocks number |Z'|, so every character of Z' is one, and the
+       orbits U where some row of a block is nonzero number k over all
+       blocks. A row nonzero at K_O has lambda(s) = 1 on S_O (sK_O = K_O),
+       and over all lambda the orbits whose stabilizer lambda kills number
+       sum |Z'/S_O| = sum |O| = k: so each U is exactly its block's orbits
+       with stabilizer killed, and the rows vanish on every other orbit.
+    3. Row orthogonality within each block, over U with weights |O| |K_O|:
+       chi conj psi is constant on an orbit when chi and psi share lambda.
+       Rows in different blocks differ at some u_j, and <chi, psi> = sum |K|
+       chi(K) conj psi(K) is unchanged by K -> g_j K, so it equals u_j conj
+       u'_j <chi, psi> with u_j conj u'_j != 1: it is 0 with nothing to sum.
+    4. Column orthogonality within each block, over pairs of U: C_lambda(O, Q)
+       = sum over the block of chi(K_O) conj chi(K_Q) = n / (|O| |K_O|) if
+       O = Q, else 0. The rows of the block turn its sum at (zK_O, wK_Q)
+       into lambda(z w^-1) C_lambda(O, Q), so the full relation reads: for
+       every z in Z', sum over lambda of lambda(z) C_lambda(O, Q) =
+       (n / |K_O|) [zK_O = K_Q]. By Fourier inversion over the characters
+       of Z', that holds iff C_lambda(O, Q) = (1 / |Z'|) sum over z of
+       conj lambda(z) (n / |K_O|) [zK_O = K_Q], which is n / (|O| |K_O|)
+       when O = Q and lambda kills S_O, and 0 otherwise; off U both are 0.
+    5. The regular representation check T^2 = (|G|/chi(1)) T with T[u][v] =
+       chi(g_v g_u^-1). T is a group matrix, so that is the convolution
+       sum_x chi(x) chi(y x^-1) = (|G|/chi(1)) chi(y), a class function of y.
+       Its summand is the same at zx as at x for z in Z' (lambda(z) times
+       lambda(z)^-1), so the sum is |Z'| times the sum over a transversal of
+       G/Z'. Both sides are multiplied by lambda(z) when y is, and vanish
+       off U: one y per orbit of U is checked.
     """
     group = table.group
     n, mt, inv = group.order, group.cayley_table, group.inverse_index
@@ -593,26 +736,64 @@ def _validate_table(table: CharacterTable) -> None:
         raise AssertionError("degrees fail sum of squares = |G|")
     if any(n % r.degree for r in rows):
         raise AssertionError("degree does not divide group order")
-    for a, (are, aim) in enumerate(parts):
-        wre = [s * x for s, x in zip(sizes, are)]
-        wim = [s * x for s, x in zip(sizes, aim)]
-        for b, (bre, bim) in enumerate(parts):
-            if _zi_dot(wre, wim, bre, [-x for x in bim]) != (n if a == b else 0, 0):
-                raise AssertionError("row orthogonality fails")
-    cols = [([re[i] for re, _ in parts], [im[i] for _, im in parts]) for i in range(len(classes))]
-    for i, (ire, iim) in enumerate(cols):
-        for j, (jre, jim) in enumerate(cols):
-            if _zi_dot(ire, iim, jre, [-x for x in jim]) != (n // sizes[i] if i == j else 0, 0):
-                raise AssertionError("column orthogonality fails")
-    yx = [[mt[y][inv[x]] for x in range(n)] for y in reps]
-    for row, (re, im) in zip(rows, parts):
-        scale = n // row.degree
-        fre = [re[c] for c in class_of]
-        fim = [im[c] for c in class_of]
-        for i, pos in enumerate(yx):
-            conv = _zi_dot(fre, fim, [fre[z] for z in pos], [fim[z] for z in pos])
-            if conv != (scale * re[i], scale * im[i]):
-                raise AssertionError("regular representation cross-check fails")
+
+    gens, _, words = _central_generators(group, classes)
+    orbits = [(c, len(members)) for c, members, _ in _central_orbits(group, class_of, reps, words)]
+    one = class_of[group.identity_index]
+    perms = [[class_of[mt[z][r]] for r in reps] for z in gens]
+    blocks: Dict[Tuple[int, ...], List[int]] = {}
+    for a, (re, im) in enumerate(parts):
+        nre, nim = [-x for x in re], [-x for x in im]
+        turned = [(re, im), (nim, re), (nre, nim), (im, nre)]  # i^u times the row
+        units = []
+        for perm in perms:
+            z = perm[one]  # the class of g_j
+            u = next((u for u, (tre, tim) in enumerate(turned) if (tre[one], tim[one]) == (re[z], im[z])), 0)
+            if ([re[c] for c in perm], [im[c] for c in perm]) != turned[u]:
+                raise AssertionError("a row is not a central character times itself")
+            units.append(u)
+        blocks.setdefault(tuple(units), []).append(a)
+    supports = [
+        [(c, size) for c, size in orbits if any(parts[a][0][c] or parts[a][1][c] for a in members)]
+        for members in blocks.values()
+    ]
+    if len(blocks) != len(words) or sum(map(len, supports)) != len(classes):
+        raise AssertionError("the rows' central blocks do not match the centre's characters")
+    transversal, seen = [], [False] * n
+    for x in range(n):
+        if not seen[x]:
+            transversal.append(x)
+            for z in words:
+                seen[mt[z][x]] = True
+    x_class = [class_of[x] for x in transversal]
+    yx = {c: [class_of[mt[reps[c]][inv[x]]] for x in transversal] for c, _ in orbits}
+    for members, support in zip(blocks.values(), supports):
+        weights = [size * sizes[c] for c, size in support]
+        at = [c for c, _ in support]
+        block = [([re[c] for c in at], [im[c] for c in at]) for re, im in (parts[a] for a in members)]
+        conj = [(re, [-x for x in im]) for re, im in block]
+        for a, (are, aim) in enumerate(block):
+            wre = [s * x for s, x in zip(weights, are)]
+            wim = [s * x for s, x in zip(weights, aim)]
+            for b, (bre, bim) in enumerate(conj):
+                if _zi_dot(wre, wim, bre, bim) != (n if a == b else 0, 0):
+                    raise AssertionError("row orthogonality fails")
+        cols = [([re[i] for re, _ in block], [im[i] for _, im in block]) for i in range(len(support))]
+        conj = [(re, [-x for x in im]) for re, im in cols]
+        for i, (ire, iim) in enumerate(cols):
+            for j, (jre, jim) in enumerate(conj):
+                dre, dim = _zi_dot(ire, iim, jre, jim)
+                if (weights[i] * dre, dim) != (n if i == j else 0, 0):
+                    raise AssertionError("column orthogonality fails")
+        for a in members:
+            re, im = parts[a]
+            scale = n // rows[a].degree
+            fre = [re[c] for c in x_class]
+            fim = [im[c] for c in x_class]
+            for c in at:
+                cre, cim = _zi_dot(fre, fim, [re[y] for y in yx[c]], [im[y] for y in yx[c]])
+                if (len(words) * cre, len(words) * cim) != (scale * re[c], scale * im[c]):
+                    raise AssertionError("regular representation cross-check fails")
 
 
 class CentralCharacter:

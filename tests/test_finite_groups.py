@@ -30,6 +30,8 @@ B = GaussianMatrix.from_strings([["0", "1"], ["-1", "0"]])
 I2 = GaussianMatrix.identity(2)
 NEG = I2.scale(QI(-1))
 X = GaussianMatrix.from_strings([["1", "0"], ["0", "-1"]])
+Z4 = GaussianMatrix.from_strings([["i", "0"], ["0", "1"]])  # with Z4_, generates (Z/4)^2
+Z4_ = GaussianMatrix.from_strings([["1", "0"], ["0", "i"]])
 D = GaussianMatrix.block_diagonal
 
 
@@ -367,9 +369,30 @@ def test_q8_x_q8_table_and_eigen_split_solves(monkeypatch):
     assert g.order == 64 and len(table.classes) == 25
     assert tuple(r.degree for r in table.rows) == (1,) * 16 + (2,) * 8 + (4,)
     assert row_digest(table) == "8b44a977871d0c57d5997e36f46fc9539a2a921cf2ffcada9a3e9d1209c228d1"
-    # one solve per eigenvalue of each restricted class-sum matrix, and
-    # never one at a residue that is not a root
-    assert len(empty) == 69 and not any(empty)
+    # one solve per eigenvalue of each restricted noncentral class-sum
+    # matrix, and never one at a residue that is not a root; the centre
+    # (Z/2)^2 cuts F_p^25 into blocks of 16, 4, 4 and 1 before any solve
+    assert len(empty) == 49 and not any(empty)
+
+
+def test_abelian_table_solves_nothing(monkeypatch):
+    # every class of (Z/4)^3 is central: each block of the centre-first split
+    # is one line, so no class-sum matrix, characteristic polynomial or solve
+    calls = []
+
+    def refuse(name):
+        def call(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    for name in ("nullspace", "_charpoly", "gauss_jordan"):
+        monkeypatch.setattr(finite_groups, name, refuse(name))
+    g = generate_closure([D(Z4, I2), D(Z4_, I2), D(I2, Z4)])
+    table = g.character_table()
+    assert g.order == 64 and len(table.classes) == 64 and calls == []
+    assert {r.degree for r in table.rows} == {1}
 
 
 def row_digest(table):
@@ -381,6 +404,56 @@ def test_q8_x_q8_x_z2_table_pin():
     table = product_table(128)
     assert len(table.classes) == 50
     assert row_digest(table) == "6f84688666e0c4bfaf1c30325855249266f8c88ff48d0f38a1468e820f152dea"
+
+
+def test_q8_q8_z2_cubed_table_pin():
+    # order 512 with 200 classes and a centre of order 32; the digest was
+    # recorded from the split that started from the whole of F_p^k
+    g = generate_closure(
+        [D(A, I2, I2, I2), D(B, I2, I2, I2), D(I2, A, I2, I2), D(I2, B, I2, I2)]
+        + [D(I2, I2, X, I2), D(I2, I2, X.scale(QI(-1)), I2), D(I2, I2, I2, X)]
+    )
+    table = g.character_table()
+    assert g.order == 512 and len(table.classes) == 200
+    assert row_digest(table) == "140ec3e50bc51e173f3518dd4013f2a569724bcbbc7c648f08551e89e3790eb5"
+
+
+def test_z4_to_the_fourth_table_pin():
+    # abelian, 256 classes: every row is read off the centre with no solve;
+    # the digest was recorded from the split that started from the whole of F_p^k
+    g = generate_closure([D(Z4, I2, I2), D(Z4_, I2, I2), D(I2, Z4, I2), D(I2, Z4_, I2)])
+    table = g.character_table()
+    assert g.order == 256 and len(table.classes) == 256
+    assert row_digest(table) == "91881f80b7990d833a70f5b3d496eb06805729f7a84064f7020496e916c565ac"
+
+
+def pauli_group(qubits):
+    """The real Pauli group on ``qubits`` qubits, generated by the Kronecker
+    products with one X = [[0, 1], [1, 0]] or Z = diag(1, -1) among identities:
+    extraspecial of order 2^(1 + 2 qubits), with centre {I, -I}."""
+
+    def kron(a, b):
+        return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+    def one(m, at):
+        out = [[1]]
+        for q in range(qubits):
+            out = kron(out, m if q == at else [[1, 0], [0, 1]])
+        return GaussianMatrix.from_strings([[str(x) for x in row] for row in out])
+
+    return generate_closure([one(m, q) for q in range(qubits) for m in ([[0, 1], [1, 0]], [[1, 0], [0, -1]])])
+
+
+def test_extraspecial_table_lifts_its_largest_degree():
+    # 2^(1+6): the 64 linear characters share the trivial central block, split
+    # by solves, and the one character over -I has degree 8, 8 at I and -8 at
+    # -I, 0 elsewhere; the prime must exceed 16 to lift it
+    g = pauli_group(3)
+    table = g.character_table()
+    assert g.order == 128 and len(table.classes) == 65
+    assert [r.degree for r in table.rows] == [1] * 64 + [8]
+    top = [format_qi(v) for v in table.rows[-1].values]
+    assert top[:2] == ["8", "-8"] and set(top[2:]) == {"0"}
 
 
 def test_q8_cubed_table_pin():
@@ -397,20 +470,22 @@ def test_q8_cubed_table_pin():
 @pytest.mark.parametrize(
     "doctor, message, solves",
     [
-        # Z/2 = {I, -I}: the identity's class sum has the one root 1 and keeps
-        # F_p^2 whole; -I's class sum has the roots 1 and -1, and its solve
-        # at 1, the second, is made to come back empty
+        # Q8: the centre {1, -1} leaves the four linear characters in one block
+        # of dimension 4 (the degree-2 character is a block of its own). The first
+        # noncentral class sum has the roots 2 and -2, each with a plane; the
+        # second solve is made to come back empty
         pytest.param(
             lambda call, null: [] if call == 2 else null,
             "a root of a class-sum matrix's characteristic polynomial has no eigenline",
             2,
             id="root-without-line",
         ),
-        # the first solve, at the identity's root 1, is made to lose a line
+        # the first solve is made to lose a line of its plane, and the block's
+        # two solves then find 3 lines where 4 were due
         pytest.param(
             lambda call, null: null[:1] if call == 1 else null,
             "the eigenspaces of a class-sum matrix do not fill its space",
-            1,
+            2,
             id="spaces-short",
         ),
     ],
@@ -423,7 +498,7 @@ def test_eigen_split_refuses_a_root_without_its_eigenspace(monkeypatch, doctor, 
         calls.append(1)
         return doctor(len(calls), nullspace(*args))
 
-    g = generate_closure([GaussianMatrix.scalar(2, QI(-1))])
+    g = generate_closure([A, B])
     monkeypatch.setattr(finite_groups, "nullspace", doctored)
     with pytest.raises(AssertionError, match=re.escape(message)):
         g.character_table()
@@ -557,7 +632,9 @@ def swapped_classes(table, size, members_too):
     [
         (1, False, "classes and class_of do not partition the group alike"),
         (2, False, "classes and class_of do not partition the group alike"),
-        (1, True, "regular representation cross-check fails"),
+        # two central elements swap labels: each class is still a class, and
+        # the central certificate is the first check to see the values move
+        (1, True, "a row is not a central character times itself"),
         (2, True, "a class is not closed under conjugation"),
     ],
 )

@@ -12,7 +12,8 @@ the refusal that the table raised. The sweep:
   earlier group, and drawing stops at ``COUNT`` tables, from the fixed
   ``SEED`` (the draws whose exponent does not divide 4 are recorded with
   their refusal on the way);
-- Q8^3 and Q8^2 x D4, the two order-512 tables at the cap.
+- the large tables: Q8^3, Q8^2 x D4, Q8^2 x (Z/2)^3 and (Z/4)^4 x Z/2 at
+  the order-512 cap, and (Z/4)^3 and (Z/4)^4 below it.
 
 Record each side with its own ``src/`` and compare the two files:
 
@@ -20,7 +21,9 @@ Record each side with its own ``src/`` and compare the two files:
     python tools/table_digests.py /tmp/old.json --src ../parent/src
     diff /tmp/old.json /tmp/new.json
 
-The seconds each order-512 table took are printed to stderr.
+The seconds each large table took (closure and table) are printed to stderr;
+at the parent of the central-block split, (Z/4)^4 x Z/2 alone took about
+two minutes.
 """
 from __future__ import annotations
 
@@ -68,16 +71,24 @@ def draw(rng: random.Random) -> Tuple[str, List[List[Block]]]:
     return " ; ".join(" + ".join(block_name(b) for b in g) for g in gens), gens
 
 
-def order_512() -> List[Tuple[str, List[List[Block]]]]:
-    a, b = (False, "i", "-i"), (True, "1", "-1")
-    x, one = (False, "1", "-1"), (False, "1", "1")
+def large() -> List[Tuple[str, List[List[Block]]]]:
+    a, b = (False, "i", "-i"), (True, "1", "-1")  # Q8
+    x, one = (False, "1", "-1"), (False, "1", "1")  # with b, D4
+    z4, z4_ = (False, "i", "1"), (False, "1", "i")  # two independent Z/4
 
-    def embed(block: Block, at: int) -> List[Block]:
-        return [block if k == at else one for k in range(3)]
+    def embed(block: Block, at: int, slots: int = 3) -> List[Block]:
+        return [block if k == at else one for k in range(slots)]
 
-    q8_cubed = [embed(g, k) for k in range(3) for g in (a, b)]
-    q8_q8_d4 = [embed(g, k) for k in range(2) for g in (a, b)] + [embed(b, 2), embed(x, 2)]
-    return [("Q8^3", q8_cubed), ("Q8^2 x D4", q8_q8_d4)]
+    q8_q8 = [embed(g, k, 4) for k in range(2) for g in (a, b)]
+    z4_pairs = [embed(g, k) for k in range(2) for g in (z4, z4_)]
+    return [
+        ("Q8^3", [embed(g, k) for k in range(3) for g in (a, b)]),
+        ("Q8^2 x D4", [embed(g, k) for k in range(2) for g in (a, b)] + [embed(b, 2), embed(x, 2)]),
+        ("Q8^2 x (Z/2)^3", q8_q8 + [embed(x, 2, 4), embed((False, "-1", "1"), 2, 4), embed(x, 3, 4)]),
+        ("(Z/4)^3", z4_pairs[:3]),
+        ("(Z/4)^4", z4_pairs),
+        ("(Z/4)^4 x Z/2", z4_pairs + [embed(x, 2)]),
+    ]
 
 
 def record(src: Path) -> Dict[str, dict]:
@@ -111,7 +122,7 @@ def record(src: Path) -> Dict[str, dict]:
         if frozenset(group.elements) not in seen:
             seen.add(frozenset(group.elements))
             out[name] = entry(group)
-    for name, gens in order_512():
+    for name, gens in large():
         start = time.perf_counter()
         out[name] = entry(generate_closure([matrix(g) for g in gens]))
         print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr)

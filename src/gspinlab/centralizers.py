@@ -13,6 +13,9 @@ simply connected cover (SL2 x SL2 or SL4) assembles the component-group
 extension: the full group is S_phi_sc, its quotient by the center of the
 cover is S_phi, and the center itself is the kernel of the extension.
 SL2 x SL2 is held block-diagonally in SL4: (h1, h2) is diag(h1, h2).
+Distinct live twists give disjoint cosets of the center Z, so the assembly
+counts cosets instead of listing them (see ``_assemble_lines``), and
+``verify_extension`` checks exactness once, on the group's Cayley table.
 
 At the level of the similitude quotient only quadratic twists survive (the
 scalar slot forces nu^2 = 1); twists of order four appear for the larger
@@ -319,31 +322,28 @@ class CentralizerReport:
 
 
 def s_groups(phi: ParameterImage, cap: int = 512) -> CentralizerReport:
-    """Assemble S_phi_sc, S_phi and the extension data for phi over every sign twist."""
-    group, used = _assemble_lines(phi.factor_images(), MU2, cap)
-    sizes = [images[0].n for images in phi.factor_images()]
-    z_elements, _ = cover_center(sizes)
-    z_hat = AbelianGroupStructure(0, tuple(len(_center_scalars(n)) for n in sizes))
-    for z in z_elements:
-        if z not in group:
-            raise RuntimeError("center of the cover is missing from the assembly")
+    """S_phi_sc, S_phi and the extension, checked by verify_extension, over every sign twist."""
+    factors = phi.factor_images()
+    group, used, z_elements = _assemble_lines(factors, MU2, cap)
+    z_hat = AbelianGroupStructure(0, tuple(len(_center_scalars(f[0].n)) for f in factors))
+    # Z lies in the group: its generators are among the closure's
     squot = group.quotient(z_elements)
-    s_phi_order = squot.order
     s_phi_label = group_id(squot) if squot.order <= GROUP_ID_MAX_ORDER else f"order {squot.order}"
     s_sc_label = group_id(group) if group.order <= GROUP_ID_MAX_ORDER else f"order {group.order}"
-    extension_ok = group.order == z_hat.torsion_order() * s_phi_order
-    return CentralizerReport(
+    report = CentralizerReport(
         ambient=phi.ambient,
         s_phi_sc=group,
         s_phi_sc_label=s_sc_label,
         s_phi_label=s_phi_label,
-        s_phi_order=s_phi_order,
+        s_phi_order=squot.order,
         z_hat=z_hat,
         z_elements=z_elements,
-        extension_ok=extension_ok,
+        extension_ok=False,
         twists=tuple(used),
         s_phi=squot,
     )
+    report.extension_ok = verify_extension(report)
+    return report
 
 
 def verify_extension(report: CentralizerReport) -> bool:
@@ -374,20 +374,26 @@ def sl_level_group(images: Sequence[GaussianMatrix], cap: int = 512) -> FiniteMa
 
 def _assemble_lines(
     factors: Sequence[Sequence[GaussianMatrix]], roots: Sequence[QI], cap: int
-) -> Tuple[FiniteMatrixGroup, List[Tuple[QI, ...]]]:
+) -> Tuple[FiniteMatrixGroup, List[Tuple[QI, ...]], tuple]:
     """The group of determinant-1 twisted centralizers, one factor per cover slot.
 
     The twists are every tuple of ``roots``, one value per generator. For
     each twist, every factor's twisted solution line is solved; a twist
-    with a zero line in some factor is dead and skipped. The live lines are
-    normalized into SL_n and scaled by the scalars of SL_n, each combination
-    one block-diagonal matrix; the work stops as soon as these pass ``cap``.
-    The group is generated by one line per live twist and the scalars of
-    each factor, so closing it costs n*k products. Returns the closed group
-    and the live twists. Refusals name the twist.
+    with a zero line in some factor is dead and skipped. Each live line,
+    normalized into SL_n, is one block-diagonal h_nu, and with the center Z
+    of the cover it gives the coset h_nu Z of |Z| elements. Distinct twists
+    give disjoint cosets: if h_nu = c h_nu' with c in Z, c is scalar in
+    every block, so h_nu g_j = nu'_j g_j h_nu and (nu_j - nu'_j) g_j h_nu = 0
+    for every j, hence nu = nu'. So the cosets are counted, not listed: the
+    work stops as soon as |Z| times the number of live twists passes
+    ``cap``. The closure of one line per live twist and the generators of
+    Z (n*k products) holds every coset, and it is accepted only at exactly
+    that count: more means the cosets are not closed, fewer that two lines
+    share a coset, which no true solution does. Returns the closed group,
+    the live twists and the elements of Z. Refusals name the twist.
     """
-    generators = list(cover_center([images[0].n for images in factors])[1])
-    elements = set()
+    z_elements, generators = cover_center([images[0].n for images in factors])
+    generators = list(generators)
     live = []
     for nu in product(roots, repeat=len(factors[0])):
         lines = []
@@ -408,17 +414,13 @@ def _assemble_lines(
             except NormalizationError as exc:
                 raise NormalizationError(f"{exc} at twist ({', '.join(map(format_qi, nu))})")
             generators.append(GaussianMatrix.block_diagonal(*normalized))
-            scaled = [[h.scale(z) for z in _center_scalars(h.n)] for h in normalized]
-            elements.update(GaussianMatrix.block_diagonal(*c) for c in product(*scaled))
-            if len(elements) > cap:
+            if len(z_elements) * len(live) > cap:
                 raise NotFiniteError(f"assembled group exceeds cap {cap}")
-    # every element is a product of the generators, so the set is closed
-    # exactly when it is their closure; a larger closure stops at its size
+    count = len(z_elements) * len(live)
     try:
-        group = generate_closure(generators, cap=len(elements))
-        closed = set(group.elements) == elements
+        group = generate_closure(generators, cap=count)
     except NotFiniteError:
-        closed = False
-    if not closed:
+        group = None
+    if group is None or group.order != count:
         raise RuntimeError("assembled twisted-centralizer set failed to close")
-    return group, live
+    return group, live, z_elements

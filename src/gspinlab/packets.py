@@ -154,30 +154,20 @@ def igroup_gspin6(s: GSpin6Scenario) -> AbelianGroupStructure:
 _GSPIN4_BRANCHES = ("abelian order 16 (invariant factors 4,4)", "Q8 x Z/2")
 
 
-class SGroupInfo:
-    __slots__ = ("label", "q8_possible", "igroup_order")
-
-    def __init__(self, label: str, q8_possible: bool, igroup_order: int):
-        self.label = label
-        self.q8_possible = q8_possible
-        self.igroup_order = igroup_order
-
-
-def sgroup_structure_gspin4(s: GSpin4Scenario, igroup: AbelianGroupStructure) -> SGroupInfo:
-    """Structure of the order-4|I| component-group extension, per the rules."""
+def sgroup_structure_gspin4(s: GSpin4Scenario, igroup: AbelianGroupStructure) -> str:
+    """Label of the order-4|I| extension, per the rules; a witness decides the two-branch label."""
     if not igroup.is_elementary_two_group():
         raise ValueError("stabilizer group must be an elementary 2-group")
     n = igroup.torsion_order()
     if n == 1:
-        return SGroupInfo("(Z/2)^2", False, 1)
+        return "(Z/2)^2"
     if n == 2:
-        label = "abelian order 8" if s.reducible else "(Z/2)^3"
-        return SGroupInfo(label, False, 2)
+        return "abelian order 8" if s.reducible else "(Z/2)^3"
     if n == 4:
         if s.reducible:
             raise ValueError("reducible factors cannot reach a stabilizer of order 4")
         q8 = s.twist_equivalent and s.factor1.kind == "dihedral_three"
-        return SGroupInfo(" or ".join(_GSPIN4_BRANCHES) if q8 else _GSPIN4_BRANCHES[0], q8, 4)
+        return " or ".join(_GSPIN4_BRANCHES) if q8 else _GSPIN4_BRANCHES[0]
     raise ValueError("stabilizer groups of order 8 or more do not occur in rank four")
 
 
@@ -372,10 +362,11 @@ def _shape(group: FiniteMatrixGroup) -> Tuple[int, Optional[AbelianGroupStructur
 def _gspin4_outcomes(s: GSpin4Scenario, rep: Optional[CentralizerReport], card: int):
     """(I, |I|, outcomes, notes) by the rank-four rules, from the witness's report and the bound."""
     ig = igroup_gspin4(s)
-    info = sgroup_structure_gspin4(s, ig)
+    rules_label, n = sgroup_structure_gspin4(s, ig), ig.torsion_order()
+    q8_possible = rules_label == " or ".join(_GSPIN4_BRANCHES)
     notes: List[str] = []
     outcomes: List[PacketOutcome] = []
-    if info.q8_possible and rep is not None:
+    if q8_possible and rep is not None:
         label = rep.s_phi_sc_label
         if label not in _GSPIN4_BRANCHES:
             raise ValueError(
@@ -386,14 +377,14 @@ def _gspin4_outcomes(s: GSpin4Scenario, rep: Optional[CentralizerReport], card: 
             f"matrix-level witness identifies the extension as {label} "
             f"(order {rep.s_phi_sc.order}, quotient {rep.s_phi_label})"
         )
-        outcomes.append(packet_sizes(label, "GSpin4", info.igroup_order, confirmed=True))
-    elif info.q8_possible:
+        outcomes.append(packet_sizes(label, "GSpin4", n, confirmed=True))
+    elif q8_possible:
         notes.append(
             "non-abelian branch is possible but unconfirmed; supply a matrix "
             "witness to decide"
         )
         outcomes.extend(
-            packet_sizes(label, "GSpin4", info.igroup_order, confirmed=False)
+            packet_sizes(label, "GSpin4", n, confirmed=False)
             for label in _GSPIN4_BRANCHES
         )
     else:
@@ -401,7 +392,7 @@ def _gspin4_outcomes(s: GSpin4Scenario, rep: Optional[CentralizerReport], card: 
             # the rules fix the extension: its order and, for an abelian one,
             # its invariant factors
             got = _shape(rep.s_phi_sc)
-            want = _shape(canonical_group_for_label(info.label, "GSpin4"))
+            want = _shape(canonical_group_for_label(rules_label, "GSpin4"))
             if want[0] == 8:
                 # -I is the only involution of SL2, so no witness in SL2 x SL2 is (Z/2)^3:
                 # the order-8 labels fix only the order and that the group is abelian
@@ -409,15 +400,15 @@ def _gspin4_outcomes(s: GSpin4Scenario, rep: Optional[CentralizerReport], card: 
             if got != want:
                 raise ValueError(
                     f"witness {s.witness!r} has S_phi_sc {rep.s_phi_sc_label} (order "
-                    f"{got[0]}), not the rules' {info.label} (order {want[0]})"
+                    f"{got[0]}), not the rules' {rules_label} (order {want[0]})"
                 )
-        outcomes.append(packet_sizes(info.label, "GSpin4", info.igroup_order))
+        outcomes.append(packet_sizes(rules_label, "GSpin4", n))
     if s.p == 2 and s.f > 1:
         notes.append(
             f"bound 2^(f+2) = {card} for p = 2 grows with f; sizes above 8 are not "
             "ruled out by the rank-four rules alone"
         )
-    return ig, info.igroup_order, outcomes, notes
+    return ig, n, outcomes, notes
 
 
 def _gspin6_outcomes(s: GSpin6Scenario, rep: Optional[CentralizerReport], card: int):

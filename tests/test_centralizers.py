@@ -16,6 +16,7 @@ from gspinlab.centralizers import (
     twisted_centralizer_space,
     verify_extension,
 )
+from gspinlab.cli import main
 from gspinlab.finite_groups import FiniteMatrixGroup, NotFiniteError, closure_tree, group_id
 from gspinlab.gaussian import FOURTH_ROOTS, QI, GaussianMatrix, parse_qi
 
@@ -241,6 +242,24 @@ def test_assembled_set_that_fails_to_close_is_rejected(monkeypatch):
     monkeypatch.setattr(centralizers, "sl_normalize", lambda h: orig(h).scale(QI(2)))
     with pytest.raises(RuntimeError, match="failed to close"):
         s_groups(presets.witness_parameter("coupled_klein_four"))
+
+
+def test_overlapping_cosets_are_rejected(monkeypatch):
+    # the identity line for every twist: four live twists share one coset of
+    # Z, so the closure has 4 elements, not 4 per live twist
+    monkeypatch.setattr(
+        centralizers,
+        "twisted_centralizer_space",
+        lambda images, nu: [GaussianMatrix.identity(images[0].n)],
+    )
+    with pytest.raises(RuntimeError, match="failed to close$"):
+        s_groups(presets.witness_parameter("coupled_klein_four"))
+
+
+def test_params_reports_a_refused_extension(monkeypatch, capsys):
+    monkeypatch.setattr(centralizers, "verify_extension", lambda report: False)
+    assert main(["params", "coupled_klein_four"]) == 1
+    assert "extension exact: False" in capsys.readouterr().out.splitlines()
 
 
 def test_verify_extension_rejects_wrong_quotient_order():

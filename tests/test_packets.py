@@ -127,17 +127,18 @@ def test_igroup_gspin6_two_torsion_against_enumeration():
 
 def test_sgroup_structure_labels():
     s = scen4("primitive_or_sl2_nontrivial", [], "primitive_or_sl2_nontrivial", [], True, p=2)
-    assert sgroup_structure_gspin4(s, igroup_gspin4(s)).label == "(Z/2)^2"
+    assert sgroup_structure_gspin4(s, igroup_gspin4(s)) == "(Z/2)^2"
     s = scen4("dihedral_one", ["a"], "dihedral_one", ["a"], True)
-    assert sgroup_structure_gspin4(s, igroup_gspin4(s)).label == "(Z/2)^3"
+    assert sgroup_structure_gspin4(s, igroup_gspin4(s)) == "(Z/2)^3"
     s = scen4("reducible_two_constituents", ["a"], "reducible_two_constituents", ["a"], True)
-    assert sgroup_structure_gspin4(s, igroup_gspin4(s)).label == "abelian order 8"
+    assert sgroup_structure_gspin4(s, igroup_gspin4(s)) == "abelian order 8"
     s = scen4("dihedral_three", list("abc"), "dihedral_three", list("abc"), True)
-    info = sgroup_structure_gspin4(s, igroup_gspin4(s))
-    assert info.q8_possible and info.label.endswith("or Q8 x Z/2")
+    # the two-branch label: the only one a matrix witness may decide
+    assert sgroup_structure_gspin4(s, igroup_gspin4(s)) == (
+        "abelian order 16 (invariant factors 4,4) or Q8 x Z/2"
+    )
     s = scen4("dihedral_three", list("abc"), "dihedral_three", list("abc"), False)
-    info = sgroup_structure_gspin4(s, igroup_gspin4(s))
-    assert not info.q8_possible
+    assert sgroup_structure_gspin4(s, igroup_gspin4(s)) == "abelian order 16 (invariant factors 4,4)"
     with pytest.raises(ValueError):
         sgroup_structure_gspin4(s, AbelianGroupStructure(0, (2, 2, 2)))
 

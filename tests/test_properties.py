@@ -47,6 +47,8 @@ def test_monomial_gso4_extension_and_central_characters(generators):
         return
     g = report.s_phi_sc
     assert g.order == 4 * report.s_phi_order
+    # S_phi is the group of live twists; s_phi_order comes from the quotient
+    assert len(report.twists) == report.s_phi_order
     assert verify_extension(report)
     z_elements, (z1, z2) = designated_center("GSpin4")
     table = g.character_table()
@@ -87,6 +89,8 @@ def test_monomial_gso6_extension_and_central_characters(generators):
         return
     g = report.s_phi_sc
     assert g.order == 4 * report.s_phi_order
+    # S_phi is the group of live twists; s_phi_order comes from the quotient
+    assert len(report.twists) == report.s_phi_order
     assert verify_extension(report)
     z_elements, (z,) = designated_center("GSpin6")
     table = g.character_table()

@@ -6,7 +6,14 @@ from math import gcd
 import pytest
 
 from gspinlab import lattice, presets, root_datum
-from gspinlab.lattice import AbelianGroupStructure, IntMatrix, kernel_basis, matrix_rank
+from gspinlab.lattice import (
+    AbelianGroupStructure,
+    IntMatrix,
+    cokernel_structure,
+    kernel_basis,
+    matrix_rank,
+    solve_integral,
+)
 from gspinlab.morphisms import search_isomorphisms
 from gspinlab.root_datum import (
     ROOT_CLOSURE_CAP,
@@ -186,6 +193,112 @@ def test_exact_sequences():
         verify_exact_sequence(
             [IntMatrix([[1], [1]]), IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])]
         )
+
+
+def exact_sequence_with_rank_identity(maps):
+    """Reference: exactness with the rank identity rank f + rank g = f.rows checked too."""
+    if not maps:
+        raise ValueError("empty sequence")
+    for f, g in zip(maps, maps[1:]):
+        if g.cols != f.rows:
+            raise ValueError("dimension mismatch in sequence")
+    if kernel_basis(maps[0]).cols != 0:
+        return False
+    for f, g in zip(maps, maps[1:]):
+        prod = g * f
+        if any(x for row in prod.iter_rows() for x in row):
+            return False
+        kb = kernel_basis(g)
+        for j in range(kb.cols):
+            if solve_integral(f, kb.col(j)) is None:
+                return False
+        if matrix_rank(f) + matrix_rank(g) != f.rows:
+            return False
+    cok = cokernel_structure(maps[-1])
+    return cok.free_rank == 0 and not cok.torsion
+
+
+def _product(a, b, inner):
+    cols = range(len(b[0]))
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in cols] for i in range(len(a))]
+
+
+def _unimodular_pair(rng, n):
+    """(P, P^-1) for P a product of a few elementary moves on n rows."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [row[:] for row in p]
+    for _ in range(rng.randrange(4) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        # P <- E P adds c * row j to row i; P^-1 <- P^-1 E^-1 subtracts c * column i from column j
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+        for row in q:
+            row[j] -= c * row[i]
+    if n and rng.random() < 0.5:
+        i = rng.randrange(n)
+        p[i] = [-x for x in p[i]]
+        for row in q:
+            row[i] = -row[i]
+    return p, q
+
+
+def _split_sequence(rng):
+    """0 -> Z^a -> Z^(a+b) -> Z^b -> 0 split, moved by unimodular changes of basis."""
+    a = rng.randrange(4)
+    b = rng.randrange(max(1 - a, 0), 4 - a)
+    n = a + b
+    f0 = [[int(i == j) for j in range(a)] for i in range(n)]
+    g0 = [[int(j == a + i) for j in range(n)] for i in range(b)]
+    p, p_inv = _unimodular_pair(rng, n)
+    s, _ = _unimodular_pair(rng, a)
+    t, _ = _unimodular_pair(rng, b)
+    f = _product(_product(p, f0, n), s, a) if a else [[] for _ in range(n)]
+    g = _product(_product(t, g0, b), p_inv, n) if b else []
+    return [f, g], [a, n, b]
+
+
+def _perturbed(rng, maps):
+    """The maps with one entry moved by 1."""
+    k, i, j = rng.choice(
+        [(k, i, j) for k, m in enumerate(maps) for i, row in enumerate(m) for j in range(len(row))]
+    )
+    bent = [[row[:] for row in m] for m in maps]
+    bent[k][i][j] += rng.choice((-1, 1))
+    return bent
+
+
+def _random_sequence(rng):
+    """One to three maps between lattices of rank at most 3, entries in [-2, 2]."""
+    dims = [rng.randrange(4) for _ in range(rng.randrange(2, 5))]
+    maps = [
+        [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)] for c, r in zip(dims, dims[1:])
+    ]
+    return maps, dims
+
+
+def _exactness_outcome(check, maps, dims):
+    matrices = [IntMatrix(m, cols=c) for m, c in zip(maps, dims)]
+    try:
+        return check(matrices)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_exact_sequence_verdicts_match_the_rank_identity_reference():
+    rng = random.Random(502)
+    tally = {}
+    for _ in range(1000):
+        maps, dims = _split_sequence(rng)
+        draws = [("split", maps, dims), ("perturbed", _perturbed(rng, maps), dims)]
+        draws.append(("random", *_random_sequence(rng)))
+        for kind, maps, dims in draws:
+            got = _exactness_outcome(verify_exact_sequence, maps, dims)
+            want = _exactness_outcome(exact_sequence_with_rank_identity, maps, dims)
+            assert got == want, (kind, maps, dims)
+            tally[kind, got] = tally.get((kind, got), 0) + 1
+    # every split draw is exact; the other two kinds reach both verdicts
+    assert tally[("split", True)] == 1000
+    assert all(tally.get((kind, v)) for kind in ("perturbed", "random") for v in (True, False))
 
 
 def test_datum_serialization_roundtrip():

@@ -278,6 +278,11 @@ class ParameterImage:
 
 
 class CentralizerReport:
+    """S_phi_sc, S_phi and Z_hat of a parameter.
+
+    ``extension_ok`` is derived: ``verify_extension`` of the other fields.
+    """
+
     __slots__ = (
         "ambient", "s_phi_sc", "s_phi_sc_label", "s_phi_label", "s_phi_order",
         "z_hat", "z_elements", "extension_ok", "twists", "s_phi",
@@ -292,7 +297,6 @@ class CentralizerReport:
         s_phi_order: int,
         z_hat: AbelianGroupStructure,
         z_elements: Tuple[GaussianMatrix, ...],
-        extension_ok: bool,
         twists: Tuple[Tuple[QI, ...], ...],  # the live twists
         s_phi: Optional[FiniteMatrixGroup] = None,  # S_phi_sc / Z, as s_groups builds it
     ):
@@ -303,9 +307,9 @@ class CentralizerReport:
         self.s_phi_order = s_phi_order
         self.z_hat = z_hat
         self.z_elements = z_elements
-        self.extension_ok = extension_ok
         self.twists = twists
         self.s_phi = s_phi
+        self.extension_ok = verify_extension(self)
 
     def to_dict(self) -> dict:
         return {
@@ -330,7 +334,7 @@ def s_groups(phi: ParameterImage, cap: int = 512) -> CentralizerReport:
     squot = group.quotient(z_elements)
     s_phi_label = group_id(squot) if squot.order <= GROUP_ID_MAX_ORDER else f"order {squot.order}"
     s_sc_label = group_id(group) if group.order <= GROUP_ID_MAX_ORDER else f"order {group.order}"
-    report = CentralizerReport(
+    return CentralizerReport(
         ambient=phi.ambient,
         s_phi_sc=group,
         s_phi_sc_label=s_sc_label,
@@ -338,12 +342,9 @@ def s_groups(phi: ParameterImage, cap: int = 512) -> CentralizerReport:
         s_phi_order=squot.order,
         z_hat=z_hat,
         z_elements=z_elements,
-        extension_ok=False,
         twists=tuple(used),
         s_phi=squot,
     )
-    report.extension_ok = verify_extension(report)
-    return report
 
 
 def verify_extension(report: CentralizerReport) -> bool:

@@ -326,30 +326,40 @@ class GaussianMatrix:
         )
 
     def det(self) -> QI:
-        """det(N / d) = det(N) / d^n, eliminating on the numerators N."""
+        """det(N / d) = det(N) / d^n, by fraction-free (Bareiss) elimination on N.
+
+        N is over Z[i], a domain. Step k replaces each entry of the trailing
+        block by (a_ij a_kk - a_ik a_kj) / p, with p the previous pivot (1 at
+        the first step). By Sylvester's identity that is a minor of N, so the
+        division, by p's conjugate and its norm, is exact; the last pivot is
+        det N, with a sign flip per row swap.
+        """
         n = self.n
-        nums = [QI(x, y) for x, y in zip(self.a, self.b)]
-        a = [nums[k : k + n] for k in range(0, n * n, n)]
-        out = QI(1)
-        for k in range(n):
-            piv = -1
-            for i in range(k, n):
-                if a[i][k]:
-                    piv = i
-                    break
-            if piv < 0:
-                return QI(0)
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                out = -out
-            out = out * a[k][k]
-            inv = a[k][k].inverse()
-            for i in range(k + 1, n):
-                f = a[i][k] * inv
-                if f:
-                    for j in range(k, n):
-                        a[i][j] = a[i][j] - f * a[k][j]
-        return _qi(out.a, out.b, out.d * self.d**n)
+        re = [list(self.a[k : k + n]) for k in range(0, n * n, n)]
+        im = [list(self.b[k : k + n]) for k in range(0, n * n, n)]
+        sign, pr, pi = 1, 1, 0
+        for k in range(n - 1):
+            if not (re[k][k] or im[k][k]):
+                for i in range(k + 1, n):
+                    if re[i][k] or im[i][k]:
+                        re[k], re[i], im[k], im[i] = re[i], re[k], im[i], im[k]
+                        sign = -sign
+                        break
+                else:
+                    return QI(0)
+            rk, ik = re[k], im[k]
+            cr, ci = rk[k], ik[k]
+            norm = pr * pr + pi * pi
+            for ri, ii in zip(re[k + 1 :], im[k + 1 :]):
+                xr, xi = ri[k], ii[k]
+                for j in range(k + 1, n):
+                    yr, yi, zr, zi = ri[j], ii[j], rk[j], ik[j]
+                    ur = yr * cr - yi * ci - xr * zr + xi * zi
+                    ui = yr * ci + yi * cr - xr * zi - xi * zr
+                    ri[j] = (ur * pr + ui * pi) // norm
+                    ii[j] = (ui * pr - ur * pi) // norm
+            pr, pi = cr, ci
+        return _qi(sign * re[-1][-1], sign * im[-1][-1], self.d**n)
 
     def inverse(self) -> "GaussianMatrix":
         n = self.n

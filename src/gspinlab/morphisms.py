@@ -6,33 +6,38 @@ of basis vectors), iota_vee carries cocharacters the other way. With the
 standard pairings on both sides, adjointness is the matrix identity
 iota_vee = transpose(iota).
 
-The search enumerates Cartan-compatible assignments of simple roots, then
-completes each assignment to a lattice isomorphism by solving the linear
-constraints over Z. The constraints S alpha_i = beta_pi(i) and
-S^T beta_pi(i)^vee = alpha_i^vee split into one system on the rows of S,
-with the source's simple roots as coefficient rows, and one on its columns,
-with the target's simple coroots as coefficient rows. Both matrices are
-s x n for rank n and s simple roots, the same for every bijection pi, so a
-search reduces each once and solves them with a right-hand side per
-bijection. The solutions form the affine family S0 + K_Z E K_A^T, with
-K_A and K_Z the saturated kernels of the two matrices (n x (n - s) each)
-and E any integral (n - s) x (n - s) matrix: (n - s)^2 directions.
-At n - s = 0 the family is one matrix. At n - s = 1 it is a line S0 + cK
-with K of rank one, so det(S0 + cK) is affine in c and each target
-determinant gives at most one c. At n - s >= 2 the isomorphisms extending a
-bijection are none or infinitely many (a coset of an infinite group of
-automorphisms fixing every simple root and coroot). The search answers
-none there when the centers differ, and otherwise refuses rather than
-truncate.
+The search enumerates Cartan-compatible bijections pi of simple roots and
+reads each isomorphism S = iota extending pi off one basis of X (x) Q:
+M = [alpha_1 ... alpha_s | B0], with B0 a saturated basis of
+X0 = {x : <x, alpha_i^vee> = 0 for every i}, the lattice the source's
+simple coroots annihilate. An isomorphism maps X0 onto the target's X0'
+and so is S = [beta_pi(1) ... beta_pi(s) | Y0 T] M^-1, with Y0 a saturated
+basis of X0' and T in GL_(n-s)(Z) for rank n and s simple roots (proofs at
+``search_isomorphisms``). A search reduces M once with the Smith engine.
+At n - s = 0, T is empty; at n - s = 1, T = +-1, and
+det S = det T det[beta_pi | Y0] / det M fixes T for each target
+determinant: at most two candidates per bijection, and none is built
+whose determinant is wrong. At n - s >= 2, T ranges over an infinite
+group, so the isomorphisms extending a bijection are none or infinitely
+many (a coset of the automorphisms fixing every simple root and coroot).
+The search answers none there when the centers differ or no bijection has
+an integral completion, and otherwise refuses rather than truncate.
 """
 from __future__ import annotations
 
-import math
-from itertools import permutations
-from operator import eq
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, permutations
+from operator import eq, floordiv
+from typing import List, Optional, Sequence, Tuple
 
-from .lattice import IntMatrix, Vector, _trusted, kernel_basis, solve_integral
+from .lattice import (
+    IntMatrix,
+    Vector,
+    _trusted,
+    diagonal_of,
+    kernel_basis,
+    smith_normal_form,
+    solve_integral,
+)
 from .root_datum import (
     BasedRootDatum,
     center_structure,
@@ -122,33 +127,31 @@ def _solve_each(m: IntMatrix, rhs: Sequence[Sequence[int]]) -> Optional[List[Vec
     return None if None in out else out
 
 
-def _completion_directions(ka: IntMatrix, kz: IntMatrix) -> IntMatrix:
-    """The directions K_Z[:, a] K_A[:, b]^T of the completion family, read row-major."""
-    directions = [
-        tuple([z * x for z in zc for x in xc]) for zc in kz.columns() for xc in ka.columns()
-    ]
-    return _trusted(tuple(directions), ka.rows * ka.rows).transpose()
-
-
-def _base_completion(
+def _has_completion(
     d1: BasedRootDatum,
     d2: BasedRootDatum,
     pi: Sequence[int],
     roots: IntMatrix,
     coroots: IntMatrix,
     ka: IntMatrix,
-) -> Optional[List[int]]:
-    """One integral S0 with S0 alpha_i = beta_pi(i) and S0^T beta_pi(i)^vee = alpha_i^vee.
+) -> bool:
+    """Is there an integral S0 with S0 alpha_i = beta_pi(i) and S0^T beta_pi(i)^vee = alpha_i^vee?
 
-    Returned row-major, or None when there is none. ``roots`` is A (rows
-    alpha_i), ``coroots`` is Z (rows beta_j^vee) and ``ka`` is K_A.
+    ``roots`` is A (rows alpha_i), ``coroots`` is Z (rows beta_j^vee) and
+    ``ka`` is K_A, the saturated kernel of A. The constraints read
+    A S^T = B_pi and Z S = W_pi, with B_pi the rows beta_pi(i) and W_pi the
+    rows alpha_pi^-1(j)^vee. Their integral solutions are S0 + K_Z E K_A^T,
+    E integral of size (n - s) x (n - s), K_Z the saturated kernel of Z:
+    each row of S differs from that of S0 by an integral kernel vector of
+    A, so S = S0 + C K_A^T with C integral; then Z C K_A^T = 0 and K_A has
+    full column rank, so Z C = 0 and each column of C lies in the span of
+    K_Z. S0 = P + C K_A^T exists exactly when the three rounds below solve.
     """
     n = d1.rank
-    g = ka.cols
     # 1. row r of S solves A x = (beta_pi(i)[r])_i, so S = P + C K_A^T
     p = _solve_each(roots, [[d2.simple_roots[j][r] for j in pi] for r in range(n)])
     if p is None:
-        return None
+        return False
     # 2. Z S = W_pi, row j of W_pi being alpha_pi^-1(j)^vee, leaves
     #    (Z C) K_A^T = W_pi - Z P, one row j at a time
     zp = coroots * _trusted(tuple(p), n)
@@ -156,51 +159,15 @@ def _base_completion(
     for i, j in enumerate(pi):
         rest[j] = [w - x for w, x in zip(d1.simple_coroots[i], zp.row(j))]
     m = _solve_each(ka, rest)
-    if m is None:
-        return None
     # 3. column b of C solves Z c = (m_j[b])_j
-    c = _solve_each(coroots, [[row[b] for row in m] for b in range(g)])
-    if c is None:
-        return None
-    shift = (ka * _trusted(tuple(c), n)).transpose()  # C K_A^T
-    return [x + y for pr, sr in zip(p, shift.iter_rows()) for x, y in zip(pr, sr)]
-
-
-def _matrix_from_vec(vec: Sequence[int], n: int) -> IntMatrix:
-    return _trusted(tuple([tuple(vec[i * n : (i + 1) * n]) for i in range(n)]), n)
-
-
-def _completions(
-    s0: List[int], kern: IntMatrix, n: int, dets: Tuple[int, ...]
-) -> List[IntMatrix]:
-    """Candidate matrices S in the family s0 + span(kern) with det(S) in dets.
-
-    S is fixed on the root span and free only as a map from the source's
-    central part to the target's, so kern has (rank - |Delta|)^2 columns.
-    """
-    m = kern.cols
-    if m == 0:
-        mat = _matrix_from_vec(s0, n)
-        return [mat] if mat.det() in dets else []
-    if m == 1:
-        # K has rank one, so det(s0 + cK) = d0 + c (d1 - d0)
-        kvec = kern.col(0)
-        d0 = _matrix_from_vec(s0, n).det()
-        slope = _matrix_from_vec([a + b for a, b in zip(s0, kvec)], n).det() - d0
-        if slope == 0:
-            if d0 in dets:
-                raise AssertionError(
-                    "det is constant on a one-parameter completion family: "
-                    "infinitely many isomorphisms at rank - |Delta| = 1"
-                )
-            return []
-        cvals = sorted({(t - d0) // slope for t in dets if (t - d0) % slope == 0})
-        return [_matrix_from_vec([a + c * b for a, b in zip(s0, kvec)], n) for c in cvals]
-    gap = math.isqrt(m)
-    raise InfiniteFamilyError(
-        f"rank {n}, |Delta| = {n - gap}: the completions form a {m}-parameter "
-        "family, so the isomorphisms are none or infinitely many; refusing to enumerate"
+    return m is not None and (
+        _solve_each(coroots, [[row[b] for row in m] for b in range(ka.cols)]) is not None
     )
+
+
+def _parity(pi: Sequence[int]) -> int:
+    """The sign of the permutation pi: -1 to the number of inversions."""
+    return -1 if sum(a > b for a, b in combinations(pi, 2)) % 2 else 1
 
 
 def search_isomorphisms(
@@ -214,20 +181,40 @@ def search_isomorphisms(
     ``assignment`` fixes iota(alpha_i) = beta_assignment[i]; ``det_sign``
     restricts det(iota) to +1 or -1. At rank - |Delta| >= 2, data whose
     centers differ have none; otherwise InfiniteFamilyError is raised when
-    some bijection has an integral completion: the isomorphisms are then
-    none or infinitely many, with or without the constraints.
+    some bijection has an integral completion (``_has_completion``): the
+    isomorphisms are then none or infinitely many, with or without the
+    constraints.
 
-    The constraints on S = iota for a bijection pi are A S^T = B_pi and
-    Z S = W_pi, with A the source's simple roots as rows, Z the target's
-    simple coroots as rows (both s x n), B_pi the rows beta_pi(i) and W_pi
-    the rows alpha_pi^-1(j)^vee. Every bijection shares A, Z and their
-    saturated kernel bases K_A and K_Z (n x (n - s)); a search reduces A, Z
-    and K_A once each (``_base_completion``). The integral solutions are
-    exactly S0 + K_Z E K_A^T, E integral of size (n - s) x (n - s):
-    each row of S differs from that of S0 by an integral kernel vector of
-    A, which K_A (saturated) spans over Z, so S = S0 + C K_A^T with C
-    integral; then Z C K_A^T = 0 and K_A has full column rank, so Z C = 0,
-    and each column of C is an integral kernel vector of Z, spanned by K_Z.
+    At n - s <= 1 (rank n, s simple roots) every isomorphism is read off
+    M = [alpha_1 ... alpha_s | B0], B0 a saturated basis of the lattice X0
+    that the simple coroots alpha_i^vee annihilate, and Y0 the same for the
+    target's X0'. M is reduced once, U M V = D, so M^-1 = V D^-1 U.
+
+    M is invertible over Q. B0 has n - s columns, as the simple coroots are
+    independent. If sum_i c_i alpha_i + B0 e = 0, pairing with each
+    alpha_j^vee gives C c = 0 for the Cartan matrix C, which finite type
+    makes invertible, so c = 0, and then e = 0.
+
+    Every isomorphism S extending pi is a candidate. For x in X0,
+    <S x, beta_pi(i)^vee> = <x, S^T beta_pi(i)^vee> = <x, alpha_i^vee> = 0,
+    so S maps X0 into X0'; S^-1 maps X0' into X0 the same way. Y0 is
+    saturated, so S B0 = Y0 T with T in GL_(n-s)(Z): empty at n - s = 0,
+    +-1 at n - s = 1. Hence S M = N_T = [beta_pi(1) ... beta_pi(s) | Y0 T]
+    and S = N_T M^-1, with det S = det T sgn(pi) det[beta | Y0] / det M.
+    So each allowed det S fixes det T, and with it T; where that det T is
+    not a unit (not 1 at n - s = 0) there is no candidate, and nothing is
+    built. N_T M^-1 = (N_T V) D^-1 U is integral exactly when column j of
+    N_T V is divisible by the j-th diagonal entry of D.
+
+    Every candidate of a Cartan-compatible pi is an isomorphism. It is
+    integral with det +-1 and maps alpha_i to beta_pi(i) by construction.
+    The forms x -> <S x, beta_pi(i)^vee> and x -> <x, alpha_i^vee> agree on
+    the columns of M: on alpha_j both are a Cartan entry,
+    <beta_pi(j), beta_pi(i)^vee> = <alpha_j, alpha_i^vee> by compatibility,
+    and on B0 both vanish, as S B0 = Y0 T lies in X0'. So
+    S^T beta_pi(i)^vee = alpha_i^vee, the coroot condition. A fixed
+    ``assignment`` need not be Cartan-compatible; ``check_isomorphism``,
+    which every candidate passes, refuses those.
     """
     if d1.rank != d2.rank or len(d1.simple_roots) != len(d2.simple_roots):
         return []
@@ -245,26 +232,53 @@ def search_isomorphisms(
         bijections = [pi] if len(set(pi)) == s else []
     if not bijections:
         return []
-    if n - s >= 2 and (center_structure(d1) != center_structure(d2) or (
-        s and dual_sc_center(d1) != dual_sc_center(d2)
-    )):
+    if n - s >= 2:
+        if center_structure(d1) != center_structure(d2) or (
+            s and dual_sc_center(d1) != dual_sc_center(d2)
+        ):
+            return []
+        roots = IntMatrix(d1.simple_roots, cols=n)
+        coroots = IntMatrix(d2.simple_coroots, cols=n)
+        ka = kernel_basis(roots)
+        if any(_has_completion(d1, d2, pi, roots, coroots, ka) for pi in bijections):
+            raise InfiniteFamilyError(
+                f"rank {n}, |Delta| = {s}: the completions form a {(n - s) ** 2}-parameter "
+                "family, so the isomorphisms are none or infinitely many; refusing to enumerate"
+            )
         return []
-    roots = IntMatrix(d1.simple_roots, cols=n)
-    coroots = IntMatrix(d2.simple_coroots, cols=n)
-    ka = kernel_basis(roots)
-    kern = _completion_directions(ka, kernel_basis(coroots))
+    b0 = kernel_basis(IntMatrix(d1.simple_coroots, cols=n))
+    y0 = kernel_basis(IntMatrix(d2.simple_coroots, cols=n))
+    # square, so the rows are the zipped columns even at n = 0
+    m = _trusted(tuple(zip(*d1.simple_roots, *b0.columns())), n)
+    beta_y0 = _trusted(tuple(zip(*d2.simple_roots, *y0.columns())), n)
+    u, dm, v = smith_normal_form(m)
+    divisors = diagonal_of(dm)
+    det_m, det_beta = m.det(), beta_y0.det()
+    v_rows = tuple(v.iter_rows())
+    # the rows of V past s, times T = 1 and T = -1
+    tails = {1: v_rows[s:], -1: tuple([tuple([-x for x in row]) for row in v_rows[s:]])}
+    units = (1, -1) if n > s else (1,)
     dets = (1, -1) if det_sign is None else (det_sign,)
-    results: Dict[IntMatrix, RootDatumMap] = {}
+    results = []
     for pi in bijections:
-        s0 = _base_completion(d1, d2, pi, roots, coroots, ka)
-        if s0 is None:
-            continue
-        # each candidate already has det(S) in dets
-        for mat in _completions(s0, kern, n, dets):
+        # diag(P_pi, T) V: row pi(i) is row i of V, then T times the rows past s
+        moved: List[Vector] = [()] * s
+        for i, j in enumerate(pi):
+            moved[j] = v_rows[i]
+        det_n = _parity(pi) * det_beta  # det[beta_pi | Y0]
+        for t in dets:
+            det_t, rem = divmod(t * det_m, det_n)
+            if rem or det_t not in units:
+                continue
+            nv = beta_y0 * _trusted((*moved, *tails[det_t]), n)  # N_T V
+            if any(x % dj for row in nv.iter_rows() for x, dj in zip(row, divisors)):
+                continue
+            scaled = [tuple(map(floordiv, row, divisors)) for row in nv.iter_rows()]
+            mat = _trusted(tuple(scaled), n) * u  # (N_T V) D^-1 U
             f = RootDatumMap(mat, mat.transpose())
             if check_isomorphism(f, d1, d2):
-                results[mat] = f
-    return sorted(results.values(), key=lambda f: f.iota.to_rows())
+                results.append(f)
+    return sorted(results, key=lambda f: f.iota.to_rows())
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,6 @@ def test_verify_extension_rejects_wrong_quotient_order():
         rep.s_phi_order + 1,
         rep.z_hat,
         rep.z_elements,
-        rep.extension_ok,
         rep.twists,
     )
     assert not verify_extension(wrong)

@@ -7,6 +7,7 @@ import pytest
 from gspinlab.gaussian import (
     QI,
     GaussianMatrix,
+    _qi,
     format_qi,
     gauss_jordan,
     nullspace,
@@ -199,3 +200,59 @@ def test_matrix_product_matches_entrywise_sums():
         half = GaussianMatrix.scalar(n, QI(Fraction(1, 2)))
         assert half != GaussianMatrix.identity(n)
         assert half * GaussianMatrix.scalar(n, QI(2)) == GaussianMatrix.identity(n)
+
+
+# The determinant by Gaussian elimination over Q(i) that Bareiss elimination
+# replaced, kept verbatim as the oracle.
+def elimination_det(self) -> QI:
+    """det(N / d) = det(N) / d^n, eliminating on the numerators N."""
+    n = self.n
+    nums = [QI(x, y) for x, y in zip(self.a, self.b)]
+    a = [nums[k : k + n] for k in range(0, n * n, n)]
+    out = QI(1)
+    for k in range(n):
+        piv = -1
+        for i in range(k, n):
+            if a[i][k]:
+                piv = i
+                break
+        if piv < 0:
+            return QI(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            out = -out
+        out = out * a[k][k]
+        inv = a[k][k].inverse()
+        for i in range(k + 1, n):
+            f = a[i][k] * inv
+            if f:
+                for j in range(k, n):
+                    a[i][j] = a[i][j] - f * a[k][j]
+    return _qi(out.a, out.b, out.d * self.d**n)
+
+
+def _det_cell(rng):
+    """A numerator: zero and units, as in the package's matrices, force row swaps."""
+    r = rng.random()
+    if r < 0.4:
+        return 0, 0
+    if r < 0.6:
+        return rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+    return rng.randint(-5, 5), rng.randint(-5, 5)
+
+
+def test_bareiss_det_matches_elimination_over_q_i():
+    rng = random.Random(2029)
+    zeros = 0
+    for _ in range(20000):
+        n, d = rng.randint(1, 5), rng.choice((1, 2, 3, 4))
+        cells = [_det_cell(rng) for _ in range(n * n)]
+        if n > 1 and rng.random() < 0.2:  # a repeated row
+            i, j = rng.sample(range(n), 2)
+            cells[j * n : j * n + n] = cells[i * n : i * n + n]
+        rows = [cells[k : k + n] for k in range(0, n * n, n)]
+        m = GaussianMatrix([[QI(Fraction(x, d), Fraction(y, d)) for x, y in row] for row in rows])
+        got, want = m.det(), elimination_det(m)
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d), (cells, d)
+        zeros += not got
+    assert 4000 < zeros < 16000

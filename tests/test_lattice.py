@@ -24,7 +24,14 @@ from gspinlab.root_datum import (
     similitude_kernel_datum,
     verify_exact_sequence,
 )
-from test_morphisms import ISO_VARIANTS, SHIPPED_PAIRS, per_bijection_system, variant_kwargs
+from test_morphisms import (
+    ISO_VARIANTS,
+    SHIPPED_PAIRS,
+    _completion_directions,
+    _matrix_from_vec,
+    per_bijection_system,
+    variant_kwargs,
+)
 
 
 def cofactor_det(rows):
@@ -244,6 +251,7 @@ def _search_systems(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(lattice, "smith_normal_form", record)
+        patch.setattr(morphisms, "smith_normal_form", record)
         for d1, d2 in SHIPPED_PAIRS:
             for variant in ISO_VARIANTS:
                 search_isomorphisms(d1, d2, **variant_kwargs(variant, d1))
@@ -260,12 +268,13 @@ def test_snf_output_pinned(monkeypatch):
     assert len(systems) == 4
     payload = [[x.to_rows() for x in smith_normal_form(m)] for m in [*_suite_500(), *systems]]
     assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == SNF_PIN
-    # each pair's searches reduce the source's simple roots A, the target's
-    # simple coroots Z (both as rows) and the kernel basis K_A of A
+    # each pair's searches reduce the source's and the target's simple
+    # coroots (as rows), whose kernels are X0 and X0', and M = [alpha | B0]
     reduced = []
     for d1, d2 in SHIPPED_PAIRS:
-        roots = IntMatrix(d1.simple_roots)
-        reduced += [roots, IntMatrix(d2.simple_coroots), kernel_basis(roots)]
+        coroots = IntMatrix(d1.simple_coroots)
+        m = IntMatrix.from_columns([*d1.simple_roots, *kernel_basis(coroots).columns()])
+        reduced += [coroots, IntMatrix(d2.simple_coroots), m]
     assert _search_systems(monkeypatch) == reduced
 
 
@@ -273,7 +282,7 @@ def test_snf_output_pinned(monkeypatch):
 # verify-paper's catalogue and the shipped isomorphism searches reduce,
 # in the order first reduced: the centers, kernels, quotient relations and
 # exact sequences behind the commands' answers.
-SHIPPED_SNF_PIN = "84a422c239b9a4099ce4837e9ec1fdc7fa0c45088b4350afedb82bb007a1affd"
+SHIPPED_SNF_PIN = "d2efd821b2611720ea86473ea02f941fba50b822c1136cb6e52a3cf4b94b6baa"
 
 
 def test_shipped_reductions_pinned(monkeypatch):
@@ -415,10 +424,10 @@ def test_library_results_have_exact_int_rows():
             (m * other, (r, 2)), (m.transpose(), (c, r)),
             (IntMatrix.identity(c), (c, c)), (other.transpose() * m.transpose(), (2, r)),
         ]
-        # the search's own candidates and completion directions
+        # the completion oracle's candidates and directions
         vec = [rng.randint(-9, 9) for _ in range(c * c)]
-        expected.append((morphisms._matrix_from_vec(vec, c), (c, c)))
-        expected.append((morphisms._completion_directions(k, k), (c * c, k.cols**2)))
+        expected.append((_matrix_from_vec(vec, c), (c, c)))
+        expected.append((_completion_directions(k, k), (c * c, k.cols**2)))
         assert all(_as_constructed(x, shape) for x, shape in expected)
     for d1, d2 in SHIPPED_PAIRS:
         for f in search_isomorphisms(d1, d2):

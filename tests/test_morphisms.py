@@ -1,11 +1,14 @@
+import math
 import random
 import re
 from fractions import Fraction
+from itertools import permutations
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
 from gspinlab import morphisms, presets
-from gspinlab.lattice import IntMatrix, kernel_basis, solve_integral
+from gspinlab.lattice import IntMatrix, Vector, _trusted, kernel_basis, solve_integral
 from gspinlab.morphisms import (
     InfiniteFamilyError,
     RootDatumMap,
@@ -16,6 +19,8 @@ from gspinlab.morphisms import (
 )
 from gspinlab.root_datum import (
     BasedRootDatum,
+    center_structure,
+    dual_sc_center,
     gl_datum,
     gspin_datum,
     pgl_datum,
@@ -77,6 +82,167 @@ def per_bijection_system(d1, d2, pi):
     return IntMatrix(rows, cols=n * n), rhs
 
 
+# ---------------------------------------------------------------------------
+# The oracle: the search as it stood before it read isomorphisms in
+# root-and-centre coordinates, kept verbatim (renamed completion_search). It
+# solved the completion constraints per bijection and enumerated the affine
+# family S0 + K_Z E K_A^T, with a determinant that is affine in c at gap one.
+
+
+def _solve_each(m: IntMatrix, rhs: Sequence[Sequence[int]]) -> Optional[List[Vector]]:
+    """An integral x with m x = b for each b in rhs, or None when one has none."""
+    out = [solve_integral(m, b) for b in rhs]
+    return None if None in out else out
+
+
+def _completion_directions(ka: IntMatrix, kz: IntMatrix) -> IntMatrix:
+    """The directions K_Z[:, a] K_A[:, b]^T of the completion family, read row-major."""
+    directions = [
+        tuple([z * x for z in zc for x in xc]) for zc in kz.columns() for xc in ka.columns()
+    ]
+    return _trusted(tuple(directions), ka.rows * ka.rows).transpose()
+
+
+def _base_completion(
+    d1: BasedRootDatum,
+    d2: BasedRootDatum,
+    pi: Sequence[int],
+    roots: IntMatrix,
+    coroots: IntMatrix,
+    ka: IntMatrix,
+) -> Optional[List[int]]:
+    """One integral S0 with S0 alpha_i = beta_pi(i) and S0^T beta_pi(i)^vee = alpha_i^vee.
+
+    Returned row-major, or None when there is none. ``roots`` is A (rows
+    alpha_i), ``coroots`` is Z (rows beta_j^vee) and ``ka`` is K_A.
+    """
+    n = d1.rank
+    g = ka.cols
+    # 1. row r of S solves A x = (beta_pi(i)[r])_i, so S = P + C K_A^T
+    p = _solve_each(roots, [[d2.simple_roots[j][r] for j in pi] for r in range(n)])
+    if p is None:
+        return None
+    # 2. Z S = W_pi, row j of W_pi being alpha_pi^-1(j)^vee, leaves
+    #    (Z C) K_A^T = W_pi - Z P, one row j at a time
+    zp = coroots * _trusted(tuple(p), n)
+    rest: List[List[int]] = [[]] * len(pi)
+    for i, j in enumerate(pi):
+        rest[j] = [w - x for w, x in zip(d1.simple_coroots[i], zp.row(j))]
+    m = _solve_each(ka, rest)
+    if m is None:
+        return None
+    # 3. column b of C solves Z c = (m_j[b])_j
+    c = _solve_each(coroots, [[row[b] for row in m] for b in range(g)])
+    if c is None:
+        return None
+    shift = (ka * _trusted(tuple(c), n)).transpose()  # C K_A^T
+    return [x + y for pr, sr in zip(p, shift.iter_rows()) for x, y in zip(pr, sr)]
+
+
+def _matrix_from_vec(vec: Sequence[int], n: int) -> IntMatrix:
+    return _trusted(tuple([tuple(vec[i * n : (i + 1) * n]) for i in range(n)]), n)
+
+
+def _completions(
+    s0: List[int], kern: IntMatrix, n: int, dets: Tuple[int, ...]
+) -> List[IntMatrix]:
+    """Candidate matrices S in the family s0 + span(kern) with det(S) in dets.
+
+    S is fixed on the root span and free only as a map from the source's
+    central part to the target's, so kern has (rank - |Delta|)^2 columns.
+    """
+    m = kern.cols
+    if m == 0:
+        mat = _matrix_from_vec(s0, n)
+        return [mat] if mat.det() in dets else []
+    if m == 1:
+        # K has rank one, so det(s0 + cK) = d0 + c (d1 - d0)
+        kvec = kern.col(0)
+        d0 = _matrix_from_vec(s0, n).det()
+        slope = _matrix_from_vec([a + b for a, b in zip(s0, kvec)], n).det() - d0
+        if slope == 0:
+            if d0 in dets:
+                raise AssertionError(
+                    "det is constant on a one-parameter completion family: "
+                    "infinitely many isomorphisms at rank - |Delta| = 1"
+                )
+            return []
+        cvals = sorted({(t - d0) // slope for t in dets if (t - d0) % slope == 0})
+        return [_matrix_from_vec([a + c * b for a, b in zip(s0, kvec)], n) for c in cvals]
+    gap = math.isqrt(m)
+    raise InfiniteFamilyError(
+        f"rank {n}, |Delta| = {n - gap}: the completions form a {m}-parameter "
+        "family, so the isomorphisms are none or infinitely many; refusing to enumerate"
+    )
+
+
+def completion_search(
+    d1: BasedRootDatum,
+    d2: BasedRootDatum,
+    assignment: Optional[Sequence[int]] = None,
+    det_sign: Optional[int] = None,
+) -> List[RootDatumMap]:
+    """All based-root-datum isomorphisms d1 -> d2 under the constraints.
+
+    ``assignment`` fixes iota(alpha_i) = beta_assignment[i]; ``det_sign``
+    restricts det(iota) to +1 or -1. At rank - |Delta| >= 2, data whose
+    centers differ have none; otherwise InfiniteFamilyError is raised when
+    some bijection has an integral completion: the isomorphisms are then
+    none or infinitely many, with or without the constraints.
+
+    The constraints on S = iota for a bijection pi are A S^T = B_pi and
+    Z S = W_pi, with A the source's simple roots as rows, Z the target's
+    simple coroots as rows (both s x n), B_pi the rows beta_pi(i) and W_pi
+    the rows alpha_pi^-1(j)^vee. Every bijection shares A, Z and their
+    saturated kernel bases K_A and K_Z (n x (n - s)); a search reduces A, Z
+    and K_A once each (``_base_completion``). The integral solutions are
+    exactly S0 + K_Z E K_A^T, E integral of size (n - s) x (n - s):
+    each row of S differs from that of S0 by an integral kernel vector of
+    A, which K_A (saturated) spans over Z, so S = S0 + C K_A^T with C
+    integral; then Z C K_A^T = 0 and K_A has full column rank, so Z C = 0,
+    and each column of C is an integral kernel vector of Z, spanned by K_Z.
+    """
+    if d1.rank != d2.rank or len(d1.simple_roots) != len(d2.simple_roots):
+        return []
+    n = d1.rank
+    s = len(d1.simple_roots)
+    if assignment is None:
+        bijections = cartan_compatible_bijections(d1, d2)
+    else:
+        pi = tuple(assignment)
+        if len(pi) != s or not all(0 <= j < s for j in pi):
+            raise ValueError(
+                f"assignment {pi} does not map {s} simple roots to indices 0..{s - 1}"
+            )
+        # a non-injective assignment cannot extend to an isomorphism
+        bijections = [pi] if len(set(pi)) == s else []
+    if not bijections:
+        return []
+    if n - s >= 2 and (center_structure(d1) != center_structure(d2) or (
+        s and dual_sc_center(d1) != dual_sc_center(d2)
+    )):
+        return []
+    roots = IntMatrix(d1.simple_roots, cols=n)
+    coroots = IntMatrix(d2.simple_coroots, cols=n)
+    ka = kernel_basis(roots)
+    kern = _completion_directions(ka, kernel_basis(coroots))
+    dets = (1, -1) if det_sign is None else (det_sign,)
+    results: Dict[IntMatrix, RootDatumMap] = {}
+    for pi in bijections:
+        s0 = _base_completion(d1, d2, pi, roots, coroots, ka)
+        if s0 is None:
+            continue
+        # each candidate already has det(S) in dets
+        for mat in _completions(s0, kern, n, dets):
+            f = RootDatumMap(mat, mat.transpose())
+            if check_isomorphism(f, d1, d2):
+                results[mat] = f
+    return sorted(results.values(), key=lambda f: f.iota.to_rows())
+
+
+# ---------------------------------------------------------------------------
+
+
 def reference_search(d1, d2, assignment=None, det_sign=None):
     """search_isomorphisms with a fresh system and reduction per bijection."""
     if d1.rank != d2.rank or len(d1.simple_roots) != len(d2.simple_roots):
@@ -92,7 +258,7 @@ def reference_search(d1, d2, assignment=None, det_sign=None):
         if part is None:
             continue
         kern = kernel_basis(system)
-        for mat in morphisms._completions(list(part), kern, d1.rank, dets):
+        for mat in _completions(list(part), kern, d1.rank, dets):
             f = RootDatumMap(mat, mat.transpose())
             if mat.det() in dets and check_isomorphism(f, d1, d2):
                 results[mat] = f
@@ -206,6 +372,17 @@ def test_perturbed_kernel_fails():
     # the quotient datum itself is abstractly isomorphic; the failure is the
     # kernel-cocharacter validation
     assert detail["quotient_isomorphic_to_dual"]
+    # a kernel that pairs to -1 with the first root is not central
+    ok, detail = verify_dual_identification(
+        "GSpin4", presets.datum("GL2xGL2"), kernel=(1, 2, 1, 1)
+    )
+    assert not ok
+    assert detail == {
+        "case": "GSpin4",
+        "kernel": [1, 2, 1, 1],
+        "kernel_central": False,
+        "kernel_matches_similitude_dual": False,
+    }
 
 
 def test_cocharacter_realizations_match():
@@ -256,7 +433,7 @@ def _lagrange_det_poly(s0, kvec, n):
 
 
 def test_search_rejects_malformed_assignment():
-    for bad in ((0, 1), (0, 1, 7), (0, 1, 2, 0), (-1, 0, 1)):
+    for bad in ((0, 1), (0, 1, 7), (0, 1, 3), (0, 1, 2, 0), (-1, 0, 1)):
         message = f"assignment {bad!r} does not map 3 simple roots to indices 0..2"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             search_isomorphisms(PSI6, G6, assignment=bad)
@@ -286,10 +463,11 @@ def test_search_matches_per_bijection_reference_on_shipped_pairs(variant):
 
 
 def _outcome(search, d1, d2, kwargs):
+    """The maps as dicts, or the refusal's type and message."""
     try:
         return _as_dicts(search(d1, d2, **kwargs))
-    except InfiniteFamilyError as exc:
-        return f"InfiniteFamilyError: {exc}"
+    except (InfiniteFamilyError, AssertionError) as exc:  # the oracle may raise either
+        return f"{type(exc).__name__}: {exc}"
 
 
 def test_search_matches_per_bijection_reference_on_all_preset_pairs():
@@ -402,7 +580,7 @@ def test_completion_family_has_gap_squared_columns():
             n = x.rank
             roots = IntMatrix(x.simple_roots, cols=n)
             coroots = IntMatrix(x.simple_coroots, cols=n)
-            kern = morphisms._completion_directions(kernel_basis(roots), kernel_basis(coroots))
+            kern = _completion_directions(kernel_basis(roots), kernel_basis(coroots))
             assert kern.cols == _gap(x) ** 2, x.to_dict()
             # the lattice of the Kronecker system's saturated kernel
             ref = kernel_basis(per_bijection_system(x, x, range(len(x.simple_roots)))[0])
@@ -432,22 +610,27 @@ def _searches_to_replay():
 
 def test_gap_one_completions_are_the_roots_of_an_affine_det(monkeypatch):
     families = []
-    original = morphisms._completions
+    original = _completions
 
     def record(s0, kern, n, dets):
         out = original(s0, kern, n, dets)
         families.append((s0, kern, n, dets, out))
         return out
 
-    monkeypatch.setattr(morphisms, "_completions", record)
+    # completion_search reads _completions from this module's globals
+    monkeypatch.setitem(globals(), "_completions", record)
     for d1, d2 in _searches_to_replay():
         for variant in ISO_VARIANTS:
             kwargs = variant_kwargs(variant, d1)
             if _gap(d1) >= 2:
                 with pytest.raises(InfiniteFamilyError):
+                    completion_search(d1, d2, **kwargs)
+                with pytest.raises(InfiniteFamilyError):
                     search_isomorphisms(d1, d2, **kwargs)
             else:
-                search_isomorphisms(d1, d2, **kwargs)
+                assert _as_dicts(search_isomorphisms(d1, d2, **kwargs)) == _as_dicts(
+                    completion_search(d1, d2, **kwargs)
+                )
     gap_one = [fam for fam in families if fam[1].cols == 1]
     assert len(gap_one) > 100
     for s0, kern, n, dets, out in gap_one:
@@ -467,12 +650,12 @@ def test_gap_one_completions_are_the_roots_of_an_affine_det(monkeypatch):
 def test_gap_one_completions_by_hand():
     # det(I + c E11) = 1 + c: c = 0 for det 1, c = -2 for det -1
     line = IntMatrix([[1], [0], [0], [0]])
-    got = morphisms._completions([1, 0, 0, 1], line, 2, (1, -1))
+    got = _completions([1, 0, 0, 1], line, 2, (1, -1))
     assert [m.to_rows() for m in got] == [[[-1, 0], [0, 1]], [[1, 0], [0, 1]]]
     # det(I + c E12) = 1 for every c: infinitely many, which gap 1 rules out
     with pytest.raises(AssertionError, match="det is constant"):
-        morphisms._completions([1, 0, 0, 1], IntMatrix([[0], [1], [0], [0]]), 2, (1, -1))
-    assert morphisms._completions([1, 0, 0, 1], IntMatrix([[0], [1], [0], [0]]), 2, (-1,)) == []
+        _completions([1, 0, 0, 1], IntMatrix([[0], [1], [0], [0]]), 2, (1, -1))
+    assert _completions([1, 0, 0, 1], IntMatrix([[0], [1], [0], [0]]), 2, (-1,)) == []
 
 
 def test_gap_two_family_is_infinite():
@@ -484,3 +667,135 @@ def test_gap_two_family_is_infinite():
     for variant in ISO_VARIANTS:
         with pytest.raises(InfiniteFamilyError, match="rank 4, [|]Delta[|] = 2: .* 4-parameter family"):
             search_isomorphisms(d, d, **variant_kwargs(variant, d))
+
+
+# none, det +-1, the identity assignment (fix-delta) and both
+SEARCH_VARIANTS = (*ISO_VARIANTS, {"assignment": True, "det_sign": -1})
+
+
+def test_search_matches_the_completion_search_on_all_preset_pairs():
+    names = presets.datum_names()
+    refusals = []
+    for d1 in map(presets.datum, names):
+        for d2 in map(presets.datum, names):
+            for variant in SEARCH_VARIANTS:
+                kwargs = variant_kwargs(variant, d1)
+                got = _outcome(search_isomorphisms, d1, d2, kwargs)
+                want = _outcome(completion_search, d1, d2, kwargs)
+                assert got == want, (d1.label, d2.label, variant)
+                if isinstance(got, str):
+                    refusals.append(got.split(":")[0])
+    assert len(names) ** 2 == 81
+    assert refusals == ["InfiniteFamilyError"] * (2 * len(SEARCH_VARIANTS))
+
+
+def _every_assignment(d1, d2):
+    """Every bijection of the simple roots, Cartan-compatible or not."""
+    s = len(d1.simple_roots)
+    return list(permutations(range(s))) if s == len(d2.simple_roots) else []
+
+
+def _gap_three_pairs():
+    """GL1^3 and GL2 x GL1 x GL1, each with a conjugate of itself."""
+    rng = random.Random(3)
+    out = []
+    for d in (
+        product_datum(gl_datum(1), product_datum(gl_datum(1), gl_datum(1))),
+        product_datum(gl_datum(2), product_datum(gl_datum(1), gl_datum(1))),
+    ):
+        g, ginv = _elementary_pair(rng, d.rank, 3)
+        out.append((d, conjugate_datum(d, g, ginv)))
+    return out
+
+
+def test_search_matches_the_completion_search_on_replayed_searches():
+    pairs = _searches_to_replay() + _gap_three_pairs()
+    assert {_gap(d1) for d1, _ in pairs} == {0, 1, 2, 3}
+    refusals = 0
+    for d1, d2 in pairs:
+        calls = [variant_kwargs(variant, d1) for variant in SEARCH_VARIANTS]
+        calls += [
+            {"assignment": pi, **sign}
+            for pi in _every_assignment(d1, d2)
+            for sign in ({}, {"det_sign": -1})
+        ]
+        for kwargs in calls:
+            got = _outcome(search_isomorphisms, d1, d2, kwargs)
+            want = _outcome(completion_search, d1, d2, kwargs)
+            assert got == want, (d1.to_dict(), d2.to_dict(), kwargs)
+            refusals += isinstance(got, str)
+    assert refusals > 0
+
+
+def test_gap_at_most_one_builds_at_most_two_candidates_per_bijection(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a completion system was solved")
+
+    checked = []
+    check = morphisms.check_isomorphism
+
+    def record(f, d1, d2):
+        ok = check(f, d1, d2)
+        checked.append((f.iota.det(), ok))
+        return ok
+
+    monkeypatch.setattr(morphisms, "solve_integral", refuse)
+    monkeypatch.setattr(morphisms, "check_isomorphism", record)
+    built = refused = 0
+    for d1, d2 in _searches_to_replay():
+        if _gap(d1) >= 2:
+            continue
+        compatible = cartan_compatible_bijections(d1, d2)
+        calls = [variant_kwargs(variant, d1) for variant in SEARCH_VARIANTS]
+        calls += [{"assignment": pi} for pi in _every_assignment(d1, d2)]
+        for kwargs in calls:
+            checked.clear()
+            found = search_isomorphisms(d1, d2, **kwargs)
+            bijections = [kwargs["assignment"]] if "assignment" in kwargs else compatible
+            dets = (kwargs["det_sign"],) if "det_sign" in kwargs else (1, -1)
+            # one candidate per bijection and determinant, built with that determinant
+            assert len(checked) <= len(bijections) * len(dets)
+            assert all(det in dets for det, _ in checked)
+            # the coroot condition follows from Cartan compatibility
+            if all(pi in compatible for pi in bijections):
+                assert all(ok for _, ok in checked), (d1.to_dict(), d2.to_dict(), kwargs)
+            assert len(found) == sum(ok for _, ok in checked)
+            built += len(checked)
+            refused += sum(not ok for _, ok in checked)
+    assert built > 100
+    # some candidates of incompatible assignments are integral and unimodular:
+    # check_isomorphism is what refuses them
+    assert refused > 0
+
+
+def test_gap_two_search_without_a_completion_is_none():
+    # the centers and the dual simply connected centers agree, yet the coroot
+    # solve has no integral solution (2c = -1): none, not a refusal
+    gl2_gl1 = product_datum(gl_datum(2), gl_datum(1))
+    pgl2_gl1_gl1 = product_datum(pgl_datum(2), product_datum(gl_datum(1), gl_datum(1)))
+    assert center_structure(gl2_gl1) == center_structure(pgl2_gl1_gl1)
+    assert dual_sc_center(gl2_gl1) == dual_sc_center(pgl2_gl1_gl1)
+    assert search_isomorphisms(gl2_gl1, pgl2_gl1_gl1) == []
+    assert completion_search(gl2_gl1, pgl2_gl1_gl1) == []
+    # an assignment that breaks the Cartan matrix leaves the kernel solve unsolvable
+    d = product_datum(gl_datum(2), gl_datum(3))
+    assert search_isomorphisms(d, d, assignment=(1, 0, 2)) == []
+    assert completion_search(d, d, assignment=(1, 0, 2)) == []
+    with pytest.raises(InfiniteFamilyError, match="rank 5, [|]Delta[|] = 3: .* 4-parameter family"):
+        search_isomorphisms(d, d, assignment=(0, 1, 2))
+
+
+def test_check_isomorphism_refuses_maps_of_the_wrong_shape():
+    d1, d2 = sl_datum(2), gl_datum(2)  # ranks 1 and 2, one simple root each
+    iota = IntMatrix([[1], [-1]])
+    # the right shape between data of different ranks: no isomorphism, no error
+    assert check_isomorphism(RootDatumMap(iota, iota.transpose()), d1, d2) is False
+    square, column = IntMatrix([[1, 0], [0, 1]]), IntMatrix([[1]])
+    for bad in (
+        RootDatumMap(square, iota.transpose()),  # iota: rows right, columns wrong
+        RootDatumMap(column, iota.transpose()),  # iota: rows wrong, columns right
+        RootDatumMap(iota, column),  # iota_vee: rows right, columns wrong
+        RootDatumMap(iota, square),  # iota_vee: rows wrong, columns right
+    ):
+        with pytest.raises(ValueError, match="^map dimensions do not match the data$"):
+            check_isomorphism(bad, d1, d2)

@@ -13,21 +13,23 @@ X0 = {x : <x, alpha_i^vee> = 0 for every i}, the lattice the source's
 simple coroots annihilate. An isomorphism maps X0 onto the target's X0'
 and so is S = [beta_pi(1) ... beta_pi(s) | Y0 T] M^-1, with Y0 a saturated
 basis of X0' and T in GL_(n-s)(Z) for rank n and s simple roots (proofs at
-``search_isomorphisms``). A search reduces M once with the Smith engine.
-At n - s = 0, T is empty; at n - s = 1, T = +-1, and
-det S = det T det[beta_pi | Y0] / det M fixes T for each target
-determinant: at most two candidates per bijection, and none is built
-whose determinant is wrong. At n - s >= 2, T ranges over an infinite
-group, so the isomorphisms extending a bijection are none or infinitely
-many (a coset of the automorphisms fixing every simple root and coroot).
-The search answers none there when the centers differ or no bijection has
-an integral completion, and otherwise refuses rather than truncate.
+``search_isomorphisms``). A search reduces M once with the Smith engine,
+U M V = D, at every gap n - s. At n - s = 0, T is empty; at n - s = 1,
+T = +-1, and det S = det T det[beta_pi | Y0] / det M fixes T for each
+target determinant: at most two candidates per bijection, and none is
+built whose determinant is wrong. At n - s >= 2, T ranges over an
+infinite group, so the isomorphisms extending a bijection are none or
+infinitely many (a coset of the automorphisms fixing every simple root
+and coroot). The search answers none there when the centers differ or no
+bijection has an integral completion (an integral C, perhaps not
+unimodular, with [beta_pi | Y0 C] M^-1 integral: one ``solve_integral``),
+and otherwise refuses rather than truncate.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from operator import eq, floordiv
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .lattice import (
     IntMatrix,
@@ -75,7 +77,13 @@ class RootDatumMap:
 
 
 def check_isomorphism(f: RootDatumMap, d1: BasedRootDatum, d2: BasedRootDatum) -> bool:
-    """Full verification of an isomorphism of based root data d1 -> d2."""
+    """Full verification of an isomorphism of based root data d1 -> d2.
+
+    iota adjoint to iota_vee with det +-1, and iota alpha_i = beta_j with
+    iota_vee beta_j^vee = alpha_i^vee for each i, is the whole definition:
+    det +-1 makes iota injective and the simple roots are distinct, so all s
+    targets are hit, and the target's coroots pull back onto the source's.
+    """
     if f.iota.rows != d2.rank or f.iota.cols != d1.rank:
         raise ValueError("map dimensions do not match the data")
     if f.iota_vee.rows != d1.rank or f.iota_vee.cols != d2.rank:
@@ -87,82 +95,61 @@ def check_isomorphism(f: RootDatumMap, d1: BasedRootDatum, d2: BasedRootDatum) -
     # iota_vee = iota^T is square (equal ranks) with the same determinant
     if f.iota.det() not in (1, -1):
         return False
-    targets = {b: i for i, b in enumerate(d2.simple_roots)}
-    hit = set()
+    coroot_of = dict(zip(d2.simple_roots, d2.simple_coroots))
     for a, av in zip(d1.simple_roots, d1.simple_coroots):
-        img = f.iota.apply(a)
-        if img not in targets:
+        bv = coroot_of.get(f.iota.apply(a))
+        if bv is None or f.iota_vee.apply(bv) != av:
             return False
-        j = targets[img]
-        hit.add(j)
-        if f.iota_vee.apply(d2.simple_coroots[j]) != av:
-            return False
-    if len(hit) != len(d2.simple_roots):
-        return False
-    back = {f.iota_vee.apply(bv) for bv in d2.simple_coroots}
-    if back != set(d1.simple_coroots):
-        return False
     return True
 
 
-def cartan_compatible_bijections(
-    d1: BasedRootDatum, d2: BasedRootDatum
+def _cartan_compatible(
+    d1: BasedRootDatum, d2: BasedRootDatum, candidates: Iterable[Tuple[int, ...]]
 ) -> List[Tuple[int, ...]]:
+    """The candidates pi with <beta_pi(i), beta_pi(j)^vee> = <alpha_i, alpha_j^vee> throughout."""
+    c1, c2 = d1.cartan_matrix(), d2.cartan_matrix()
+    s = len(c1)
+    pairs = [(i, j) for i in range(s) for j in range(s)]
+    return [pi for pi in candidates if all(c2[pi[i]][pi[j]] == c1[i][j] for i, j in pairs)]
+
+
+def cartan_compatible_bijections(d1: BasedRootDatum, d2: BasedRootDatum) -> List[Tuple[int, ...]]:
     """Bijections pi of simple roots with identical Cartan matrices."""
     s = len(d1.simple_roots)
     if s != len(d2.simple_roots):
         return []
-    c1 = d1.cartan_matrix()
-    c2 = d2.cartan_matrix()
-    out = []
-    for pi in permutations(range(s)):
-        if all(c2[pi[i]][pi[j]] == c1[i][j] for i in range(s) for j in range(s)):
-            out.append(pi)
-    return out
+    return _cartan_compatible(d1, d2, permutations(range(s)))
 
 
-def _solve_each(m: IntMatrix, rhs: Sequence[Sequence[int]]) -> Optional[List[Vector]]:
-    """An integral x with m x = b for each b in rhs, or None when one has none."""
-    out = [solve_integral(m, b) for b in rhs]
-    return None if None in out else out
+def _completion_test(
+    d2: BasedRootDatum, y0: IntMatrix, v_rows: Sequence[Vector], divisors: Sequence[int]
+) -> Callable[[Sequence[int]], bool]:
+    """pi -> does some integral C make [beta_pi | Y0 C] M^-1 integral? (U M V = D)
 
-
-def _has_completion(
-    d1: BasedRootDatum,
-    d2: BasedRootDatum,
-    pi: Sequence[int],
-    roots: IntMatrix,
-    coroots: IntMatrix,
-    ka: IntMatrix,
-) -> bool:
-    """Is there an integral S0 with S0 alpha_i = beta_pi(i) and S0^T beta_pi(i)^vee = alpha_i^vee?
-
-    ``roots`` is A (rows alpha_i), ``coroots`` is Z (rows beta_j^vee) and
-    ``ka`` is K_A, the saturated kernel of A. The constraints read
-    A S^T = B_pi and Z S = W_pi, with B_pi the rows beta_pi(i) and W_pi the
-    rows alpha_pi^-1(j)^vee. Their integral solutions are S0 + K_Z E K_A^T,
-    E integral of size (n - s) x (n - s), K_Z the saturated kernel of Z:
-    each row of S differs from that of S0 by an integral kernel vector of
-    A, so S = S0 + C K_A^T with C integral; then Z C K_A^T = 0 and K_A has
-    full column rank, so Z C = 0 and each column of C lies in the span of
-    K_Z. S0 = P + C K_A^T exists exactly when the three rounds below solve.
+    With W = sum_i beta_pi(i) (x) (row i of V) and V_bot the rows of V past
+    s, column j of [beta_pi | Y0 C] V is W[:, j] + Y0 C V_bot[:, j], and
+    d_j must divide it: Y0 C V_bot[:, j] + d_j k_j = -W[:, j], k_j in Z^n,
+    for each d_j != 1. Only W depends on pi, so the system in the entries
+    of C (row-major) and the k_j is built and reduced once.
     """
-    n = d1.rank
-    # 1. row r of S solves A x = (beta_pi(i)[r])_i, so S = P + C K_A^T
-    p = _solve_each(roots, [[d2.simple_roots[j][r] for j in pi] for r in range(n)])
-    if p is None:
-        return False
-    # 2. Z S = W_pi, row j of W_pi being alpha_pi^-1(j)^vee, leaves
-    #    (Z C) K_A^T = W_pi - Z P, one row j at a time
-    zp = coroots * _trusted(tuple(p), n)
-    rest: List[List[int]] = [[]] * len(pi)
-    for i, j in enumerate(pi):
-        rest[j] = [w - x for w, x in zip(d1.simple_coroots[i], zp.row(j))]
-    m = _solve_each(ka, rest)
-    # 3. column b of C solves Z c = (m_j[b])_j
-    return m is not None and (
-        _solve_each(coroots, [[row[b] for row in m] for b in range(ka.cols)]) is not None
-    )
+    n, g = y0.rows, y0.cols
+    v_bot = v_rows[n - g :]
+    odd = [j for j, dj in enumerate(divisors) if dj != 1]
+    width = g * g + n * len(odd)
+    rows = []
+    for t, j in enumerate(odd):
+        for r, yr in enumerate(y0.iter_rows()):
+            row = [ya * vb[j] for ya in yr for vb in v_bot] + [0] * (n * len(odd))
+            row[g * g + t * n + r] = divisors[j]
+            rows.append(tuple(row))
+    system = _trusted(tuple(rows), width)
+
+    def completes(pi: Sequence[int]) -> bool:
+        beta = [d2.simple_roots[k] for k in pi]
+        rhs = [-sum(b[r] * v[j] for b, v in zip(beta, v_rows)) for j in odd for r in range(n)]
+        return solve_integral(system, rhs) is not None
+
+    return completes
 
 
 def _parity(pi: Sequence[int]) -> int:
@@ -181,14 +168,18 @@ def search_isomorphisms(
     ``assignment`` fixes iota(alpha_i) = beta_assignment[i]; ``det_sign``
     restricts det(iota) to +1 or -1. At rank - |Delta| >= 2, data whose
     centers differ have none; otherwise InfiniteFamilyError is raised when
-    some bijection has an integral completion (``_has_completion``): the
-    isomorphisms are then none or infinitely many, with or without the
-    constraints.
+    some bijection has an integral completion (below): the isomorphisms are
+    then none or infinitely many, with or without the constraints.
 
-    At n - s <= 1 (rank n, s simple roots) every isomorphism is read off
-    M = [alpha_1 ... alpha_s | B0], B0 a saturated basis of the lattice X0
-    that the simple coroots alpha_i^vee annihilate, and Y0 the same for the
-    target's X0'. M is reduced once, U M V = D, so M^-1 = V D^-1 U.
+    Only Cartan-compatible bijections are tried; any other assignment gives
+    [] before anything is built. An isomorphism S extending pi is one:
+    <beta_pi(j), beta_pi(i)^vee> = <alpha_j, S^T beta_pi(i)^vee> =
+    <alpha_j, alpha_i^vee>.
+
+    Every isomorphism is read off M = [alpha_1 ... alpha_s | B0] (rank n,
+    s simple roots), B0 a saturated basis of the lattice X0 that the simple
+    coroots alpha_i^vee annihilate, and Y0 the same for the target's X0'.
+    M is reduced once, U M V = D, so M^-1 = V D^-1 U.
 
     M is invertible over Q. B0 has n - s columns, as the simple coroots are
     independent. If sum_i c_i alpha_i + B0 e = 0, pairing with each
@@ -212,16 +203,23 @@ def search_isomorphisms(
     the columns of M: on alpha_j both are a Cartan entry,
     <beta_pi(j), beta_pi(i)^vee> = <alpha_j, alpha_i^vee> by compatibility,
     and on B0 both vanish, as S B0 = Y0 T lies in X0'. So
-    S^T beta_pi(i)^vee = alpha_i^vee, the coroot condition. A fixed
-    ``assignment`` need not be Cartan-compatible; ``check_isomorphism``,
-    which every candidate passes, refuses those.
+    S^T beta_pi(i)^vee = alpha_i^vee, the coroot condition. Every candidate
+    still goes through ``check_isomorphism``.
+
+    At n - s >= 2 the refusal asks whether pi has an integral completion,
+    an integral S of any determinant with S alpha_i = beta_pi(i) and
+    S^T beta_pi(i)^vee = alpha_i^vee. One exists exactly when some integral
+    (n - s) x (n - s) C makes N_C M^-1 integral (``_completion_test``).
+    (=>) The coroot condition puts S B0 in X0', as above; Y0 is saturated,
+    so S B0 = Y0 C with C integral, and S = N_C M^-1. (<=) S = N_C M^-1 is
+    integral and maps alpha_i to beta_pi(i), and S B0 = Y0 C lies in X0',
+    so the forms agree on the columns of M as for a candidate (T = C).
     """
     if d1.rank != d2.rank or len(d1.simple_roots) != len(d2.simple_roots):
         return []
-    n = d1.rank
-    s = len(d1.simple_roots)
+    n, s = d1.rank, len(d1.simple_roots)
     if assignment is None:
-        bijections = cartan_compatible_bijections(d1, d2)
+        candidates: Iterable[Tuple[int, ...]] = permutations(range(s))
     else:
         pi = tuple(assignment)
         if len(pi) != s or not all(0 <= j < s for j in pi):
@@ -229,32 +227,31 @@ def search_isomorphisms(
                 f"assignment {pi} does not map {s} simple roots to indices 0..{s - 1}"
             )
         # a non-injective assignment cannot extend to an isomorphism
-        bijections = [pi] if len(set(pi)) == s else []
+        candidates = [pi] if len(set(pi)) == s else []
+    bijections = _cartan_compatible(d1, d2, candidates)
     if not bijections:
         return []
-    if n - s >= 2:
-        if center_structure(d1) != center_structure(d2) or (
-            s and dual_sc_center(d1) != dual_sc_center(d2)
-        ):
-            return []
-        roots = IntMatrix(d1.simple_roots, cols=n)
-        coroots = IntMatrix(d2.simple_coroots, cols=n)
-        ka = kernel_basis(roots)
-        if any(_has_completion(d1, d2, pi, roots, coroots, ka) for pi in bijections):
-            raise InfiniteFamilyError(
-                f"rank {n}, |Delta| = {s}: the completions form a {(n - s) ** 2}-parameter "
-                "family, so the isomorphisms are none or infinitely many; refusing to enumerate"
-            )
+    if n - s >= 2 and (
+        center_structure(d1) != center_structure(d2)
+        or (s and dual_sc_center(d1) != dual_sc_center(d2))
+    ):
         return []
     b0 = kernel_basis(IntMatrix(d1.simple_coroots, cols=n))
     y0 = kernel_basis(IntMatrix(d2.simple_coroots, cols=n))
     # square, so the rows are the zipped columns even at n = 0
     m = _trusted(tuple(zip(*d1.simple_roots, *b0.columns())), n)
-    beta_y0 = _trusted(tuple(zip(*d2.simple_roots, *y0.columns())), n)
     u, dm, v = smith_normal_form(m)
     divisors = diagonal_of(dm)
-    det_m, det_beta = m.det(), beta_y0.det()
     v_rows = tuple(v.iter_rows())
+    if n - s >= 2:
+        if any(map(_completion_test(d2, y0, v_rows, divisors), bijections)):
+            raise InfiniteFamilyError(
+                f"rank {n}, |Delta| = {s}: the completions form a {(n - s) ** 2}-parameter "
+                "family, so the isomorphisms are none or infinitely many; refusing to enumerate"
+            )
+        return []
+    beta_y0 = _trusted(tuple(zip(*d2.simple_roots, *y0.columns())), n)
+    det_m, det_beta = m.det(), beta_y0.det()
     # the rows of V past s, times T = 1 and T = -1
     tails = {1: v_rows[s:], -1: tuple([tuple([-x for x in row]) for row in v_rows[s:]])}
     units = (1, -1) if n > s else (1,)

@@ -301,6 +301,8 @@ def square_class_bound(p: int, f: int) -> Tuple[int, List[int]]:
 
 
 class PacketReport:
+    """The packet sizes of a scenario; ``consistent`` is derived: ``consistency_check``."""
+
     __slots__ = (
         "family", "igroup", "igroup_order", "outcomes",
         "bound_card", "bound_divisors", "consistent", "notes",
@@ -314,7 +316,6 @@ class PacketReport:
         outcomes: List[PacketOutcome],
         bound_card: int,
         bound_divisors: List[int],
-        consistent: bool,
         notes: Optional[List[str]] = None,  # a fresh list when omitted
     ):
         self.family = family
@@ -323,8 +324,8 @@ class PacketReport:
         self.outcomes = outcomes
         self.bound_card = bound_card
         self.bound_divisors = bound_divisors
-        self.consistent = consistent
         self.notes = [] if notes is None else notes
+        self.consistent = consistency_check(self)
 
     def to_dict(self) -> dict:
         return {
@@ -491,6 +492,4 @@ def scenario_report(scenario, witness: Optional[ParameterImage] = None) -> Packe
             f"witness {scenario.witness!r} has S_phi {rep.s_phi_label} (order "
             f"{rep.s_phi_order}), not the I group {ig} (order {igroup_order})"
         )
-    report = PacketReport(family, ig, igroup_order, outcomes, card, divisors, True, notes)
-    report.consistent = consistency_check(report)
-    return report
+    return PacketReport(family, ig, igroup_order, outcomes, card, divisors, notes)

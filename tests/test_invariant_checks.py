@@ -4,8 +4,9 @@ keeps an import it never uses or imports inside a function, no module
 dispatches on ``isinstance(..., tuple)`` or imports ``fractions``,
 ``decimal`` or ``importlib``, a cold start loads neither ``dataclasses`` nor
 ``inspect``, cold ``verify-paper`` and ``packets`` runs load neither
-``fractions`` nor ``decimal``, and ``from gspinlab import *`` binds only
-public names."""
+``fractions`` nor ``decimal``, ``from gspinlab import *`` binds only
+public names, and every private module-level helper is used somewhere in
+the package."""
 import ast
 import json
 import os
@@ -48,6 +49,40 @@ def test_no_unused_module_level_imports():
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert found == [], "unused imports: " + ", ".join(found)
+
+
+def _private_helpers_and_uses():
+    """Module-level ``_``-prefixed functions and classes, and the names each top-level
+    statement reads, keyed by the statement's own definition (None for the rest)."""
+    helpers, uses = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (path.name, top.name)
+                if top.name.startswith("_") and not top.name.startswith("__"):
+                    helpers.append(owner)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    uses.add((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    uses.add((node.attr, owner))
+                elif isinstance(node, ast.alias):
+                    uses.add((node.name, owner))
+    return helpers, uses
+
+
+def test_every_private_helper_is_used():
+    # a helper whose last caller went is dead code; its own body does not count
+    helpers, uses = _private_helpers_and_uses()
+    assert len(helpers) > 50
+    dead = [
+        f"{module}:{name}"
+        for module, name in helpers
+        if not any(used == name and owner != (module, name) for used, owner in uses)
+    ]
+    assert dead == [], "private helpers nothing uses: " + ", ".join(dead)
 
 
 def test_no_imports_inside_functions():

@@ -16,7 +16,11 @@ from gspinlab.lattice import (
     smith_normal_form,
     solve_integral,
 )
-from gspinlab.morphisms import cartan_compatible_bijections, search_isomorphisms
+from gspinlab.morphisms import (
+    InfiniteFamilyError,
+    cartan_compatible_bijections,
+    search_isomorphisms,
+)
 from gspinlab.root_datum import (
     center_structure,
     central_torus_quotient_datum,
@@ -308,6 +312,33 @@ def test_shipped_reductions_pinned(monkeypatch):
         payload.append([x.to_rows() for x in triple] + [untracked[1].to_rows()])
     digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
     assert (len(payload), digest) == (35, SHIPPED_SNF_PIN)
+
+
+# sha256 of (U, D, V) of every distinct matrix that a gap-two search
+# (GL2xGL2 onto itself) reduces, in the order first reduced.
+GAP_TWO_SNF_PIN = "afba4f58b77f63f6bfeac99c7a833e3831d95dfb98faa78a91d277da8cfbaedd"
+
+
+def test_gap_two_search_reductions_pinned(monkeypatch):
+    d = presets.datum("GL2xGL2")
+    ka = kernel_basis(IntMatrix(d.simple_roots))  # K_A, the kernel of the simple roots
+    seen = {}
+    reduce = lattice._smith
+
+    def record(m, track=True):
+        seen.setdefault((m.cols, m._data))
+        return reduce(m, track)
+
+    monkeypatch.setattr(lattice, "_smith", record)
+    with pytest.raises(InfiniteFamilyError):
+        search_isomorphisms(d, d)
+    # the centre comparison's roots (as columns) and Cartan matrix, the simple
+    # coroots (the same on both sides), M = [alpha | B0], and the congruence
+    # in the 4 entries of C and 2 x 4 slacks
+    assert [(len(rows), cols) for cols, rows in seen] == [(4, 2), (2, 2), (2, 4), (4, 4), (8, 12)]
+    assert (ka.cols, ka._data) not in seen
+    payload = [[x.to_rows() for x in reduce(IntMatrix(rows, cols=cols))] for cols, rows in seen]
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == GAP_TWO_SNF_PIN
 
 
 def _reductions(monkeypatch, run):

@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -8,7 +10,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import pytest
 
 from gspinlab import morphisms, presets
-from gspinlab.lattice import IntMatrix, Vector, _trusted, kernel_basis, solve_integral
+from gspinlab.lattice import (
+    IntMatrix,
+    Vector,
+    _trusted,
+    diagonal_of,
+    kernel_basis,
+    smith_normal_form,
+    solve_integral,
+)
 from gspinlab.morphisms import (
     InfiniteFamilyError,
     RootDatumMap,
@@ -93,6 +103,68 @@ def _solve_each(m: IntMatrix, rhs: Sequence[Sequence[int]]) -> Optional[List[Vec
     """An integral x with m x = b for each b in rhs, or None when one has none."""
     out = [solve_integral(m, b) for b in rhs]
     return None if None in out else out
+
+
+# The gap >= 2 refusal test as it stood before it read integrality off the
+# one reduction of M, kept verbatim: three rounds of solves on A (the
+# source's simple roots as rows), Z (the target's simple coroots as rows)
+# and K_A, the saturated kernel of A.
+def _has_completion(
+    d1: BasedRootDatum,
+    d2: BasedRootDatum,
+    pi: Sequence[int],
+    roots: IntMatrix,
+    coroots: IntMatrix,
+    ka: IntMatrix,
+) -> bool:
+    """Is there an integral S0 with S0 alpha_i = beta_pi(i) and S0^T beta_pi(i)^vee = alpha_i^vee?
+
+    ``roots`` is A (rows alpha_i), ``coroots`` is Z (rows beta_j^vee) and
+    ``ka`` is K_A, the saturated kernel of A. The constraints read
+    A S^T = B_pi and Z S = W_pi, with B_pi the rows beta_pi(i) and W_pi the
+    rows alpha_pi^-1(j)^vee. Their integral solutions are S0 + K_Z E K_A^T,
+    E integral of size (n - s) x (n - s), K_Z the saturated kernel of Z:
+    each row of S differs from that of S0 by an integral kernel vector of
+    A, so S = S0 + C K_A^T with C integral; then Z C K_A^T = 0 and K_A has
+    full column rank, so Z C = 0 and each column of C lies in the span of
+    K_Z. S0 = P + C K_A^T exists exactly when the three rounds below solve.
+    """
+    n = d1.rank
+    # 1. row r of S solves A x = (beta_pi(i)[r])_i, so S = P + C K_A^T
+    p = _solve_each(roots, [[d2.simple_roots[j][r] for j in pi] for r in range(n)])
+    if p is None:
+        return False
+    # 2. Z S = W_pi, row j of W_pi being alpha_pi^-1(j)^vee, leaves
+    #    (Z C) K_A^T = W_pi - Z P, one row j at a time
+    zp = coroots * _trusted(tuple(p), n)
+    rest: List[List[int]] = [[]] * len(pi)
+    for i, j in enumerate(pi):
+        rest[j] = [w - x for w, x in zip(d1.simple_coroots[i], zp.row(j))]
+    m = _solve_each(ka, rest)
+    # 3. column b of C solves Z c = (m_j[b])_j
+    return m is not None and (
+        _solve_each(coroots, [[row[b] for row in m] for b in range(ka.cols)]) is not None
+    )
+
+
+def completion_oracle(d1: BasedRootDatum, d2: BasedRootDatum, pi: Sequence[int]) -> bool:
+    """``_has_completion`` on A, Z and K_A, built as its search built them."""
+    n = d1.rank
+    roots = IntMatrix(d1.simple_roots, cols=n)
+    coroots = IntMatrix(d2.simple_coroots, cols=n)
+    return _has_completion(d1, d2, pi, roots, coroots, kernel_basis(roots))
+
+
+def completion_decision(d1: BasedRootDatum, d2: BasedRootDatum, pi: Sequence[int]) -> bool:
+    """The search's gap >= 2 test for pi, asked at any gap: the Cartan filter, then
+    the congruence on the reduction of M = [alpha | B0]."""
+    n = d1.rank
+    if not morphisms._cartan_compatible(d1, d2, [tuple(pi)]):
+        return False
+    b0 = kernel_basis(IntMatrix(d1.simple_coroots, cols=n))
+    y0 = kernel_basis(IntMatrix(d2.simple_coroots, cols=n))
+    _, dm, v = smith_normal_form(IntMatrix.from_columns([*d1.simple_roots, *b0.columns()], rows=n))
+    return morphisms._completion_test(d2, y0, tuple(v.iter_rows()), diagonal_of(dm))(pi)
 
 
 def _completion_directions(ka: IntMatrix, kz: IntMatrix) -> IntMatrix:
@@ -444,9 +516,14 @@ def test_non_injective_assignment_builds_no_system(monkeypatch):
         raise AssertionError("a system was reduced")
 
     monkeypatch.setattr(morphisms, "kernel_basis", refuse)
+    monkeypatch.setattr(morphisms, "smith_normal_form", refuse)
     monkeypatch.setattr(morphisms, "solve_integral", refuse)
     assert search_isomorphisms(PSI6, G6, assignment=(0, 0, 2)) == []
     assert search_isomorphisms(PSI4, G4, assignment=(1, 1)) == []
+    # nor does an injective assignment that breaks the Cartan matrix, at any gap
+    assert search_isomorphisms(PSI6, G6, assignment=(1, 0, 2)) == []
+    gl2_gl3 = product_datum(gl_datum(2), gl_datum(3))
+    assert search_isomorphisms(gl2_gl3, gl2_gl3, assignment=(1, 0, 2)) == []
 
 
 def _as_dicts(maps):
@@ -741,7 +818,7 @@ def test_gap_at_most_one_builds_at_most_two_candidates_per_bijection(monkeypatch
 
     monkeypatch.setattr(morphisms, "solve_integral", refuse)
     monkeypatch.setattr(morphisms, "check_isomorphism", record)
-    built = refused = 0
+    built = incompatible = 0
     for d1, d2 in _searches_to_replay():
         if _gap(d1) >= 2:
             continue
@@ -756,28 +833,36 @@ def test_gap_at_most_one_builds_at_most_two_candidates_per_bijection(monkeypatch
             # one candidate per bijection and determinant, built with that determinant
             assert len(checked) <= len(bijections) * len(dets)
             assert all(det in dets for det, _ in checked)
+            # an assignment that breaks the Cartan matrix builds no candidate
+            if any(pi not in compatible for pi in bijections):
+                assert checked == [] and found == [], (d1.to_dict(), d2.to_dict(), kwargs)
+                incompatible += 1
             # the coroot condition follows from Cartan compatibility
-            if all(pi in compatible for pi in bijections):
-                assert all(ok for _, ok in checked), (d1.to_dict(), d2.to_dict(), kwargs)
-            assert len(found) == sum(ok for _, ok in checked)
+            assert all(ok for _, ok in checked), (d1.to_dict(), d2.to_dict(), kwargs)
+            assert len(found) == len(checked)
             built += len(checked)
-            refused += sum(not ok for _, ok in checked)
     assert built > 100
-    # some candidates of incompatible assignments are integral and unimodular:
-    # check_isomorphism is what refuses them
-    assert refused > 0
+    assert incompatible > 100
 
 
 def test_gap_two_search_without_a_completion_is_none():
-    # the centers and the dual simply connected centers agree, yet the coroot
-    # solve has no integral solution (2c = -1): none, not a refusal
+    # the centers and the dual simply connected centers agree, yet nothing
+    # completes: S^T (2, 0, 0) = (1, -1, 0) has no integral solution (2c = -1).
+    # None, not a refusal
     gl2_gl1 = product_datum(gl_datum(2), gl_datum(1))
     pgl2_gl1_gl1 = product_datum(pgl_datum(2), product_datum(gl_datum(1), gl_datum(1)))
     assert center_structure(gl2_gl1) == center_structure(pgl2_gl1_gl1)
     assert dual_sc_center(gl2_gl1) == dual_sc_center(pgl2_gl1_gl1)
+    assert not completion_decision(gl2_gl1, pgl2_gl1_gl1, (0,))
     assert search_isomorphisms(gl2_gl1, pgl2_gl1_gl1) == []
     assert completion_search(gl2_gl1, pgl2_gl1_gl1) == []
-    # an assignment that breaks the Cartan matrix leaves the kernel solve unsolvable
+    # the reverse search refuses, although the two are not isomorphic (the
+    # simple coroot is twice a cocharacter in PGL2 x GL1 x GL1 only): it has
+    # an integral completion, and none of them is unimodular
+    assert completion_decision(pgl2_gl1_gl1, gl2_gl1, (0,))
+    with pytest.raises(InfiniteFamilyError, match="rank 3, [|]Delta[|] = 1: .* 4-parameter family"):
+        search_isomorphisms(pgl2_gl1_gl1, gl2_gl1)
+    # an assignment that breaks the Cartan matrix has no completion
     d = product_datum(gl_datum(2), gl_datum(3))
     assert search_isomorphisms(d, d, assignment=(1, 0, 2)) == []
     assert completion_search(d, d, assignment=(1, 0, 2)) == []
@@ -799,3 +884,58 @@ def test_check_isomorphism_refuses_maps_of_the_wrong_shape():
     ):
         with pytest.raises(ValueError, match="^map dimensions do not match the data$"):
             check_isomorphism(bad, d1, d2)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _decide_against_the_oracle(cases):
+    """(gap, answer) of each (source, target, pi) case, where both tests agree in time."""
+    answers = []
+    for d1, d2, pi in cases:
+        with _deadline(5):
+            got = completion_decision(d1, d2, pi)
+            want = completion_oracle(d1, d2, pi)
+        assert got == want, (d1.to_dict(), d2.to_dict(), pi)
+        answers.append((_gap(d1), got))
+    return answers
+
+
+def test_completion_test_matches_the_oracle_on_every_bijection():
+    names = presets.datum_names()
+    pairs = [(presets.datum(a), presets.datum(b)) for a in names for b in names]
+    pairs += _searches_to_replay() + _gap_three_pairs()
+    cases = [
+        (d1, d2, pi) for d1, d2 in pairs if d1.rank == d2.rank for pi in _every_assignment(d1, d2)
+    ]
+    assert len(cases) == 1036
+    answers = set(_decide_against_the_oracle(cases))
+    assert {gap for gap, _ in answers} == {0, 1, 2, 3}
+    assert {(2, True), (2, False), (3, True)} <= answers
+
+
+def test_completion_test_matches_the_oracle_on_seeded_conjugates():
+    rng = random.Random(9001)
+    pairs = []
+    for d in seeded_products(9001, 150, max_rank=7):
+        for x in (d, d.dual()):
+            g, ginv = _elementary_pair(rng, x.rank, rng.randint(1, 6))
+            pairs.append((x, conjugate_datum(x, g, ginv)))
+    cases = [(d1, d2, pi) for d1, d2 in pairs for pi in cartan_compatible_bijections(d1, d2)]
+    assert len(cases) == 1202
+    answers = set(_decide_against_the_oracle(cases))
+    assert {(2, True), (2, False)} <= answers
+

@@ -102,7 +102,7 @@ def test_factor_and_scenario_defaults_and_refusals():
         assert (s.f, s.witness) == (1, None)
         assert scenario_report(s).bound_card == 4
     reports = [
-        PacketReport("GSpin4", AbelianGroupStructure(0), 1, [], 4, [1, 2, 4], True) for _ in range(2)
+        PacketReport("GSpin4", AbelianGroupStructure(0), 1, [], 4, [1, 2, 4]) for _ in range(2)
     ]
     reports[0].notes.append("x")
     assert reports[1].notes == []
@@ -235,9 +235,9 @@ def test_consistency_check_fabricated_size():
         outcomes=[outcome],
         bound_card=4,
         bound_divisors=[1, 2, 4],
-        consistent=True,
     )
     assert not consistency_check(report)
+    assert not report.consistent
 
 
 def test_all_shipped_scenarios_consistent():

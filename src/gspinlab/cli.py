@@ -3,7 +3,7 @@
 Verbs: datum | iso | exact | group | params | packets | verify-paper.
 Exit codes: 0 ok, 1 verification-false, 2 input error, 3 cap exceeded or
 an isomorphism family too large to list, 4 an internal consistency check
-failed.
+failed, 141 stdout closed by its reader (the shell's status for SIGPIPE).
 All file I/O is UTF-8 JSON; the schemas are documented in docs/schemas.md.
 Every file-or-preset argument goes through ``_load``, which reads one table
 row per input kind; each verb's handler is set on its subparser.
@@ -37,6 +37,7 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 
 class InputError(Exception):
@@ -422,7 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
+        return code
+    except BrokenPipeError:  # the interpreter's last flush then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (
         InputError, NotEllipticError, NormalizationError, FieldInsufficientError, ValueError
     ) as exc:

@@ -6,8 +6,10 @@ of basis vectors), iota_vee carries cocharacters the other way. With the
 standard pairings on both sides, adjointness is the matrix identity
 iota_vee = transpose(iota).
 
-The search enumerates Cartan-compatible bijections pi of simple roots and
-reads each isomorphism S = iota extending pi off one basis of X (x) Q:
+The search lists the Cartan-compatible bijections pi of simple roots by a
+breadth-first walk of the source's Cartan graph, whose cost follows the
+answers, not s!, and reads each isomorphism S = iota extending pi off one
+basis of X (x) Q:
 M = [alpha_1 ... alpha_s | B0], with B0 a saturated basis of
 X0 = {x : <x, alpha_i^vee> = 0 for every i}, the lattice the source's
 simple coroots annihilate. An isomorphism maps X0 onto the target's X0'
@@ -27,9 +29,9 @@ and otherwise refuses rather than truncate.
 """
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from operator import eq, floordiv
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .lattice import (
     IntMatrix,
@@ -103,22 +105,35 @@ def check_isomorphism(f: RootDatumMap, d1: BasedRootDatum, d2: BasedRootDatum) -
     return True
 
 
-def _cartan_compatible(
-    d1: BasedRootDatum, d2: BasedRootDatum, candidates: Iterable[Tuple[int, ...]]
+def cartan_compatible_bijections(
+    d1: BasedRootDatum, d2: BasedRootDatum, assignment: Optional[Sequence[int]] = None
 ) -> List[Tuple[int, ...]]:
-    """The candidates pi with <beta_pi(i), beta_pi(j)^vee> = <alpha_i, alpha_j^vee> throughout."""
-    c1, c2 = d1.cartan_matrix(), d2.cartan_matrix()
-    s = len(c1)
-    pairs = [(i, j) for i in range(s) for j in range(s)]
-    return [pi for pi in candidates if all(c2[pi[i]][pi[j]] == c1[i][j] for i, j in pairs)]
+    """Bijections pi of simple roots preserving the Cartan matrix, sorted as permutations are.
 
-
-def cartan_compatible_bijections(d1: BasedRootDatum, d2: BasedRootDatum) -> List[Tuple[int, ...]]:
-    """Bijections pi of simple roots with identical Cartan matrices."""
+    pi(i) is placed one source root at a time, breadth-first through the source's Cartan
+    graph (i ~ j when <alpha_i, alpha_j^vee> != 0), each image checked both ways against those
+    placed (diagonals are 2 on both sides): the cost follows the answers, not s!.
+    ``assignment`` offers one image per root.
+    """
     s = len(d1.simple_roots)
     if s != len(d2.simple_roots):
         return []
-    return _cartan_compatible(d1, d2, permutations(range(s)))
+    c1, c2 = d1.cartan_matrix(), d2.cartan_matrix()
+    choices = [range(s)] * s if assignment is None else [(j,) for j in assignment]
+    order: List[int] = []
+    images: List[Tuple[int, ...]] = [()]  # img[t] = pi(order[t])
+    for t in range(s):
+        if t == len(order):  # the next component, from its least index
+            order.append(next(j for j in range(s) if j not in order))
+        i = order[t]
+        order += [j for j, c in enumerate(c1[i]) if c and j not in order]
+        entries = [(c1[i][k], c1[k][i]) for k in order[:t]]
+        images = [
+            img + (j,) for img in images for j in choices[i]
+            if j not in img and [(c2[j][q], c2[q][j]) for q in img] == entries
+        ]
+    where = sorted(range(s), key=order.__getitem__)  # img[where[i]] = pi(i)
+    return sorted(tuple([img[t] for t in where]) for img in images)
 
 
 def _completion_test(
@@ -218,17 +233,11 @@ def search_isomorphisms(
     if d1.rank != d2.rank or len(d1.simple_roots) != len(d2.simple_roots):
         return []
     n, s = d1.rank, len(d1.simple_roots)
-    if assignment is None:
-        candidates: Iterable[Tuple[int, ...]] = permutations(range(s))
-    else:
-        pi = tuple(assignment)
-        if len(pi) != s or not all(0 <= j < s for j in pi):
-            raise ValueError(
-                f"assignment {pi} does not map {s} simple roots to indices 0..{s - 1}"
-            )
-        # a non-injective assignment cannot extend to an isomorphism
-        candidates = [pi] if len(set(pi)) == s else []
-    bijections = _cartan_compatible(d1, d2, candidates)
+    if assignment is not None and (len(assignment) != s or not set(assignment) <= set(range(s))):
+        raise ValueError(
+            f"assignment {tuple(assignment)} does not map {s} simple roots to indices 0..{s - 1}"
+        )
+    bijections = cartan_compatible_bijections(d1, d2, assignment)
     if not bijections:
         return []
     if n - s >= 2 and (

@@ -1,11 +1,24 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gspinlab
 from gspinlab import presets
-from gspinlab.cli import main
+from gspinlab.cli import EXIT_PIPE, main
 from gspinlab.gaussian import QI
+from gspinlab.root_datum import gl_datum
+
+
+def package_env():
+    """The environment with this package first on PYTHONPATH, for a child interpreter."""
+    env = dict(os.environ)
+    src = str(Path(gspinlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(capsys, *argv):
@@ -108,6 +121,37 @@ def test_iso_search_different_centers_at_gap_two_answers_none(tmp_path, capsys):
     # the self-search still refuses: equal centers decide nothing
     code, _, err = run(capsys, "iso", "search", str(paths[0]), str(paths[0]))
     assert code == 3 and err.startswith("infinite family: rank 3, |Delta| = 1: ")
+
+
+def test_cold_iso_search_of_a_rank_twelve_file(tmp_path):
+    # GL12 onto itself: 11 simple roots, whose 11! permutations the search
+    # once filtered one by one
+    path = tmp_path / "gl12.json"
+    path.write_text(json.dumps(gl_datum(12).to_dict()), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gspinlab.cli", "iso", "search", str(path), str(path)],
+        capture_output=True, text=True, env=package_env(), timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "2 isomorphism(s)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["iso", "search", "GSpin6", "G6"], ["datum", "GSpin4", "describe"], ["verify-paper", "--json"]],
+)
+def test_closed_stdout_exits_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gspinlab.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=package_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE == 141
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, proc.stderr
 
 
 def test_iso_check_with_map_preset(capsys):

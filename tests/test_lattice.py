@@ -16,11 +16,7 @@ from gspinlab.lattice import (
     smith_normal_form,
     solve_integral,
 )
-from gspinlab.morphisms import (
-    InfiniteFamilyError,
-    cartan_compatible_bijections,
-    search_isomorphisms,
-)
+from gspinlab.morphisms import InfiniteFamilyError, search_isomorphisms
 from gspinlab.root_datum import (
     center_structure,
     central_torus_quotient_datum,
@@ -33,6 +29,7 @@ from test_morphisms import (
     SHIPPED_PAIRS,
     _completion_directions,
     _matrix_from_vec,
+    compatible_permutations,
     per_bijection_system,
     variant_kwargs,
 )
@@ -267,7 +264,7 @@ def test_snf_output_pinned(monkeypatch):
     systems = [
         per_bijection_system(d1, d2, pi)[0]
         for d1, d2 in SHIPPED_PAIRS
-        for pi in cartan_compatible_bijections(d1, d2)
+        for pi in compatible_permutations(d1, d2)
     ]
     assert len(systems) == 4
     payload = [[x.to_rows() for x in smith_normal_form(m)] for m in [*_suite_500(), *systems]]

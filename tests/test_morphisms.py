@@ -2,9 +2,11 @@ import math
 import random
 import re
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -37,6 +39,7 @@ from gspinlab.root_datum import (
     product_datum,
     sl_datum,
 )
+from test_cli import package_env
 
 
 PSI4 = presets.datum("GSpin4")
@@ -62,6 +65,26 @@ def variant_kwargs(variant, d1):
     if kwargs.pop("assignment", False):
         kwargs["assignment"] = tuple(range(len(d1.simple_roots)))
     return kwargs
+
+
+def compatible_permutations(d1, d2):
+    """Oracle for ``cartan_compatible_bijections``: the s! permutations pi, in
+    lexicographic order, each compared on the full s x s Cartan matrix."""
+    c1, c2 = d1.cartan_matrix(), d2.cartan_matrix()
+    s = len(c1)
+    if s != len(c2):
+        return []
+    pairs = [(i, j) for i in range(s) for j in range(s)]
+    return [
+        pi for pi in permutations(range(s)) if all(c2[pi[i]][pi[j]] == c1[i][j] for i, j in pairs)
+    ]
+
+
+def relabelled(d, order):
+    """d with its simple roots, and their coroots with them, listed in ``order``."""
+    return BasedRootDatum(
+        d.rank, [d.simple_roots[k] for k in order], [d.simple_coroots[k] for k in order]
+    )
 
 
 def per_bijection_system(d1, d2, pi):
@@ -156,10 +179,10 @@ def completion_oracle(d1: BasedRootDatum, d2: BasedRootDatum, pi: Sequence[int])
 
 
 def completion_decision(d1: BasedRootDatum, d2: BasedRootDatum, pi: Sequence[int]) -> bool:
-    """The search's gap >= 2 test for pi, asked at any gap: the Cartan filter, then
-    the congruence on the reduction of M = [alpha | B0]."""
+    """The search's gap >= 2 test for pi, asked at any gap: the Cartan walk with pi
+    as its assignment, then the congruence on the reduction of M = [alpha | B0]."""
     n = d1.rank
-    if not morphisms._cartan_compatible(d1, d2, [tuple(pi)]):
+    if not cartan_compatible_bijections(d1, d2, pi):
         return False
     b0 = kernel_basis(IntMatrix(d1.simple_coroots, cols=n))
     y0 = kernel_basis(IntMatrix(d2.simple_coroots, cols=n))
@@ -279,7 +302,7 @@ def completion_search(
     n = d1.rank
     s = len(d1.simple_roots)
     if assignment is None:
-        bijections = cartan_compatible_bijections(d1, d2)
+        bijections = compatible_permutations(d1, d2)
     else:
         pi = tuple(assignment)
         if len(pi) != s or not all(0 <= j < s for j in pi):
@@ -320,7 +343,7 @@ def reference_search(d1, d2, assignment=None, det_sign=None):
     if d1.rank != d2.rank or len(d1.simple_roots) != len(d2.simple_roots):
         return []
     bijections = (
-        [tuple(assignment)] if assignment is not None else cartan_compatible_bijections(d1, d2)
+        [tuple(assignment)] if assignment is not None else compatible_permutations(d1, d2)
     )
     dets = (1, -1) if det_sign is None else (det_sign,)
     results = {}
@@ -645,6 +668,56 @@ def seeded_products(seed, count, max_rank=5):
 
 
 SEEDED_PRODUCTS = seeded_products(510, 60)
+
+
+def test_cartan_walk_matches_the_permutation_oracle():
+    names = presets.datum_names()
+    pairs = [(presets.datum(a), presets.datum(b)) for a in names for b in names]
+    rng = random.Random(9001)
+    for d in seeded_products(9001, 150, max_rank=7):
+        for target in (d, d.dual()):
+            order = list(range(len(d.simple_roots)))
+            rng.shuffle(order)
+            pairs += [(d, target), (relabelled(d, order), target)]
+    # B2 against itself, C2 and A2: B2 has -1 in one direction of its pair of
+    # roots, as A2 has in both, so only a check both ways refuses A2
+    b2 = BasedRootDatum(2, [(1, -1), (0, 1)], [(1, -1), (0, 2)])
+    for d1 in (b2, relabelled(b2, (1, 0))):
+        pairs += [(d1, b2), (d1, b2.dual()), (d1, sl_datum(3))]
+    assert len(pairs) == 687
+    fixed = found = 0
+    for d1, d2 in pairs:
+        want = compatible_permutations(d1, d2)
+        assert cartan_compatible_bijections(d1, d2) == want, (d1.to_dict(), d2.to_dict())
+        s = len(d1.simple_roots)
+        if s > 4 or s != len(d2.simple_roots):
+            continue
+        # a fixed assignment, injective or not, is one choice per root
+        for pi in product(range(s), repeat=s) if s <= 3 else permutations(range(s)):
+            got = cartan_compatible_bijections(d1, d2, pi)
+            assert got == ([pi] if pi in want else []), (d1.to_dict(), d2.to_dict(), pi)
+            fixed += 1
+            found += len(got)
+    assert (fixed, found) == (7809, 1385)
+
+
+def test_cartan_walk_prunes_a_chain_labelled_out_of_order():
+    # A18 with its odd positions first: the permutation filter tests 19! candidates
+    code = (
+        "from gspinlab.morphisms import cartan_compatible_bijections\n"
+        "from gspinlab.root_datum import BasedRootDatum, sl_datum\n"
+        "d = sl_datum(20)\n"
+        "order = [*range(1, 19, 2), *range(0, 19, 2)]\n"
+        "r = BasedRootDatum(d.rank, [d.simple_roots[k] for k in order],"
+        " [d.simple_coroots[k] for k in order])\n"
+        "print(cartan_compatible_bijections(r, d))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
+    order = [*range(1, 19, 2), *range(0, 19, 2)]
+    assert proc.stdout == f"{[tuple(order), tuple(18 - k for k in order)]}\n"
 
 
 def _gap(d):

@@ -6,14 +6,21 @@ an isomorphism family too large to list, 4 an internal consistency check
 failed, 141 stdout closed by its reader (the shell's status for SIGPIPE).
 All file I/O is UTF-8 JSON; the schemas are documented in docs/schemas.md.
 Every file-or-preset argument goes through ``_load``, which reads one table
-row per input kind; each verb's handler is set on its subparser.
+row per input kind. The grammar is one table too: ``_VERBS`` holds each
+verb's handler, help, positionals and options, and ``parse_argv`` reads argv
+against it as argparse did (unique prefixes, ``--opt=value``, ``--``,
+negative numbers as values, options between positionals, the last value of
+a repeated option), so that a cold command neither imports argparse, gettext
+and locale nor builds a parser. ``-h`` prints usage from the same table; a
+usage error is an input error.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 from . import presets
@@ -166,7 +173,7 @@ def _cmd_datum(args) -> int:
             f"{d.label or args.name}: rank {d.rank}, {len(d.simple_roots)} simple roots\n"
             f"simple roots:   {[list(a) for a in d.simple_roots]}\n"
             f"simple coroots: {[list(a) for a in d.simple_coroots]}\n"
-            f"Cartan matrix:  {d.cartan_matrix()}"
+            f"Cartan matrix:  {[list(row) for row in d.cartan_matrix()]}"
         )
         _emit(args, payload, text)
     elif action == "center":
@@ -369,60 +376,209 @@ def _cmd_verify_paper(args) -> int:
     return EXIT_OK if ok_all else EXIT_FALSE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--quiet", action="store_true", help="suppress detail text")
-    common.add_argument(
-        "--cap", type=int, default=512, help="size cap for closures and root sets"
-    )
-    ap = argparse.ArgumentParser(
-        prog="gspinlab",
-        description="Exact workbench for based root data, component groups, and packet counts",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+def _cmd_help(args) -> int:
+    print(args.usage)
+    return EXIT_OK
 
-    def add(name, run, **kw):
-        p = sub.add_parser(name, parents=[common], **kw)
-        p.set_defaults(run=run)
-        return p
 
-    p = add("datum", _cmd_datum, help="inspect a based root datum")
-    p.add_argument("name", help="preset name or JSON file")
-    p.add_argument(
-        "action",
-        choices=["describe", "center", "dual", "sc-center", "roots"],
-    )
+# The command-line grammar: verb -> (handler, help, positionals, options).
+# A positional is (dest, choices or None, help); "[dest]" is the trailing
+# optional one. An option is (string, kind, default, choices or None, help):
+# kind bool is a flag; int and str take a value.
+_COMMON = (
+    ("--json", bool, False, None, "machine-readable output"),
+    ("--quiet", bool, False, None, "suppress detail text"),
+    ("--cap", int, 512, None, "size cap for closures and root sets"),
+)
+_HELP = ("-h, --help", bool, False, None, "show this help message and exit")
+_VERBS = {
+    "datum": (_cmd_datum, "inspect a based root datum", (
+        ("name", None, "preset name or JSON file"),
+        ("action", ("describe", "center", "dual", "sc-center", "roots"), None),
+    ), ()),
+    "iso": (_cmd_iso, "check or search root-datum isomorphisms", (
+        ("first", None, "'check', 'search', or the source datum"),
+        ("d1_or_d2", None, "datum"),
+        ("[maybe_d2]", None, "target datum when a mode is given"),
+    ), (
+        ("--map", str, None, None, "map preset or JSON file (for check)"),
+        ("--fix-delta", bool, False, None, "fix the simple-root assignment in listed order"),
+        ("--det", str, None, ("+1", "-1", "1"), "determinant constraint"),
+    )),
+    "exact": (_cmd_exact, "verify a character-lattice exact sequence", (
+        ("seq", None, "sequence preset or JSON file"),
+    ), ()),
+    "group": (_cmd_group, "finite matrix group computations", (
+        ("action", ("gen", "table", "id"), None),
+    ), (
+        ("--preset", str, None, None, "named generator preset"),
+        ("--file", str, None, None, "JSON file with a generators array"),
+    )),
+    "params": (_cmd_params, "component groups of a parameter image", (
+        ("param", None, "witness preset or JSON file"),
+    ), ()),
+    "packets": (_cmd_packets, "packet sizes for a scenario", (
+        ("scenario", None, "scenario preset or JSON file"),
+    ), ()),
+    "verify-paper": (_cmd_verify_paper, "run the bundled regression catalogue", (), ()),
+}
+_HELP_STRINGS = {"-h": _HELP, "--help": _HELP}
+# what argparse reads as a negative number, and so as a value, not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = add("iso", _cmd_iso, help="check or search root-datum isomorphisms")
-    p.add_argument("first", help="'check', 'search', or the source datum")
-    p.add_argument("d1_or_d2", help="datum")
-    p.add_argument("maybe_d2", nargs="?", help="target datum when a mode is given")
-    p.add_argument("--map", help="map preset or JSON file (for check)")
-    p.add_argument("--fix-delta", action="store_true", help="fix the simple-root assignment in listed order")
-    p.add_argument("--det", choices=["+1", "-1", "1"], help="determinant constraint")
 
-    p = add("exact", _cmd_exact, help="verify a character-lattice exact sequence")
-    p.add_argument("seq", help="sequence preset or JSON file")
+def _braces(choices) -> str:
+    return "{" + ",".join(choices) + "}"
 
-    p = add("group", _cmd_group, help="finite matrix group computations")
-    p.add_argument("action", choices=["gen", "table", "id"])
-    p.add_argument("--preset", help="named generator preset")
-    p.add_argument("--file", help="JSON file with a generators array")
 
-    p = add("params", _cmd_params, help="component groups of a parameter image")
-    p.add_argument("param", help="witness preset or JSON file")
+def _columns(rows) -> List[str]:
+    width = max(len(label) for label, _ in rows) + 2
+    return [f"  {label:<{width}}{text}" for label, text in rows]
 
-    p = add("packets", _cmd_packets, help="packet sizes for a scenario")
-    p.add_argument("scenario", help="scenario preset or JSON file")
 
-    add("verify-paper", _cmd_verify_paper, help="run the bundled regression catalogue")
-    return ap
+def _usage(verb: Optional[str] = None) -> str:
+    about = "Exact workbench for based root data, component groups, and packet counts"
+    if verb is None:
+        return "\n".join([
+            "usage: gspinlab [-h] VERB ...", "", about, "", "verbs:",
+            *_columns([(name, row[1]) for name, row in _VERBS.items()]),
+            "", "'gspinlab VERB -h' lists a verb's arguments and options.",
+        ])
+    _, about, positionals, options = _VERBS[verb]
+    options = (_HELP, *_COMMON, *options)
+    labels = [
+        s if kind is bool else f"{s} {_braces(choices) if choices else s[2:].upper()}"
+        for s, kind, _, choices, _ in options
+    ]
+    words = ["[-h]", *(f"[{label}]" for label in labels[1:])]
+    words += [_braces(choices) if choices else dest for dest, choices, _ in positionals]
+    lines = [f"usage: gspinlab {verb} " + " ".join(words), "", about]
+    if positionals:
+        rows = [(dest, text or _braces(choices)) for dest, choices, text in positionals]
+        lines += ["", "arguments:", *_columns(rows)]
+    rows = [(label, o[4]) for label, o in zip(labels, options)]
+    return "\n".join([*lines, "", "options:", *_columns(rows)])
+
+
+def _read_option(token: str, strings: dict):
+    """What argparse makes of ``token`` among these option strings: None for a
+    positional, else (option string, or None when unknown; the value attached
+    by "=" or after a short option, or None). Unique prefixes of long options
+    count; an ambiguous prefix is refused."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in strings:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in strings:
+        return head, value
+    if token[1] == "-":
+        found = [s for s in strings if s.startswith(head)]
+        if len(found) > 1:
+            raise InputError(f"ambiguous option {token!r} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif token[:2] in strings:
+        return token[:2], token[2:]
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _choose(name: str, choices, value: str) -> None:
+    if choices and value not in choices:
+        raise InputError(f"{name} must be one of {', '.join(choices)}, not {value!r}")
+
+
+def _help(string: str, value: Optional[str], verb: Optional[str]) -> SimpleNamespace:
+    # -hh is -h bundled with itself, as argparse reads short flags
+    if value is None or (string == "-h" and value and not value.strip("h")):
+        return SimpleNamespace(run=_cmd_help, usage=_usage(verb))
+    raise InputError(f"option {string} takes no value (got {value!r})")
+
+
+def parse_argv(argv: Sequence[str]) -> SimpleNamespace:
+    """The namespace the handlers read (the verb's dests, ``command`` and
+    ``run``), read from argv against ``_VERBS``; for -h/--help, one whose
+    ``run`` prints the usage. InputError names the argument at fault.
+
+    As argparse did, options are read left to right, so -h after a bad value
+    is not reached; an ambiguous option is refused before anything is read,
+    and unknown options and surplus arguments are refused last."""
+    late: List[str] = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            raise InputError("'--' before the verb")
+        option = _read_option(token, _HELP_STRINGS)
+        if option is None:
+            break
+        if option[0] is None:
+            late.append(f"unknown option {token!r}")
+        else:
+            return _help(*option, None)
+    else:
+        raise InputError(f"no verb given; choose from {', '.join(_VERBS)}")
+    verb, tokens = argv[i], argv[i + 1:]
+    if verb not in _VERBS:
+        raise InputError(f"unknown verb {verb!r}; choose from {', '.join(_VERBS)}")
+    run, _, positionals, options = _VERBS[verb]
+    strings = {**_HELP_STRINGS, **{o[0]: o for o in (*_COMMON, *options)}}
+    dashes = tokens.index("--") if "--" in tokens else len(tokens)
+    read = [_read_option(t, strings) for t in tokens[:dashes]] + [None] * (len(tokens) - dashes)
+    args = {d.strip("[]"): None for d, _, _ in positionals}
+    args.update((o[0][2:].replace("-", "_"), o[2]) for o in (*_COMMON, *options))
+    bound, last_bound, j = 0, None, 0
+    while j < len(tokens):
+        token, option = tokens[j], read[j]
+        if j == dashes:
+            # argparse lets the positional bound just before '--', or one still to come, take it
+            if bound == len(positionals) and last_bound != j - 1:
+                late.append("unexpected argument '--'")
+        elif option is None:
+            if bound == len(positionals):
+                late.append(f"unexpected argument {token!r}")
+            else:
+                dest, choices, _ = positionals[bound]
+                _choose(dest, choices, token)
+                args[dest.strip("[]")] = token
+                bound, last_bound = bound + 1, j
+        elif option[0] is None:
+            late.append(f"unknown option {token!r}")
+        else:
+            string, value = option
+            spec = strings[string]
+            if spec is _HELP:
+                return _help(string, value, verb)
+            _, kind, _, choices, _ = spec
+            if kind is bool:
+                if value is not None:
+                    raise InputError(f"option {string} takes no value (got {value!r})")
+                value = True
+            elif value is None:
+                if j + 1 >= dashes or read[j + 1] is not None:
+                    raise InputError(f"option {string} needs a value")
+                j += 1
+                value = tokens[j]
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise InputError(f"option {string} needs an integer, not {value!r}")
+            else:
+                _choose(f"option {string}", choices, value)
+            args[string[2:].replace("-", "_")] = value
+        j += 1
+    missing = [d for d, _, _ in positionals[bound:] if not d.startswith("[")]
+    if missing:
+        raise InputError(f"{verb} needs {' and '.join(missing)}")
+    if late:
+        raise InputError(late[0])
+    return SimpleNamespace(command=verb, run=run, **args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
         code = args.run(args)
         sys.stdout.flush()  # a closed reader fails here, not at exit
         return code

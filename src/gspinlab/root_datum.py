@@ -62,11 +62,12 @@ class BasedRootDatum:
     copy of Z^rank; validity (pairing 2 on diagonal, generalized Cartan
     conditions, finite reflection closure) is checked at entry, by this
     constructor; derivations carry it (see ``_derived``). The private
-    ``_root_count`` is the size of the proven reflection closure; equality,
-    hashing and ``to_dict`` ignore it.
+    ``_root_count`` is the size of the proven reflection closure and
+    ``_cartan`` the Cartan matrix, None until ``cartan_matrix`` first
+    computes it; equality, hashing and ``to_dict`` ignore both.
     """
 
-    __slots__ = ("rank", "simple_roots", "simple_coroots", "label", "_root_count")
+    __slots__ = ("rank", "simple_roots", "simple_coroots", "label", "_root_count", "_cartan")
 
     def __init__(
         self,
@@ -83,6 +84,7 @@ class BasedRootDatum:
             self, "simple_coroots", tuple(tuple(int(x) for x in a) for a in simple_coroots)
         )
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_cartan", None)
         object.__setattr__(self, "_root_count", self._validate())
 
     def __setattr__(self, name, value):
@@ -120,14 +122,16 @@ class BasedRootDatum:
                 raise ValueError("simple roots are linearly dependent")
             if matrix_rank(IntMatrix.from_columns(self.simple_coroots, rows=self.rank)) != n:
                 raise ValueError("simple coroots are linearly dependent")
-        return len(self._closure(c, ROOT_CLOSURE_CAP))  # raises when it is not finite
+        return len(self.roots(ROOT_CLOSURE_CAP))  # raises when it is not finite
 
-    def cartan_matrix(self) -> List[List[int]]:
-        """Entries <alpha_i, alpha_j^>."""
-        return [
-            [_dot(a, b) for b in self.simple_coroots]
-            for a in self.simple_roots
-        ]
+    def cartan_matrix(self) -> Tuple[Vector, ...]:
+        """Entries <alpha_i, alpha_j^>, row i for alpha_i: computed on the
+        first call and kept; a datum built only to be combined (a factor of a
+        product) never needs it."""
+        if self._cartan is None:
+            c = tuple([tuple([_dot(a, b) for b in self.simple_coroots]) for a in self.simple_roots])
+            object.__setattr__(self, "_cartan", c)
+        return self._cartan
 
     def pairing(self, x: Sequence[int], y: Sequence[int]) -> int:
         if len(x) != self.rank:
@@ -137,18 +141,14 @@ class BasedRootDatum:
         return _dot(x, y)
 
     def roots(self, cap: int = ROOT_CLOSURE_CAP) -> Tuple[Tuple[Vector, Vector], ...]:
-        """All (root, coroot) pairs, by reflection closure of the simple ones."""
-        return self._closure(self.cartan_matrix(), cap)
-
-    def _closure(
-        self, c: List[List[int]], cap: int
-    ) -> Tuple[Tuple[Vector, Vector], ...]:
-        """Reflection closure, with pairings read from the Cartan matrix c.
+        """All (root, coroot) pairs, by reflection closure of the simple ones,
+        with pairings read from the Cartan matrix c.
 
         A frontier entry (b, bv, p, q) has p_j = <b, alpha_j^> and
         q_j = <alpha_j, bv>; s_j subtracts k = p_j times row j of c from p
         and kv = q_j times column j from q.
         """
+        c = self.cartan_matrix()
         simple = list(zip(self.simple_roots, self.simple_coroots, c, zip(*c)))
         seen: Dict[Vector, Vector] = {a: av for a, av, _, _ in simple}
         frontier = simple
@@ -230,7 +230,8 @@ def _derived(
     run; each caller states in its docstring why the result is valid.
     """
     d = object.__new__(BasedRootDatum)
-    for put, value in zip(_SETTERS, (rank, tuple(roots), tuple(coroots), label, root_count)):
+    fields = (rank, tuple(roots), tuple(coroots), label, root_count, None)
+    for put, value in zip(_SETTERS, fields):
         put(d, value)
     return d
 

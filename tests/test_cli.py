@@ -1,5 +1,11 @@
+import argparse
+import collections
+import contextlib
+import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import gspinlab
-from gspinlab import presets
+from gspinlab import cli, presets
 from gspinlab.cli import EXIT_PIPE, main
 from gspinlab.gaussian import QI
 from gspinlab.root_datum import gl_datum
+from test_catalogue_goldens import TOOL
 
 
 def package_env():
@@ -728,3 +735,255 @@ def test_assembly_that_fails_to_close_exits_four(capsys, monkeypatch):
     assert code == 4
     assert err.strip() == "internal check failed: assembled twisted-centralizer set failed to close"
     assert "Traceback" not in err and out == ""
+
+
+# ---------------------------------------------------------------------------
+# argv: the verb-table reader against argparse
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The argparse declaration the CLI had before its verb table, with each
+    handler replaced by the verb's name."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="machine-readable output")
+    common.add_argument("--quiet", action="store_true", help="suppress detail text")
+    common.add_argument(
+        "--cap", type=int, default=512, help="size cap for closures and root sets"
+    )
+    ap = argparse.ArgumentParser(
+        prog="gspinlab",
+        description="Exact workbench for based root data, component groups, and packet counts",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def add(name, **kw):
+        p = sub.add_parser(name, parents=[common], **kw)
+        p.set_defaults(run=name)
+        return p
+
+    p = add("datum", help="inspect a based root datum")
+    p.add_argument("name", help="preset name or JSON file")
+    p.add_argument(
+        "action",
+        choices=["describe", "center", "dual", "sc-center", "roots"],
+    )
+
+    p = add("iso", help="check or search root-datum isomorphisms")
+    p.add_argument("first", help="'check', 'search', or the source datum")
+    p.add_argument("d1_or_d2", help="datum")
+    p.add_argument("maybe_d2", nargs="?", help="target datum when a mode is given")
+    p.add_argument("--map", help="map preset or JSON file (for check)")
+    p.add_argument("--fix-delta", action="store_true", help="fix the simple-root assignment in listed order")
+    p.add_argument("--det", choices=["+1", "-1", "1"], help="determinant constraint")
+
+    p = add("exact", help="verify a character-lattice exact sequence")
+    p.add_argument("seq", help="sequence preset or JSON file")
+
+    p = add("group", help="finite matrix group computations")
+    p.add_argument("action", choices=["gen", "table", "id"])
+    p.add_argument("--preset", help="named generator preset")
+    p.add_argument("--file", help="JSON file with a generators array")
+
+    p = add("params", help="component groups of a parameter image")
+    p.add_argument("param", help="witness preset or JSON file")
+
+    p = add("packets", help="packet sizes for a scenario")
+    p.add_argument("scenario", help="scenario preset or JSON file")
+
+    add("verify-paper", help="run the bundled regression catalogue")
+    return ap
+
+
+ORACLE = argparse_oracle()
+
+
+def argparse_reads(argv):
+    """("ok", namespace dict without run), ("help",) or ("refused", message)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            ns = ORACLE.parse_args(argv)
+        except SystemExit as exc:
+            return ("help",) if exc.code == 0 else ("refused", err.getvalue().splitlines()[-1])
+    out = vars(ns)
+    assert out.pop("run") == out["command"]
+    return ("ok", out)
+
+
+def reader_reads(argv):
+    try:
+        ns = cli.parse_argv(list(argv))
+    except cli.InputError as exc:
+        return ("refused", str(exc))
+    if ns.run is cli._cmd_help:
+        return ("help",)
+    out = dict(vars(ns))
+    assert out.pop("run") is cli._VERBS[out["command"]][0]
+    return ("ok", out)
+
+
+def iso_optional_taken_late(argv, want, got):
+    """The one intended grammar difference: argparse gives iso's optional third
+    positional its empty value as soon as an option follows the second, so
+    ``iso search GSpin4 --json G4`` is refused (unrecognized arguments: G4).
+    The reader takes a later positional for it. Holds when argparse accepts
+    argv without one or two of its tokens (that positional, a '--') and reads
+    what the reader read, with maybe_d2 None."""
+    if not (want[0] == "refused" and "unrecognized arguments" in want[1] and got[0] == "ok"):
+        return False
+    if got[1]["command"] != "iso":
+        return False
+    expect = ("ok", {**got[1], "maybe_d2": None})
+    drops = [(i,) for i in range(len(argv))] + list(itertools.combinations(range(len(argv)), 2))
+    return any(
+        argparse_reads([t for k, t in enumerate(argv) if k not in drop]) == expect for drop in drops
+    )
+
+
+def argparse_strips_a_literal_double_dash(argv, want, got):
+    """An argparse 3.11 defect: it removes the first '--' from every
+    positional's strings, so a literal '--' after the separator vanishes and
+    its positional reads [] (iso's optional one, None); a choice is not
+    checked. The reader reads '--' there, or refuses it as a choice."""
+    if want[0] != "ok" or argv.count("--") < 2:
+        return False
+    lost = {k for k, v in want[1].items() if v == [] or (k == "maybe_d2" and v is None)}
+    if got[0] == "refused":
+        return "not '--'" in got[1] and [] in want[1].values()
+    return got[0] == "ok" and lost and all(
+        want[1][k] == v or (k in lost and v == "--") for k, v in got[1].items()
+    )
+
+
+NAMES = ("GSpin4", "G4", "GSpin6", "check", "search", "gspin6-klein", "-1", "-.5", "x y", "-", "", "--")
+VALUES = ("+1", "-1", "1", "12", "-5", "0x10", " 7 ", "G4", "gspin4_to_g4", "many", "")
+JUNK = (
+    "--bogus", "-x", "---", "-1x", "-1.", "--=1", "-hh", "-hx", "-h=h", "-h=", "--help=1",
+    "--json=1", "--cap=", "=", "-", "--he", "-a b",
+)
+
+
+def fuzz_argv(rng: random.Random) -> list:
+    """One argv from the verb table's tokens: a verb, its positionals (now
+    and then one short or one too many) and some of its options, in any
+    order, spelled in full, as a unique prefix or with '=', with their value
+    missing now and then; then perhaps a '--', a -h, junk, an option before
+    the verb, or no or a wrong verb."""
+    verb = rng.choice(list(cli._VERBS))
+    _, _, positionals, options = cli._VERBS[verb]
+    argv = [
+        rng.choice(choices) if choices and rng.random() < 0.9 else rng.choice(NAMES)
+        for _, choices, _ in positionals
+    ]
+    if argv and rng.random() < 0.1:
+        del argv[rng.randrange(len(argv))]
+    if rng.random() < 0.1:
+        argv.append(rng.choice(NAMES))
+    table = (*cli._COMMON, *options)
+    for string, kind, _, choices, _ in rng.sample(table, rng.randint(0, len(table))):
+        if rng.random() < 0.3:
+            string = string[: rng.randint(3, len(string))]
+        value = rng.choice(choices or VALUES)
+        if kind is bool:
+            group = [string + ("=" + value if rng.random() < 0.05 else "")]
+        elif rng.random() < 0.05:
+            group = [string]
+        elif rng.random() < 0.25:
+            group = [f"{string}={value}"]
+        else:
+            group = [string, value]
+        at = rng.randint(0, len(argv))
+        argv[at:at] = group
+        if rng.random() < 0.1:  # repeated: the last value wins
+            argv += group
+    for token, p in (("--", 0.12), (rng.choice(("-h", "--help", "--h")), 0.08), (rng.choice(JUNK), 0.12)):
+        if rng.random() < p:
+            argv.insert(rng.randint(0, len(argv)), token)
+    head = rng.random()
+    if head < 0.03:
+        return argv
+    if head < 0.06:
+        return [rng.choice(NAMES + JUNK), *argv]
+    if head < 0.09:
+        return [rng.choice(JUNK + ("-h",)), verb, *argv]
+    return [verb, *argv]
+
+
+def test_reader_matches_argparse_on_every_golden_invocation(tmp_path):
+    runs = TOOL.invocations(Path(presets.__file__).resolve().parent / "data", tmp_path)
+    assert len(runs) == 1246
+    for argv in runs:
+        want = argparse_reads(argv)
+        assert want[0] == "ok", argv
+        assert reader_reads(argv) == want, argv
+
+
+def test_reader_matches_argparse_on_fuzzed_argv(capsys):
+    # argparse accepts -> the same namespace; argparse refuses -> main returns 2;
+    # the exceptions are the two documented above, counted so that a change
+    # in how often they arise shows
+    rng = random.Random(20261022)
+    seen, excused = collections.Counter(), collections.Counter()
+    for _ in range(5000):
+        argv = fuzz_argv(rng)
+        want, got = argparse_reads(argv), reader_reads(argv)
+        seen[want[0]] += 1
+        if got[0] == "refused":
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == f"input error: {got[1]}\n", argv
+        if want[0] == got[0] and (want[0] != "ok" or want == got):
+            continue
+        for excuse in (iso_optional_taken_late, argparse_strips_a_literal_double_dash):
+            if excuse(argv, want, got):
+                excused[excuse.__name__] += 1
+                break
+        else:
+            pytest.fail(f"{argv}: argparse {want}, reader {got}")
+    # every outcome is drawn often
+    assert seen["ok"] > 1000 and seen["refused"] > 1000 and seen["help"] > 250, seen
+    assert sum(excused.values()) < 250, excused
+
+
+REFUSALS = {
+    "unknown verb": (["frobnicate", "GSpin4"], ["'frobnicate'"]),
+    "no verb": (["--json"], ["verb"]),
+    "unknown option": (["packets", "gspin6-klein", "--bogus"], ["'--bogus'"]),
+    "ambiguous prefix": (["datum", "GSpin4", "center", "--=1"], ["'--=1'", "--json", "--cap"]),
+    "missing positional": (["datum", "GSpin4"], ["action"]),
+    "extra positional": (["packets", "gspin6-klein", "extra"], ["'extra'"]),
+    "bad choice": (["datum", "GSpin4", "middle"], ["action", "'middle'"]),
+    "non-integer cap": (["group", "gen", "--preset", "klein_four_sl2", "--cap", "many"], ["--cap", "'many'"]),
+    "option without its value": (["iso", "search", "GSpin4", "G4", "--det"], ["--det"]),
+    "flag given a value": (["verify-paper", "--json=yes"], ["--json", "'yes'"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_usage_errors_are_input_errors(case, capsys):
+    argv, names = REFUSALS[case]
+    assert argparse_reads(argv)[0] == "refused"
+    code, out, err = run(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gspinlab.cli", *argv],
+        capture_output=True, text=True, env=package_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (2, "", err)
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert [n for n in names if n not in err] == [], err
+
+
+def test_help_lists_the_verbs_and_a_verbs_arguments(capsys):
+    code, out, err = run(capsys, "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: gspinlab [-h] VERB ...\n")
+    listed = [line.split()[0] for line in out.split("verbs:\n")[1].split("\n\n")[0].splitlines()]
+    assert listed == ["datum", "iso", "exact", "group", "params", "packets", "verify-paper"]
+    code, out, err = run(capsys, "packets", "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: gspinlab packets [-h] [--json] [--quiet] [--cap CAP] scenario\n")
+    for line in ("scenario  scenario preset or JSON file", "-h, --help", "--json", "--quiet", "--cap CAP"):
+        assert f"\n  {line}" in out, line
+    # the help of a verb is reached from anywhere on its line, before a fault
+    assert run(capsys, "datum", "GSpin4", "--he", "middle")[:2] == (0, run(capsys, "datum", "-h")[1])

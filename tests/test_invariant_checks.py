@@ -2,9 +2,10 @@
 depend on ``assert`` statements, which ``python -O`` strips, no module
 keeps an import it never uses or imports inside a function, no module
 dispatches on ``isinstance(..., tuple)`` or imports ``fractions``,
-``decimal`` or ``importlib``, a cold start loads neither ``dataclasses`` nor
-``inspect``, cold ``verify-paper`` and ``packets`` runs load neither
-``fractions`` nor ``decimal``, ``from gspinlab import *`` binds only
+``decimal``, ``importlib`` or ``argparse``, a cold start loads none of
+``dataclasses``, ``inspect``, ``argparse``, ``gettext`` and ``locale``, cold
+``verify-paper`` and ``packets`` runs load none of ``fractions``, ``decimal``,
+``argparse``, ``gettext`` and ``locale``, ``from gspinlab import *`` binds only
 public names, and every private module-level helper is used somewhere in
 the package."""
 import ast
@@ -140,9 +141,10 @@ def test_star_import_binds_only_public_names():
 
 def test_no_module_imports_importlib():
     # presets open their data files by path; importlib.resources would load
-    # pathlib, tempfile, shutil and their imports at every cold start
-    found = _imports_of({"importlib"})
-    assert found == [], "importlib imported at: " + ", ".join(found)
+    # pathlib, tempfile, shutil and their imports at every cold start. The
+    # CLI reads argv from its verb table; argparse would load gettext and locale
+    found = _imports_of({"importlib", "argparse"})
+    assert found == [], "importlib or argparse imported at: " + ", ".join(found)
 
 
 def test_cold_presets_load_no_importlib_resources():
@@ -161,6 +163,7 @@ def test_cold_presets_load_no_importlib_resources():
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
+    # -S: a site .pth may import locale before gspinlab loads
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(PACKAGE.parent)
     code = (
@@ -168,12 +171,13 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert "gspinlab.cli" in loaded
-    assert [m for m in ("dataclasses", "inspect") if m in loaded] == []
+    absent = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+    assert [m for m in absent if m in loaded] == []
 
 
 @pytest.mark.parametrize(
@@ -187,10 +191,11 @@ def test_cold_commands_load_no_fractions_or_decimal(argv):
         "import gspinlab.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = gspinlab.cli.main({argv!r})\n"
-        "print(code, *[m for m in ('fractions', 'decimal') if m in sys.modules])\n"
+        "absent = ('fractions', 'decimal', 'argparse', 'gettext', 'locale')\n"
+        "print(code, *[m for m in absent if m in sys.modules])\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]

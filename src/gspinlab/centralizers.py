@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .gaussian import (
     FOURTH_ROOTS,
@@ -277,10 +277,16 @@ class ParameterImage:
         return cls(ambient, tuple(gens), tuple(d.get("labels", [])))
 
 
-class CentralizerReport:
-    """S_phi_sc, S_phi and Z_hat of a parameter.
+def _label(group: FiniteMatrixGroup) -> str:
+    """The group's ``group_id`` label, or ``order n`` past GROUP_ID_MAX_ORDER."""
+    return group_id(group) if group.order <= GROUP_ID_MAX_ORDER else f"order {group.order}"
 
-    ``extension_ok`` is derived: ``verify_extension`` of the other fields.
+
+class CentralizerReport:
+    """S_phi_sc, S_phi = S_phi_sc / Z and Z_hat of a parameter.
+
+    Derived: the labels are ``_label`` of the two groups, ``s_phi_order`` is
+    |S_phi|, and ``extension_ok`` is ``verify_extension`` of the report.
     """
 
     __slots__ = (
@@ -292,23 +298,20 @@ class CentralizerReport:
         self,
         ambient: str,
         s_phi_sc: FiniteMatrixGroup,
-        s_phi_sc_label: str,
-        s_phi_label: str,
-        s_phi_order: int,
+        s_phi: FiniteMatrixGroup,
         z_hat: AbelianGroupStructure,
         z_elements: Tuple[GaussianMatrix, ...],
         twists: Tuple[Tuple[QI, ...], ...],  # the live twists
-        s_phi: Optional[FiniteMatrixGroup] = None,  # S_phi_sc / Z, as s_groups builds it
     ):
         self.ambient = ambient
         self.s_phi_sc = s_phi_sc
-        self.s_phi_sc_label = s_phi_sc_label
-        self.s_phi_label = s_phi_label
-        self.s_phi_order = s_phi_order
+        self.s_phi = s_phi
         self.z_hat = z_hat
         self.z_elements = z_elements
         self.twists = twists
-        self.s_phi = s_phi
+        self.s_phi_sc_label = _label(s_phi_sc)
+        self.s_phi_label = _label(s_phi)
+        self.s_phi_order = s_phi.order
         self.extension_ok = verify_extension(self)
 
     def to_dict(self) -> dict:
@@ -332,19 +335,7 @@ def s_groups(phi: ParameterImage, cap: int = 512) -> CentralizerReport:
     z_hat = AbelianGroupStructure(0, tuple(len(_center_scalars(f[0].n)) for f in factors))
     # Z lies in the group: its generators are among the closure's
     squot = group.quotient(z_elements)
-    s_phi_label = group_id(squot) if squot.order <= GROUP_ID_MAX_ORDER else f"order {squot.order}"
-    s_sc_label = group_id(group) if group.order <= GROUP_ID_MAX_ORDER else f"order {group.order}"
-    return CentralizerReport(
-        ambient=phi.ambient,
-        s_phi_sc=group,
-        s_phi_sc_label=s_sc_label,
-        s_phi_label=s_phi_label,
-        s_phi_order=squot.order,
-        z_hat=z_hat,
-        z_elements=z_elements,
-        twists=tuple(used),
-        s_phi=squot,
-    )
+    return CentralizerReport(phi.ambient, group, squot, z_hat, z_elements, tuple(used))
 
 
 def verify_extension(report: CentralizerReport) -> bool:

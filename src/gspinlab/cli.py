@@ -191,7 +191,10 @@ def _cmd_datum(args) -> int:
         out = d.dual()
         _emit(args, out.to_dict(), json.dumps(out.to_dict(), indent=2))
     elif action == "roots":
-        roots = d.roots(cap=args.cap)
+        try:
+            roots = d.roots(cap=args.cap)
+        except ValueError as exc:  # the datum is valid, so only the cap refuses
+            raise CapExceededError(str(exc)) from None
         text = f"{len(roots)} roots\n" + "\n".join(
             f"{list(r)}  coroot {list(rv)}" for r, rv in roots
         )

@@ -45,13 +45,13 @@ _FAMILIES: Dict[str, Tuple[str, Tuple[int, ...], Dict[str, Tuple[QI, ...]]]] = {
     "GSpin6": ("GSO6", (4,), {"split": (_ONE,), "2-0": (_NEG,), "1-0": (QI(0, 1),)}),
 }
 
-# factor kind -> (rank of I^{SL_2}, irreducible?, number of named quadratic labels)
-FACTOR_KINDS: Dict[str, Tuple[int, bool, int]] = {
-    "reducible_generic": (0, False, 0),
-    "reducible_two_constituents": (1, False, 1),
-    "primitive_or_sl2_nontrivial": (0, True, 0),
-    "dihedral_one": (1, True, 1),
-    "dihedral_three": (2, True, 3),
+# factor kind -> (rank r of I^{SL_2} = (Z/2)^r, irreducible?)
+FACTOR_KINDS: Dict[str, Tuple[int, bool]] = {
+    "reducible_generic": (0, False),
+    "reducible_two_constituents": (1, False),
+    "primitive_or_sl2_nontrivial": (0, True),
+    "dihedral_one": (1, True),
+    "dihedral_three": (2, True),
 }
 
 
@@ -61,7 +61,7 @@ class FactorSpec:
     def __init__(self, kind: str, labels: Tuple[str, ...] = ()):
         if kind not in FACTOR_KINDS:
             raise ValueError(f"unknown factor kind {kind!r}")
-        _, _, nlabels = FACTOR_KINDS[kind]
+        nlabels = 2 ** FACTOR_KINDS[kind][0] - 1  # the nontrivial characters of (Z/2)^r
         if labels and len(labels) != nlabels:
             raise ValueError(f"kind {kind!r} carries {nlabels} named quadratic characters")
         if len(set(labels)) != len(labels):
@@ -221,21 +221,28 @@ def kottwitz_characters(family: str) -> Dict[str, CentralCharacter]:
 
 
 class PacketOutcome:
+    """One structure's packets, from ``degrees`` (each inner form's irreducible
+    degrees, or None where the form is open) and |I|. Derived: ``sizes`` counts
+    the degrees; ``multiplicities`` holds the integer m with m^2 * size = |I|,
+    or None when there is none."""
+
     __slots__ = ("structure", "confirmed", "sizes", "multiplicities", "degrees")
 
     def __init__(
         self,
         structure: str,
         confirmed: Optional[bool],
-        sizes: Dict[str, Optional[int]],
-        multiplicities: Dict[str, Optional[int]],
-        degrees: Dict[str, Tuple[int, ...]],
+        degrees: Dict[str, Optional[Tuple[int, ...]]],
+        igroup_order: int,
     ):
         self.structure = structure
         self.confirmed = confirmed
-        self.sizes = sizes
-        self.multiplicities = multiplicities
         self.degrees = degrees
+        self.sizes = {form: None if d is None else len(d) for form, d in degrees.items()}
+        self.multiplicities: Dict[str, Optional[int]] = {}
+        for form, size in self.sizes.items():
+            m = isqrt(igroup_order // size) if size and igroup_order % size == 0 else 0
+            self.multiplicities[form] = m if m and m * m * size == igroup_order else None
 
     def to_dict(self) -> dict:
         return {
@@ -243,7 +250,7 @@ class PacketOutcome:
             "confirmed": self.confirmed,
             "sizes": dict(self.sizes),
             "multiplicities": dict(self.multiplicities),
-            "degrees": {k: list(v) for k, v in self.degrees.items()},
+            "degrees": {k: list(v) for k, v in self.degrees.items() if v is not None},
         }
 
 
@@ -256,9 +263,9 @@ def packet_sizes(
     """Packet sizes per inner form for a component-group structure.
 
     ``structure`` is a catalogue label (realized canonically) or an explicit
-    FiniteMatrixGroup containing the designated central subgroup. Sizes are
-    counts of irreducible characters with the corresponding central
-    character; multiplicities come from m^2 * size = |I| = ``igroup_order``.
+    FiniteMatrixGroup containing the designated central subgroup. A form's
+    degrees are those of the irreducible characters with its central
+    character; ``PacketOutcome`` derives sizes and multiplicities from them.
     """
     zetas = kottwitz_characters(family)
     if isinstance(structure, str):
@@ -269,17 +276,11 @@ def packet_sizes(
     if not all(z in group for z in z_elements):
         raise ValueError("structure lacks the designated central subgroup")
     table = group.character_table()
-    sizes: Dict[str, Optional[int]] = {}
-    degrees: Dict[str, Tuple[int, ...]] = {}
-    for form, zeta in zetas.items():
-        rows = irreps_with_central_character(group, z_elements, zeta, table)
-        sizes[form] = len(rows)
-        degrees[form] = tuple(r.degree for r in rows)
-    multiplicities: Dict[str, Optional[int]] = {}
-    for form, sz in sizes.items():
-        m = isqrt(igroup_order // sz) if sz and igroup_order % sz == 0 else 0
-        multiplicities[form] = m if m * m * sz == igroup_order else None
-    return PacketOutcome(label, confirmed, sizes, multiplicities, degrees)
+    degrees = {
+        form: tuple(r.degree for r in irreps_with_central_character(group, z_elements, zeta, table))
+        for form, zeta in zetas.items()
+    }
+    return PacketOutcome(label, confirmed, degrees, igroup_order)
 
 
 def square_class_bound(p: int, f: int) -> Tuple[int, List[int]]:
@@ -301,7 +302,8 @@ def square_class_bound(p: int, f: int) -> Tuple[int, List[int]]:
 
 
 class PacketReport:
-    """The packet sizes of a scenario; ``consistent`` is derived: ``consistency_check``."""
+    """The packet sizes of a scenario; derived: ``igroup_order`` is |I|, ``consistent``
+    is ``consistency_check``."""
 
     __slots__ = (
         "family", "igroup", "igroup_order", "outcomes",
@@ -312,7 +314,6 @@ class PacketReport:
         self,
         family: str,
         igroup: AbelianGroupStructure,
-        igroup_order: int,
         outcomes: List[PacketOutcome],
         bound_card: int,
         bound_divisors: List[int],
@@ -320,7 +321,7 @@ class PacketReport:
     ):
         self.family = family
         self.igroup = igroup
-        self.igroup_order = igroup_order
+        self.igroup_order = igroup.torsion_order()
         self.outcomes = outcomes
         self.bound_card = bound_card
         self.bound_divisors = bound_divisors
@@ -361,7 +362,7 @@ def _shape(group: FiniteMatrixGroup) -> Tuple[int, Optional[AbelianGroupStructur
 
 
 def _gspin4_outcomes(s: GSpin4Scenario, rep: Optional[CentralizerReport], card: int):
-    """(I, |I|, outcomes, notes) by the rank-four rules, from the witness's report and the bound."""
+    """(I, outcomes, notes) by the rank-four rules, from the witness's report and the bound."""
     ig = igroup_gspin4(s)
     rules_label, n = sgroup_structure_gspin4(s, ig), ig.torsion_order()
     q8_possible = rules_label == " or ".join(_GSPIN4_BRANCHES)
@@ -409,11 +410,11 @@ def _gspin4_outcomes(s: GSpin4Scenario, rep: Optional[CentralizerReport], card: 
             f"bound 2^(f+2) = {card} for p = 2 grows with f; sizes above 8 are not "
             "ruled out by the rank-four rules alone"
         )
-    return ig, n, outcomes, notes
+    return ig, outcomes, notes
 
 
 def _gspin6_outcomes(s: GSpin6Scenario, rep: Optional[CentralizerReport], card: int):
-    """(I, |I|, outcomes, notes) by the rank-six rules, from the witness's report and the bound."""
+    """(I, outcomes, notes) by the rank-six rules, from the witness's report and the bound."""
     ig = igroup_gspin6(s)
     rank, order = len(ig.torsion), ig.torsion_order()
     notes: List[str] = []
@@ -433,17 +434,16 @@ def _gspin6_outcomes(s: GSpin6Scenario, rep: Optional[CentralizerReport], card: 
             f"matrix-level witness: S_phi_sc is {rep.s_phi_sc_label} of order "
             f"{rep.s_phi_sc.order}"
         )
-        return ig, order, [packet_sizes(rep.s_phi_sc, "GSpin6", order, confirmed=True)], notes
+        return ig, [packet_sizes(rep.s_phi_sc, "GSpin6", order, confirmed=True)], notes
     unknown = dict.fromkeys(_FAMILIES["GSpin6"][2])  # every form open but the split one
     outcome = PacketOutcome(
-        f"abelian extension over {ig}", None,
-        {**unknown, "split": order}, {**unknown, "split": 1}, {"split": (1,) * order},
+        f"abelian extension over {ig}", None, {**unknown, "split": (1,) * order}, order
     )
     notes.append(
         "inner-form packet sizes for rank six require an explicit component "
         "group; the two quaternionic-type forms share one line"
     )
-    return ig, order, [outcome], notes
+    return ig, [outcome], notes
 
 
 def scenario_from_dict(d: dict):
@@ -485,11 +485,12 @@ def scenario_report(scenario, witness: Optional[ParameterImage] = None) -> Packe
                 f"a {family} scenario needs a {ambient} witness, not a {witness.ambient} one"
             )
         rep = s_groups(witness)
-    ig, igroup_order, outcomes, notes = rules(scenario, rep, card)
+    ig, outcomes, notes = rules(scenario, rep, card)
+    report = PacketReport(family, ig, outcomes, card, divisors, notes)
     # S_phi is identified with I, the group of characters fixing the parameter
-    if rep is not None and _shape(rep.s_phi) != (igroup_order, ig):
+    if rep is not None and _shape(rep.s_phi) != (report.igroup_order, ig):
         raise ValueError(
             f"witness {scenario.witness!r} has S_phi {rep.s_phi_label} (order "
-            f"{rep.s_phi_order}), not the I group {ig} (order {igroup_order})"
+            f"{rep.s_phi_order}), not the I group {ig} (order {report.igroup_order})"
         )
-    return PacketReport(family, ig, igroup_order, outcomes, card, divisors, notes)
+    return report

@@ -452,14 +452,12 @@ def center_structure(d: BasedRootDatum) -> AbelianGroupStructure:
 def dual_sc_center(d: BasedRootDatum) -> AbelianGroupStructure:
     """Center of the simply connected cover of the dual derived group.
 
-    Computed as the cokernel of the Cartan matrix of the dual root system
-    (weight lattice modulo root lattice).
+    Computed as the cokernel of the Cartan matrix (weight lattice modulo root
+    lattice); the dual root system's is its transpose, with the same cokernel.
     """
     if not d.simple_roots:
         raise ValueError("no semisimple part")
-    c = [[_dot(b, av) for b in d.simple_coroots] for av in d.simple_roots]
-    # transpose of the Cartan matrix; cokernel class is transpose-invariant
-    out = cokernel_structure(IntMatrix(c))
+    out = cokernel_structure(IntMatrix(d.cartan_matrix()))
     if out.free_rank != 0:
         raise AssertionError("dual simply connected center is infinite")
     return out

@@ -17,8 +17,15 @@ from gspinlab.centralizers import (
     verify_extension,
 )
 from gspinlab.cli import main
-from gspinlab.finite_groups import FiniteMatrixGroup, NotFiniteError, closure_tree, group_id
+from gspinlab.finite_groups import (
+    FiniteMatrixGroup,
+    NotFiniteError,
+    closure_tree,
+    generate_closure,
+    group_id,
+)
 from gspinlab.gaussian import FOURTH_ROOTS, QI, GaussianMatrix, parse_qi
+from gspinlab.lattice import AbelianGroupStructure
 
 A = GaussianMatrix.from_strings([["i", "0"], ["0", "-i"]])
 B = GaussianMatrix.from_strings([["0", "1"], ["-1", "0"]])
@@ -262,15 +269,28 @@ def test_params_reports_a_refused_extension(monkeypatch, capsys):
     assert "extension exact: False" in capsys.readouterr().out.splitlines()
 
 
+def test_report_labels_use_group_id_through_order_64():
+    # Q8 x Q8 (order 64) in SL4, and Q8 x Q8 x Z/2 (order 128) in GL5
+    one, minus = GaussianMatrix.identity(1), GaussianMatrix.scalar(1, MINUS)
+    blocks = [(A, I2), (I2, A), (B, I2), (I2, B)]
+    q8q8 = generate_closure([GaussianMatrix.block_diagonal(*bl) for bl in blocks])
+    rep = CentralizerReport("GSO6", q8q8, q8q8, AbelianGroupStructure(0), (), ())
+    assert rep.s_phi_sc_label == group_id(q8q8) != "order 64"
+    bigger = generate_closure(
+        [GaussianMatrix.block_diagonal(*bl, one) for bl in blocks]
+        + [GaussianMatrix.block_diagonal(I2, I2, minus)]
+    )
+    rep = CentralizerReport("GSO6", bigger, q8q8, AbelianGroupStructure(0), (), ())
+    assert (rep.s_phi_sc_label, rep.s_phi_label) == ("order 128", group_id(q8q8))
+
+
 def test_verify_extension_rejects_wrong_quotient_order():
     rep = s_groups(presets.witness_parameter("coupled_klein_four"))
     assert verify_extension(rep)
     wrong = CentralizerReport(
         rep.ambient,
         rep.s_phi_sc,
-        rep.s_phi_sc_label,
-        rep.s_phi_label,
-        rep.s_phi_order + 1,
+        rep.s_phi_sc,
         rep.z_hat,
         rep.z_elements,
         rep.twists,

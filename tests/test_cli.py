@@ -52,6 +52,16 @@ def test_datum_roots_count(capsys):
     assert out.splitlines()[0] == "4 roots"
 
 
+def test_datum_roots_cap_exceeded(capsys):
+    # GSpin6 has 12 roots: a smaller --cap is the user's cap, not an input error
+    code, out, err = run(capsys, "datum", "GSpin6", "roots", "--cap", "11")
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: root closure exceeded cap 11\n"
+    code, out, _ = run(capsys, "datum", "GSpin6", "roots", "--cap", "12")
+    assert code == 0
+    assert out.splitlines()[0] == "12 roots"
+
+
 def test_datum_json_roundtrip(capsys):
     code, out, _ = run(capsys, "datum", "GSpin4", "describe", "--json")
     assert code == 0

@@ -102,7 +102,7 @@ def test_factor_and_scenario_defaults_and_refusals():
         assert (s.f, s.witness) == (1, None)
         assert scenario_report(s).bound_card == 4
     reports = [
-        PacketReport("GSpin4", AbelianGroupStructure(0), 1, [], 4, [1, 2, 4]) for _ in range(2)
+        PacketReport("GSpin4", AbelianGroupStructure(0), [], 4, [1, 2, 4]) for _ in range(2)
     ]
     reports[0].notes.append("x")
     assert reports[1].notes == []
@@ -224,14 +224,12 @@ def test_consistency_check_fabricated_size():
     outcome = PacketOutcome(
         structure="(Z/2)^2",
         confirmed=None,
-        sizes={"split": 3, "2-1": 1, "1-1": 1},
-        multiplicities={"split": 1, "2-1": 1, "1-1": 1},
-        degrees={},
+        degrees={"split": (1, 1, 1), "2-1": (1,), "1-1": (1,)},
+        igroup_order=1,
     )
     report = PacketReport(
         family="GSpin4",
         igroup=AbelianGroupStructure(0, ()),
-        igroup_order=1,
         outcomes=[outcome],
         bound_card=4,
         bound_divisors=[1, 2, 4],
